@@ -57,7 +57,7 @@ from .inequalities import (
     stats_from_model,
 )
 from .protocols import (
-    CommRunLog,
+    CommBlock,
     CommSummary,
     average_bits_identity,
     bits_required,
@@ -112,7 +112,7 @@ __all__ = [
     "lemma_check",
     "quantum_stats",
     "stats_from_model",
-    "CommRunLog",
+    "CommBlock",
     "CommSummary",
     "average_bits_identity",
     "bits_required",

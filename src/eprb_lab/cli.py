@@ -16,12 +16,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from . import __version__
 from .core import (
@@ -37,8 +40,14 @@ from .core import (
 from .inequalities import BETA_SIGNS, bound_for_signs, hardy_bounds, quantum_stats, stats_from_model
 from .models import ModelChoice, biased_distribution, resolve_model
 from .ordering import moc_demo
-from .protocols import average_bits_identity, detailed_balance, marginal_shift, simulate_game
-from .transition import TransitionSetId, full_report
+from .protocols import (
+    CommBlock,
+    average_bits_identity,
+    detailed_balance,
+    marginal_shift,
+    simulate_game,
+)
+from .transition import LABELS_BY_MASK, TransitionSetId, full_report
 
 TOOL_NAME = "eprb-lab"
 
@@ -52,8 +61,11 @@ _DEFAULT_RUNS = 1_000_000
 # Option resolution: flag, then config entry, then built-in default.
 
 
-def _read_config(path: str) -> dict[str, str]:
-    """Parse a key-value file: one `name = value` per line, `#` comments."""
+def _read_config(path: str, known: set[str]) -> dict[str, str]:
+    """Parse a key-value file: one `name = value` per line, `#` comments.
+
+    Every key must be one of ``known``, the subcommand's flag names.
+    """
     table: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -62,7 +74,10 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'name = value', got {raw!r}")
         key, _, value = line.partition("=")
-        table[key.strip().lstrip("-").replace("_", "-")] = value.strip()
+        key = key.strip().lstrip("-").replace("_", "-")
+        if key not in known:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        table[key] = value.strip()
     return table
 
 
@@ -431,6 +446,38 @@ def _cmd_sweep(opts: _Options, argv: Sequence[str]) -> int:
     )
 
 
+# Rows per formatting call of the run log: large enough to amortize the
+# call, small enough that the per-row Python objects stay a few hundred kB.
+_LOG_CHUNK_ROWS = 1024
+_ALICE_LABELS = np.array(["a", "a'"], dtype=object)
+_BOB_LABELS = np.array(["b", "b'"], dtype=object)
+_REGION_LABELS = np.array(LABELS_BY_MASK, dtype=object)
+
+
+def _write_log_block(handle: TextIO, block: CommBlock) -> None:
+    """Append one block of the run log.
+
+    Every row is one ``%``-template, which gives the bytes ``_csv_bytes``
+    would: integers in decimal, floats as ``%.12g``, and no field that
+    needs quoting.
+    """
+    dimension = block.lam.shape[1]
+    row = "%d," + "%.12g," * dimension + "%s,%s,%s,%d,%d,%d\n"
+    for lo in range(0, len(block.bits), _LOG_CHUNK_ROWS):
+        hi = min(lo + _LOG_CHUNK_ROWS, len(block.bits))
+        columns = [range(block.start + lo, block.start + hi)]
+        columns += [block.lam[lo:hi, axis].tolist() for axis in range(dimension)]
+        columns += [
+            _ALICE_LABELS[block.alice_choice[lo:hi]].tolist(),
+            _BOB_LABELS[block.bob_choice[lo:hi]].tolist(),
+            _REGION_LABELS[block.mask_code[lo:hi]].tolist(),
+            block.bits[lo:hi].tolist(),
+            block.outcome_a[lo:hi].tolist(),
+            block.outcome_b[lo:hi].tolist(),
+        ]
+        handle.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*columns))))
+
+
 def _cmd_comm(opts: _Options, argv: Sequence[str]) -> int:
     choice = _resolve_model_choice(opts, "singlet")
     _require_hidden_variables(choice)
@@ -450,21 +497,10 @@ def _cmd_comm(opts: _Options, argv: Sequence[str]) -> int:
             + ["alice_setting", "bob_setting", "region", "bits", "outcome_a", "outcome_b"]
         )
         with open(str(log_path), "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for entry in run_stream:
-                writer.writerow(
-                    [_fmt(entry.index)]
-                    + [_fmt(coord) for coord in entry.lam]
-                    + [
-                        entry.alice_setting,
-                        entry.bob_setting,
-                        entry.region,
-                        _fmt(entry.bits),
-                        _fmt(entry.outcome_a),
-                        _fmt(entry.outcome_b),
-                    ]
-                )
+            handle.write(",".join(header) + "\n")
+            for block in run_stream:
+                _write_log_block(handle, block)
+                del block  # free it before the stream plays the next one
         side_outputs.append(str(log_path))
 
     header = ["n_runs", "seed", "average_bits", "bits_std_error", "sigma_minus_bound"]
@@ -608,6 +644,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     command_line = manifest.get("command_line")
     if not isinstance(command_line, list) or not all(isinstance(s, str) for s in command_line):
         raise ValueError(f"{args.manifest}: no usable command_line entry")
+    if command_line[:1] == ["replay"]:
+        # a run writes the manifest of the command it ran, never of a replay
+        raise ValueError(f"{args.manifest}: command_line is itself a replay")
     return main(command_line)
 
 
@@ -707,7 +746,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.subcommand == "replay":
             return _cmd_replay(args)
-        config = _read_config(args.config) if args.config else {}
+        # The namespace holds exactly the subcommand's flags, plus the
+        # subcommand itself; a config file cannot name another config file.
+        known = {key.replace("_", "-") for key in vars(args)} - {"subcommand", "config"}
+        config = _read_config(args.config, known) if args.config else {}
         opts = _Options(args, config)
         return _DISPATCH[args.subcommand](opts, args_list)
     except NumericalInvariantError as exc:

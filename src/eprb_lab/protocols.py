@@ -17,12 +17,14 @@ lambda distribution breaks the balance and the marginal moves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .core import (
+    BLOCK_SIZE,
     Angle,
     AngleQuadruple,
     Distribution,
@@ -39,9 +41,9 @@ from .transition import (
     ALL_REGION_LABELS,
     LABELS_BY_MASK,
     MembershipVector,
-    REGION_PATTERNS,
     TransitionReport,
     TransitionSetId,
+    _membership_code,
     _membership_masks,
     partition_measures,
 )
@@ -51,39 +53,58 @@ _DOMAIN_LAMBDA = 11
 _DOMAIN_ALICE = 12
 _DOMAIN_BOB = 13
 
-_SAMPLE_BLOCK = 1 << 20
+#: Bits exchanged for each 4-bit membership mask (bit i = canonical set i):
+#: Alice's setting travels iff lambda sits in a B-side set (indices 0 or 2),
+#: Bob's iff in an A-side set (indices 1 or 3).
+BITS_BY_MASK: tuple[int, ...] = tuple(
+    int(bool(mask & 0b0101)) + int(bool(mask & 0b1010)) for mask in range(16)
+)
+_BITS_BY_MASK = np.array(BITS_BY_MASK, dtype=np.int8)
 
 
 def bits_required(memberships: MembershipVector) -> int:
-    """Bits exchanged for one lambda: Alice's setting travels iff lambda
-    sits in a B-side set (canonical indices 0 or 2), Bob's iff in an A-side
-    set (indices 1 or 3)."""
-    in_set = memberships.in_set
-    return int(in_set[0] or in_set[2]) + int(in_set[1] or in_set[3])
-
-
-def _bits_for_pattern(pattern: tuple[bool, bool, bool, bool]) -> int:
-    return int(pattern[0] or pattern[2]) + int(pattern[1] or pattern[3])
+    """Bits exchanged for one lambda, looked up in :data:`BITS_BY_MASK`."""
+    return BITS_BY_MASK[memberships.mask]
 
 
 #: Bits required in each membership region (region label -> 0, 1 or 2).
 REGION_BITS: dict[str, int] = {
-    label: _bits_for_pattern(REGION_PATTERNS[label]) for label in ALL_REGION_LABELS
+    label: BITS_BY_MASK[LABELS_BY_MASK.index(label)] for label in ALL_REGION_LABELS
 }
 
+# Canonical context index of each setting choice 2 * alice + bob.
+_CONTEXT_BY_CHOICE = np.array([0, 3, 1, 2], dtype=np.int8)
 
-@dataclass(frozen=True)
-class CommRunLog:
-    """One game run: the shared lambda, realized settings, region, cost."""
 
-    index: int
-    lam: tuple[float, ...]
-    alice_setting: str
-    bob_setting: str
-    region: str
-    bits: int
-    outcome_a: int
-    outcome_b: int
+def _realized_context(alice_choice: np.ndarray, bob_choice: np.ndarray) -> np.ndarray:
+    """Canonical context of each run; a choice is 0 for the unprimed
+    setting and 1 for the primed one."""
+    return _CONTEXT_BY_CHOICE[2 * alice_choice + bob_choice]
+
+
+# Game histogram bins: realized context (4) x membership mask (16) x
+# outcome-product sign (2, bin 1 for +1).
+_GAME_BINS = 4 * 16 * 2
+
+
+@dataclass(frozen=True, eq=False)
+class CommBlock:
+    """The runs of one sampling block, as columns.
+
+    Row j is run ``start + j``: the shared lambda ``lam[j]``, the setting
+    choices (0 = unprimed, 1 = primed), lambda's membership mask (an index
+    into ``LABELS_BY_MASK``) and bit cost, and the outcomes of the realized
+    context.
+    """
+
+    start: int
+    lam: np.ndarray
+    alice_choice: np.ndarray
+    bob_choice: np.ndarray
+    mask_code: np.ndarray
+    bits: np.ndarray
+    outcome_a: np.ndarray
+    outcome_b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -129,19 +150,61 @@ class CommSummary:
         }
 
 
+def _play_block(
+    model: HvModel,
+    dist: Distribution,
+    quadruple: AngleQuadruple,
+    n_runs: int,
+    seed: int,
+    block_index: int,
+) -> CommBlock:
+    """Play the runs of one sampling block from its own counter-based streams."""
+    start = block_index * BLOCK_SIZE
+    m = min(BLOCK_SIZE, n_runs - start)
+    lam = dist.sampler(derived_stream(seed, _DOMAIN_LAMBDA, block_index), m)
+    if np.any(lam < 0.0) or np.any(lam >= 1.0):
+        raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
+    alice = derived_stream(seed, _DOMAIN_ALICE, block_index).integers(0, 2, m)
+    bob = derived_stream(seed, _DOMAIN_BOB, block_index).integers(0, 2, m)
+    contexts = context_outcomes(model, quadruple, lam)
+    members, _ = _membership_masks(contexts)
+    mask_code = _membership_code(members)
+    context = _realized_context(alice, bob)
+    return CommBlock(
+        start=start,
+        lam=lam,
+        alice_choice=alice,
+        bob_choice=bob,
+        mask_code=mask_code,
+        bits=_BITS_BY_MASK[mask_code],
+        outcome_a=np.choose(context, [va for va, _ in contexts]),
+        outcome_b=np.choose(context, [vb for _, vb in contexts]),
+    )
+
+
+def _block_histogram(block: CommBlock) -> np.ndarray:
+    positive = block.outcome_a == block.outcome_b
+    context = _realized_context(block.alice_choice, block.bob_choice)
+    index = (context * 16 + block.mask_code) * 2 + positive
+    return np.bincount(index, minlength=_GAME_BINS)
+
+
 def simulate_game(
     model: HvModel,
     dist: Distribution,
     quadruple: AngleQuadruple,
     n_runs: int,
     seed: int,
-) -> tuple[CommSummary, Iterator[CommRunLog]]:
-    """Play the game for n_runs and return the summary plus a lazy run stream.
+) -> tuple[CommSummary, Iterator[CommBlock]]:
+    """Play the game for n_runs and return the summary plus a lazy block stream.
 
     Lambdas come from ``dist.sampler`` and the two setting coins from
-    domain-separated streams of the same seed, so a (seed, n_runs) pair
-    fixes every run exactly.  The returned iterator yields
-    :class:`CommRunLog` records on demand; consuming it is optional.
+    domain-separated streams of the same seed, one stream triple per
+    ``BLOCK_SIZE`` runs, so a (seed, n_runs) pair fixes every run exactly.
+    The summary comes from a histogram filled one block at a time, so memory
+    stays at one block whatever ``n_runs`` is.  The returned iterator
+    regenerates the blocks on demand and yields one :class:`CommBlock` per
+    block; consuming it is optional.
     """
     if not isinstance(n_runs, int) or n_runs < 1:
         raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
@@ -151,83 +214,49 @@ def simulate_game(
     if dist.space != model.space:
         raise ValueError("distribution and model live on different spaces")
 
-    dimension = model.space.dimension
-    lambdas = np.empty((n_runs, dimension), dtype=np.float64)
-    alice_choice = np.empty(n_runs, dtype=np.int64)
-    bob_choice = np.empty(n_runs, dtype=np.int64)
-    for block_index, start in enumerate(range(0, n_runs, _SAMPLE_BLOCK)):
-        stop = min(start + _SAMPLE_BLOCK, n_runs)
-        m = stop - start
-        lambdas[start:stop] = dist.sampler(derived_stream(seed, _DOMAIN_LAMBDA, block_index), m)
-        alice_choice[start:stop] = derived_stream(seed, _DOMAIN_ALICE, block_index).integers(0, 2, m)
-        bob_choice[start:stop] = derived_stream(seed, _DOMAIN_BOB, block_index).integers(0, 2, m)
-    if np.any(lambdas < 0.0) or np.any(lambdas >= 1.0):
-        raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
+    n_blocks = -(-n_runs // BLOCK_SIZE)
+    histogram = np.zeros(_GAME_BINS, dtype=np.int64)
+    for block_index in range(n_blocks):
+        histogram += _block_histogram(
+            _play_block(model, dist, quadruple, n_runs, seed, block_index)
+        )
+    by_context = histogram.reshape(4, 16, 2)
 
-    contexts = context_outcomes(model, quadruple, lambdas)
-    members, _ = _membership_masks(contexts)
-    bits = (members[0] | members[2]).astype(np.int8) + (members[1] | members[3]).astype(np.int8)
-    mask_code = (
-        members[0].astype(np.uint8)
-        | (members[1].astype(np.uint8) << 1)
-        | (members[2].astype(np.uint8) << 2)
-        | (members[3].astype(np.uint8) << 3)
-    )
-
-    # Realized context per run: (alice, bob) choice -> canonical index.
-    context_index = np.where(
-        alice_choice == 0, np.where(bob_choice == 0, 0, 3), np.where(bob_choice == 0, 1, 2)
-    )
-    outcome_a = np.empty(n_runs, dtype=np.int8)
-    outcome_b = np.empty(n_runs, dtype=np.int8)
     counts = []
     p_plus = []
     for k in range(4):
-        selected = context_index == k
-        count = int(np.count_nonzero(selected))
+        count = int(by_context[k].sum())
         if count == 0:
             raise ValueError(
                 f"context {k + 1} was never played in {n_runs} runs; increase n_runs"
             )
-        va, vb = contexts[k]
-        outcome_a[selected] = va[selected]
-        outcome_b[selected] = vb[selected]
-        product = va[selected] * vb[selected]
         counts.append(count)
-        p_plus.append(float(np.count_nonzero(product == 1)) / count)
+        p_plus.append(int(by_context[k, :, 1].sum()) / count)
 
-    stats = JointStats.from_p_plus(tuple(p_plus))
-    average_bits = float(bits.mean())
+    runs_by_mask = by_context.sum(axis=(0, 2)).tolist()
+    bits_sum = sum(bits * runs for bits, runs in zip(BITS_BY_MASK, runs_by_mask))
+    bits_squares = sum(bits * bits * runs for bits, runs in zip(BITS_BY_MASK, runs_by_mask))
     if n_runs > 1:
-        bits_std_error = float(bits.std(ddof=1) / np.sqrt(n_runs))
+        # The sums are exact integers, so the variance is rounded only once.
+        variance = (n_runs * bits_squares - bits_sum * bits_sum) / (n_runs * (n_runs - 1))
+        bits_std_error = math.sqrt(variance) / math.sqrt(n_runs)
     else:
         bits_std_error = 0.0
+    stats = JointStats.from_p_plus(tuple(p_plus))
     summary = CommSummary(
         n_runs=n_runs,
         seed=seed,
-        average_bits=average_bits,
+        average_bits=bits_sum / n_runs,
         bits_std_error=bits_std_error,
         stats=stats,
         context_counts=tuple(counts),  # type: ignore[arg-type]
         sigma_minus_bound=hardy_bounds(stats).unified,
     )
-
-    def run_stream() -> Iterator[CommRunLog]:
-        alice_labels = ("a", "a'")
-        bob_labels = ("b", "b'")
-        for i in range(n_runs):
-            yield CommRunLog(
-                index=i,
-                lam=tuple(float(x) for x in lambdas[i]),
-                alice_setting=alice_labels[alice_choice[i]],
-                bob_setting=bob_labels[bob_choice[i]],
-                region=LABELS_BY_MASK[mask_code[i]],
-                bits=int(bits[i]),
-                outcome_a=int(outcome_a[i]),
-                outcome_b=int(outcome_b[i]),
-            )
-
-    return summary, run_stream()
+    stream = (
+        _play_block(model, dist, quadruple, n_runs, seed, block_index)
+        for block_index in range(n_blocks)
+    )
+    return summary, stream
 
 
 def average_bits_identity(report: TransitionReport) -> tuple[float, float]:

@@ -146,6 +146,17 @@ def _membership_masks(
     return members, signs
 
 
+def _membership_code(members: list[np.ndarray]) -> np.ndarray:
+    """The 4-bit membership mask of each point (bit i = canonical set i),
+    the index into :data:`LABELS_BY_MASK`."""
+    return (
+        members[0].astype(np.uint8)
+        | (members[1].astype(np.uint8) << 1)
+        | (members[2].astype(np.uint8) << 2)
+        | (members[3].astype(np.uint8) << 3)
+    )
+
+
 def classify_lambda(model: HvModel, quadruple: AngleQuadruple, lam: object) -> MembershipVector:
     """Evaluate all four contexts at one lambda and fill the vector."""
     point = as_lambda_point(lam, model.space).reshape(1, -1)
@@ -324,12 +335,7 @@ def full_report(
         for i in range(4):
             masks[_PARTITION_BASE + 2 * i] = members[i] & (pre_values[i] == 1)
             masks[_PARTITION_BASE + 2 * i + 1] = members[i] & (pre_values[i] == -1)
-        mask_code = (
-            members[0].astype(np.uint8)
-            | (members[1].astype(np.uint8) << 1)
-            | (members[2].astype(np.uint8) << 2)
-            | (members[3].astype(np.uint8) << 3)
-        )
+        mask_code = _membership_code(members)
         for code in range(16):
             masks[_REGION_BASE + code] = mask_code == code
         masks[_SIGMA_SLOT] = odd

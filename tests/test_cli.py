@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -112,6 +113,19 @@ def test_comm_summary_and_log(tmp_path, capsys):
     log_lines = log.read_text().splitlines()
     assert len(log_lines) == 2001
     assert log_lines[0] == "run,lambda_0,lambda_1,alice_setting,bob_setting,region,bits,outcome_a,outcome_b"
+
+
+def test_comm_log_and_summary_bytes_are_pinned(tmp_path, capsys):
+    # digests of the row-by-row csv.writer output this log format started from
+    log = tmp_path / "runs.csv"
+    code, out, _ = run_cli(["comm", "--runs", "2000", "--seed", "5", "--log", str(log)], capsys)
+    assert code == 0
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+        "96e794646635084386e2a64dda3214b17ae7b54755a0dc2e56eefb2bb01db01b"
+    )
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "fcb99961188c5967ac6a8891a7d0ab382029c1369d81c2f67048f36046359a8f"
+    )
 
 
 def test_comm_reruns_identically(tmp_path, capsys):
@@ -243,6 +257,14 @@ def test_replay_rejects_bad_manifest(tmp_path, capsys):
     assert code == 2
 
 
+def test_replay_rejects_a_replay_command_line(tmp_path, capsys):
+    path = tmp_path / "self.json"
+    path.write_text(json.dumps({"command_line": ["replay", str(path)]}))
+    code, _, err = run_cli(["replay", str(path)], capsys)
+    assert code == 2
+    assert "itself a replay" in err
+
+
 # ---------------------------------------------------------------------------
 # Config files
 
@@ -308,6 +330,19 @@ def test_config_errors(tmp_path, capsys):
 
     code, _, _ = run_cli(["stats", "--config", str(tmp_path / "absent.conf")], capsys)
     assert code == 2
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    typo = tmp_path / "typo.conf"
+    typo.write_text("# scheme\ngrdi = 8\n")
+    code, out, err = run_cli(["transition", "--config", str(typo)], capsys)
+    assert code == 2 and out == ""
+    assert "typo.conf:2: unknown key 'grdi'" in err
+    # a flag of another subcommand is unknown here too
+    other = tmp_path / "other.conf"
+    other.write_text("runs = 10\n")
+    code, _, err = run_cli(["stats", "--config", str(other)], capsys)
+    assert code == 2 and "unknown key 'runs'" in err
 
 
 # ---------------------------------------------------------------------------

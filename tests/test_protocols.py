@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eprb_lab.core import (
+    BLOCK_SIZE,
     AngleQuadruple,
     Distribution,
     GridScheme,
@@ -30,6 +32,7 @@ from eprb_lab.protocols import (
     simulate_game,
 )
 from eprb_lab.transition import (
+    LABELS_BY_MASK,
     MembershipVector,
     TransitionSetId,
     classify_lambda,
@@ -103,18 +106,23 @@ def test_game_log_is_faithful():
     model = singlet_model()
     summary, stream = simulate_game(model, model.equilibrium, CHAIN, 500, seed=8)
     angles = CHAIN.named_angles()
-    records = list(stream)
-    assert len(records) == 500
-    assert [r.index for r in records] == list(range(500))
-    for record in records[::7]:
-        alice = angles[record.alice_setting]
-        bob = angles[record.bob_setting]
-        va, vb = evaluate_pair(model, alice, bob, record.lam)
-        assert (record.outcome_a, record.outcome_b) == (va, vb)
-        memberships = classify_lambda(model, CHAIN, record.lam)
-        assert record.region == memberships.region
-        assert record.bits == bits_required(memberships)
+    (block,) = list(stream)
+    assert block.start == 0 and len(block.bits) == 500
+    for i in range(0, 500, 7):
+        lam = tuple(block.lam[i])
+        alice = angles[("a", "a'")[block.alice_choice[i]]]
+        bob = angles[("b", "b'")[block.bob_choice[i]]]
+        va, vb = evaluate_pair(model, alice, bob, lam)
+        assert (block.outcome_a[i], block.outcome_b[i]) == (va, vb)
+        memberships = classify_lambda(model, CHAIN, lam)
+        assert LABELS_BY_MASK[block.mask_code[i]] == memberships.region
+        assert block.bits[i] == bits_required(memberships)
     assert sum(summary.context_counts) == 500
+
+
+def _block_fields(block):
+    return [block.start] + [getattr(block, name) for name in (
+        "lam", "alice_choice", "bob_choice", "mask_code", "bits", "outcome_a", "outcome_b")]
 
 
 def test_game_seed_determinism():
@@ -122,16 +130,46 @@ def test_game_seed_determinism():
     first, stream_a = simulate_game(model, model.equilibrium, CHAIN, 2_000, seed=21)
     second, stream_b = simulate_game(model, model.equilibrium, CHAIN, 2_000, seed=21)
     assert first == second
-    assert next(iter(stream_a)) == next(iter(stream_b))
+    block_a, block_b = next(iter(stream_a)), next(iter(stream_b))
+    for field_a, field_b in zip(_block_fields(block_a), _block_fields(block_b)):
+        assert np.array_equal(field_a, field_b)
     other, stream_c = simulate_game(model, model.equilibrium, CHAIN, 2_000, seed=22)
-    assert next(iter(stream_c)).lam != next(iter(stream_a)).lam
+    assert not np.array_equal(next(iter(stream_c)).lam[0], block_a.lam[0])
 
 
 def test_game_multi_block_run_count():
     model = local_coin_model()
     n = (1 << 20) + 137
-    summary, _ = simulate_game(model, model.equilibrium, CHAIN, n, seed=1)
+    summary, stream = simulate_game(model, model.equilibrium, CHAIN, n, seed=1)
     assert sum(summary.context_counts) == n
+    # the regenerated blocks cover runs 0..n-1 in order and reproduce the summary
+    sizes = []
+    counts = np.zeros(4, dtype=np.int64)
+    plus = np.zeros(4, dtype=np.int64)
+    for block in stream:
+        assert block.start == sum(sizes)
+        sizes.append(len(block.bits))
+        context = np.array([[0, 3], [1, 2]])[block.alice_choice, block.bob_choice]
+        counts += np.bincount(context, minlength=4)
+        plus += np.bincount(context[block.outcome_a == block.outcome_b], minlength=4)
+    assert sizes == [BLOCK_SIZE, 137]
+    assert tuple(counts.tolist()) == summary.context_counts
+    assert tuple((plus / counts).tolist()) == summary.stats.p_plus
+
+
+def test_game_memory_is_one_block():
+    model = local_coin_model()
+
+    def peak(n_runs):
+        tracemalloc.start()
+        try:
+            simulate_game(model, model.equilibrium, CHAIN, n_runs, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(BLOCK_SIZE), peak(3 * BLOCK_SIZE)
+    assert three <= 1.5 * one
 
 
 def test_game_argument_errors():
