@@ -37,7 +37,14 @@ from .core import (
     default_grid_resolution,
     make_angle,
 )
-from .inequalities import BETA_SIGNS, bound_for_signs, hardy_bounds, quantum_stats, stats_from_model
+from .inequalities import (
+    BETA_SIGNS,
+    JointStats,
+    bound_for_signs,
+    hardy_bounds,
+    quantum_stats,
+    stats_from_model,
+)
 from .models import ModelChoice, biased_distribution, resolve_model
 from .ordering import moc_demo
 from .protocols import (
@@ -388,8 +395,8 @@ def _sweep_row(choice: ModelChoice, theta: float, scheme: Scheme) -> list[object
         avg_bits: float | None = None
     else:
         assert choice.hv is not None and choice.distribution is not None
-        stats = stats_from_model(choice.hv, choice.distribution, quadruple, scheme)
         report = full_report(choice.hv, choice.distribution, quadruple, scheme)
+        stats = JointStats.from_p_plus(report.p_plus)
         sigma_minus = report.sigma_minus.value
         avg_bits, _ = average_bits_identity(report)
     bounds = hardy_bounds(stats)

@@ -19,6 +19,15 @@ axis holds the coordinates of one lambda (shape ``(..., d)``) and return an
 array of the leading shape.  The engine always calls them with 2-D blocks of
 at most ``2**20`` points.  Scalar single-point functions can be adapted with
 :func:`vectorize_over_points` / :func:`vectorize_outcome`.
+
+Bin contract
+------------
+:func:`sweep_statistics` is a histogram kernel.  Its classifier maps a block
+of points to one integer bin per point, in ``[0, n_stats)``; the kernel adds
+up the density that falls in each bin (and, for Monte Carlo, the squared
+density).  A statistic is a fixed boolean selection of bins, and its value
+and standard error come from the selected bin totals, so every statistic of
+one sweep is a view over the same histogram.
 """
 
 from __future__ import annotations
@@ -51,9 +60,10 @@ CONTEXT_LABELS = ("ab", "a'b", "a'b'", "ab'")
 class NumericalInvariantError(RuntimeError):
     """A built-in mathematical identity failed beyond tolerance.
 
-    Raised when the data produced by a sweep contradicts an identity that
-    holds for every deterministic model (for example the sign-parity rule),
-    which signals a defect rather than a user error.
+    Raised when computed data contradicts an identity that holds for every
+    deterministic model (for example the sign-parity rule on the
+    outcome-pattern table, or average bits below P(sigma_minus)), which
+    signals a defect rather than a user error.
     """
 
 
@@ -318,59 +328,80 @@ def _mc_blocks(dimension: int, n: int, seed: int, domain: int) -> Iterator[np.nd
         yield rng.random((m, dimension))
 
 
-MasksFn = Callable[[np.ndarray], np.ndarray]
+ClassifierFn = Callable[[np.ndarray], np.ndarray]
 
 
 def sweep_statistics(
     dist: Distribution,
     scheme: Scheme,
-    masks_fn: MasksFn,
+    masks_fn: ClassifierFn,
     n_stats: int,
+    selection: np.ndarray,
     *,
     domain: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate several set measures in one pass over the hypercube.
+    """Estimate several set measures from one density-weighted histogram.
 
-    ``masks_fn(coords)`` receives a block of points with shape (m, d) and
-    returns a boolean array of shape (n_stats, m); statistic k is the
-    integral of ``density * masks[k]``.  Returns ``(values, std_errors)``.
+    ``masks_fn(coords)`` classifies a block of points with shape (m, d): it
+    returns an integer array of shape (m,) holding one bin in
+    ``[0, n_stats)`` per point.  The sweep adds up, per bin, the density of
+    the points that land in it, and for Monte Carlo the squared density too.
+    ``selection`` is a boolean array of shape (k, n_stats); statistic j is
+    the integral of the density over the bins that row j selects.  Returns
+    ``(values, std_errors)``, one entry per row.
 
-    Grid scheme: values are sums of density over selected cells divided by
-    the cell count once at the end, so uniform-density measures are exact
-    ratios of integers; std_errors are 0.  Monte Carlo: values are
-    density-weighted sample means clipped to [0, 1], std_errors the sample
-    standard deviation (ddof=1) over sqrt(n).
+    Each bin total of a block is exactly numpy's pairwise
+    ``weights[codes == bin].sum()``: it is summed over that bin's slice of
+    the block sorted stably by bin.  A statistic is the sum of its selected
+    bin totals.
+
+    Grid scheme: values are selected sums of density divided by the cell
+    count once at the end, so uniform-density measures are exact ratios of
+    integers; std_errors are 0.  Monte Carlo: values are density-weighted
+    sample means clipped to [0, 1], std_errors the sample standard deviation
+    (ddof=1) over sqrt(n).
     """
     dimension = dist.space.dimension
-    sums = np.zeros(n_stats, dtype=np.float64)
     if isinstance(scheme, GridScheme):
-        for coords in _grid_blocks(dimension, scheme.resolution):
-            weights = _density_values(dist, coords)
-            masks = _mask_values(masks_fn, coords, n_stats)
-            for k in range(n_stats):
-                sums[k] += weights[masks[k]].sum()
+        blocks = _grid_blocks(dimension, scheme.resolution)
+    elif isinstance(scheme, MonteCarloScheme):
+        blocks = _mc_blocks(dimension, scheme.n, scheme.seed, domain)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    sums = np.zeros(n_stats, dtype=np.float64)
+    squares = np.zeros(n_stats, dtype=np.float64)
+    for coords in blocks:
+        weights = _density_values(dist, coords)
+        codes = _bin_codes(masks_fn, coords, n_stats)
+        counts = np.bincount(codes, minlength=n_stats)
+        if np.all(weights == 1.0):
+            # every bin total is an exact count, whatever the summation order
+            sums += counts
+            squares += counts
+            continue
+        ordered = weights[np.argsort(codes, kind="stable")]
+        stops = np.cumsum(counts)
+        for k in np.flatnonzero(counts):
+            part = ordered[stops[k] - counts[k] : stops[k]]
+            sums[k] += part.sum()
+            squares[k] += (part * part).sum()
+
+    def selected(totals: np.ndarray) -> np.ndarray:
+        return np.where(selection, totals, 0.0).sum(axis=1)
+
+    if isinstance(scheme, GridScheme):
         total_cells = float(scheme.resolution) ** dimension
-        values = sums / total_cells
+        values = selected(sums) / total_cells
         values = np.where((values > 1.0) & (values <= 1.0 + _UNIT_SNAP), 1.0, values)
-        return values, np.zeros(n_stats, dtype=np.float64)
-    if isinstance(scheme, MonteCarloScheme):
-        squares = np.zeros(n_stats, dtype=np.float64)
-        for coords in _mc_blocks(dimension, scheme.n, scheme.seed, domain):
-            weights = _density_values(dist, coords)
-            weights_sq = weights * weights
-            masks = _mask_values(masks_fn, coords, n_stats)
-            for k in range(n_stats):
-                sums[k] += weights[masks[k]].sum()
-                squares[k] += weights_sq[masks[k]].sum()
-        n = scheme.n
-        values = sums / n
-        if n > 1:
-            variances = np.maximum(squares - n * values * values, 0.0) / (n - 1)
-            std_errors = np.sqrt(variances / n)
-        else:
-            std_errors = np.zeros(n_stats, dtype=np.float64)
-        return np.clip(values, 0.0, 1.0), std_errors
-    raise ValueError(f"unknown scheme {scheme!r}")
+        return values, np.zeros(len(values), dtype=np.float64)
+    n = scheme.n
+    values = selected(sums) / n
+    if n > 1:
+        variances = np.maximum(selected(squares) - n * values * values, 0.0) / (n - 1)
+        std_errors = np.sqrt(variances / n)
+    else:
+        std_errors = np.zeros(len(values), dtype=np.float64)
+    return np.clip(values, 0.0, 1.0), std_errors
 
 
 def _density_values(dist: Distribution, coords: np.ndarray) -> np.ndarray:
@@ -384,27 +415,35 @@ def _density_values(dist: Distribution, coords: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _mask_values(masks_fn: MasksFn, coords: np.ndarray, n_stats: int) -> np.ndarray:
-    masks = np.asarray(masks_fn(coords))
-    if masks.dtype != np.bool_ or masks.shape != (n_stats, coords.shape[0]):
+def _bin_codes(masks_fn: ClassifierFn, coords: np.ndarray, n_stats: int) -> np.ndarray:
+    codes = np.asarray(masks_fn(coords))
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError(f"classifier must return integer bin codes, got {codes.dtype}")
+    if codes.shape != (coords.shape[0],):
         raise ValueError(
-            f"masks function must return a ({n_stats}, m) boolean array, got "
-            f"{masks.dtype} of shape {masks.shape}"
+            f"classifier must return one bin per point, shape ({coords.shape[0]},), "
+            f"got shape {codes.shape}"
         )
-    return masks
+    if codes.size and codes.min() < 0:
+        raise ValueError(f"classifier returned a negative bin {codes.min()}")
+    if codes.size and codes.max() >= n_stats:
+        raise ValueError(f"classifier returned bin {codes.max()}, not below n_stats = {n_stats}")
+    return codes
 
 
 IndicatorFn = Callable[[np.ndarray], np.ndarray]
+
+# Bin 1 holds the points inside the indicator's set.
+_INSIDE = np.array([[False, True]])
 
 
 def estimate_measure(dist: Distribution, indicator: IndicatorFn, scheme: Scheme) -> MeasureEstimate:
     """Measure of ``{lambda : indicator(lambda)}`` under ``dist``."""
 
     def masks_fn(coords: np.ndarray) -> np.ndarray:
-        mask = np.asarray(indicator(coords), dtype=bool)
-        return mask.reshape(1, -1)
+        return np.asarray(indicator(coords), dtype=bool).astype(np.uint8)
 
-    values, std_errors = sweep_statistics(dist, scheme, masks_fn, 1)
+    values, std_errors = sweep_statistics(dist, scheme, masks_fn, 2, _INSIDE)
     return MeasureEstimate(float(values[0]), float(std_errors[0]), scheme)
 
 

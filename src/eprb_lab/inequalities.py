@@ -22,10 +22,16 @@ from .core import (
     Distribution,
     HvModel,
     Scheme,
-    context_outcomes,
     sweep_statistics,
 )
-from .transition import CANONICAL_SETS, MembershipVector, TransitionSetId
+from .transition import (
+    CANONICAL_SETS,
+    N_PATTERNS,
+    P_PLUS_SELECTION,
+    MembershipVector,
+    TransitionSetId,
+    pattern_classifier,
+)
 
 _COMPLEMENT_TOL = 1e-12
 
@@ -136,13 +142,10 @@ def quantum_stats(quadruple: AngleQuadruple) -> JointStats:
 def stats_from_model(
     model: HvModel, dist: Distribution, quadruple: AngleQuadruple, scheme: Scheme
 ) -> JointStats:
-    """Measured product statistics of a model, one sweep for all contexts."""
-
-    def masks_fn(coords: np.ndarray) -> np.ndarray:
-        contexts = context_outcomes(model, quadruple, coords)
-        return np.stack([(va * vb) == 1 for va, vb in contexts])
-
-    values, _ = sweep_statistics(dist, scheme, masks_fn, 4)
+    """Measured product statistics of a model, one sweep for all contexts:
+    the same outcome-pattern histogram :func:`transition.full_report` reads."""
+    classify = pattern_classifier(model, quadruple)
+    values, _ = sweep_statistics(dist, scheme, classify, N_PATTERNS, P_PLUS_SELECTION)
     return JointStats.from_p_plus(tuple(float(v) for v in values))
 
 

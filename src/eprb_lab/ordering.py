@@ -27,7 +27,8 @@ from .core import (
     Scheme,
     estimate_measure,
 )
-from .inequalities import hardy_bounds, quantum_stats, stats_from_model
+from .inequalities import JointStats, hardy_bounds, quantum_stats
+from .inequalities import stats_from_model  # noqa: F401  (bench/tracer.py rebinds it here)
 from .models import SequentialModel, WINGS
 from .transition import full_report
 
@@ -146,7 +147,7 @@ def moc_demo(model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme) 
 
     induced = induce_noncontextual(model)
     report = full_report(induced, induced.equilibrium, quadruple, scheme)
-    induced_stats = stats_from_model(induced, induced.equilibrium, quadruple, scheme)
+    induced_stats = JointStats.from_p_plus(report.p_plus)
     return MocReport(
         pair=f"{wing}@{own_name} (companion {other_name} first)",
         wing=wing,

@@ -42,10 +42,10 @@ from .transition import (
     LABELS_BY_MASK,
     MembershipVector,
     TransitionReport,
+    MASK_BY_PATTERN,
     TransitionSetId,
-    _membership_code,
-    _membership_masks,
     partition_measures,
+    pattern_code,
 )
 
 # Domain tags separating the game's random streams from measure sweeps.
@@ -167,8 +167,7 @@ def _play_block(
     alice = derived_stream(seed, _DOMAIN_ALICE, block_index).integers(0, 2, m)
     bob = derived_stream(seed, _DOMAIN_BOB, block_index).integers(0, 2, m)
     contexts = context_outcomes(model, quadruple, lam)
-    members, _ = _membership_masks(contexts)
-    mask_code = _membership_code(members)
+    mask_code = MASK_BY_PATTERN[pattern_code(contexts)]
     context = _realized_context(alice, bob)
     return CommBlock(
         start=start,

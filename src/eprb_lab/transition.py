@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import (
     AngleQuadruple,
+    ClassifierFn,
     Distribution,
     HvModel,
     MeasureEstimate,
@@ -137,34 +138,89 @@ class MembershipVector:
         return (product == -1) == (self.membership_count % 2 == 1)
 
 
-def _membership_masks(
-    contexts: tuple[tuple[np.ndarray, np.ndarray], ...]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = contexts
-    members = [b1 != b2, a2 != a3, b4 != b3, a1 != a4]
-    signs = [a1 * b1, a2 * b2, a3 * b3, a4 * b4]
-    return members, signs
+#: Number of outcome patterns: the 8 outcome bits of the four contexts.
+N_PATTERNS = 256
 
 
-def _membership_code(members: list[np.ndarray]) -> np.ndarray:
-    """The 4-bit membership mask of each point (bit i = canonical set i),
-    the index into :data:`LABELS_BY_MASK`."""
-    return (
-        members[0].astype(np.uint8)
-        | (members[1].astype(np.uint8) << 1)
-        | (members[2].astype(np.uint8) << 2)
-        | (members[3].astype(np.uint8) << 3)
-    )
+def pattern_code(contexts: tuple[tuple[np.ndarray, np.ndarray], ...]) -> np.ndarray:
+    """The 8-bit outcome pattern of each point: bit 2i is set when A is -1
+    in canonical context i, bit 2i+1 when B is."""
+    code = np.zeros(contexts[0][0].shape, dtype=np.uint8)
+    for i, (va, vb) in enumerate(contexts):
+        code |= (va < 0).astype(np.uint8) << (2 * i)
+        code |= (vb < 0).astype(np.uint8) << (2 * i + 1)
+    return code
+
+
+def pattern_classifier(model: HvModel, quadruple: AngleQuadruple) -> ClassifierFn:
+    """A :func:`sweep_statistics` classifier binning each point by its
+    outcome pattern (:func:`pattern_code`), ``N_PATTERNS`` bins."""
+
+    def classify(coords: np.ndarray) -> np.ndarray:
+        return pattern_code(context_outcomes(model, quadruple, coords))
+
+    return classify
+
+
+def _build_pattern_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Set memberships, context signs and pre-swap values of every pattern.
+
+    Each result has one row per canonical set (or context) and one column
+    per pattern.  Set i compares the outcomes that ``_SET_CONTEXTS`` names;
+    its pre-swap value is the outcome at the unprimed swap setting.
+    """
+    patterns = np.arange(N_PATTERNS)
+    outcomes = {
+        (wing, i): 1 - 2 * ((patterns >> (2 * i + bit)) & 1)
+        for i in range(4)
+        for bit, wing in enumerate("AB")
+    }
+    members, pre_values = [], []
+    for sid in CANONICAL_SETS:
+        wing, pre, post = _SET_CONTEXTS[sid]
+        members.append(outcomes[wing, pre] != outcomes[wing, post])
+        pre_values.append(outcomes[wing, pre])
+    signs = [outcomes["A", i] * outcomes["B", i] for i in range(4)]
+    return np.stack(members), np.stack(signs), np.stack(pre_values)
+
+
+_MEMBERS, _SIGNS, _PRE_VALUES = _build_pattern_tables()
+_ODD = np.bitwise_xor.reduce(_MEMBERS, axis=0)
+
+#: Membership mask (an index into :data:`LABELS_BY_MASK`) of each pattern.
+MASK_BY_PATTERN = np.sum(_MEMBERS << np.arange(4)[:, None], axis=0).astype(np.uint8)
+
+# The parity rule is an identity of the outcome bits: the four sign products
+# multiply to -1 exactly on the odd-membership patterns.  So it holds for
+# every lambda of every model, and sigma_minus and the negative-product
+# measure are the same bins.
+if not np.array_equal(_ODD, np.prod(_SIGNS, axis=0) == -1):
+    raise NumericalInvariantError("sign-parity rule fails on the outcome-pattern table")
+
+#: Pattern selection of the context statistics p_i^+, canonical order.
+P_PLUS_SELECTION = _SIGNS == 1
+
+# Pattern selection of every full-report statistic, in the order full_report
+# reads them: 4 sets, then (+,-) and (-,+) of each set, 16 regions by mask,
+# sigma_minus, and the 4 context p_i^+.
+_REPORT_SELECTION = np.concatenate(
+    [
+        _MEMBERS,
+        [_MEMBERS[i] & (_PRE_VALUES[i] == sign) for i in range(4) for sign in (1, -1)],
+        MASK_BY_PATTERN[None, :] == np.arange(16)[:, None],
+        _ODD[None, :],
+        P_PLUS_SELECTION,
+    ]
+)
 
 
 def classify_lambda(model: HvModel, quadruple: AngleQuadruple, lam: object) -> MembershipVector:
     """Evaluate all four contexts at one lambda and fill the vector."""
     point = as_lambda_point(lam, model.space).reshape(1, -1)
-    contexts = context_outcomes(model, quadruple, point)
-    members, signs = _membership_masks(contexts)
+    pattern = pattern_code(context_outcomes(model, quadruple, point))[0]
     return MembershipVector(
-        in_set=tuple(bool(m[0]) for m in members),  # type: ignore[arg-type]
-        sign_pattern=tuple(int(s[0]) for s in signs),  # type: ignore[arg-type]
+        in_set=tuple(bool(m) for m in _MEMBERS[:, pattern]),  # type: ignore[arg-type]
+        sign_pattern=tuple(int(s) for s in _SIGNS[:, pattern]),  # type: ignore[arg-type]
     )
 
 
@@ -200,6 +256,10 @@ def transition_measure(
     return estimate_measure(dist, indicator, scheme)
 
 
+# Partition bins: 0 outside the set, 1 for (+,-), 2 for (-,+).
+_PARTITION_SELECTION = np.array([[False, True, False], [False, False, True]])
+
+
 def partition_measures(
     model: HvModel,
     dist: Distribution,
@@ -216,10 +276,9 @@ def partition_measures(
 
     def masks_fn(coords: np.ndarray) -> np.ndarray:
         pre, post = _set_outcome_pair(model, quadruple, which, coords)
-        member = pre != post
-        return np.stack([member & (pre == 1), member & (pre == -1)])
+        return (pre != post) * np.where(pre == 1, 1, 2)
 
-    values, errors = sweep_statistics(dist, scheme, masks_fn, 2)
+    values, errors = sweep_statistics(dist, scheme, masks_fn, 3, _PARTITION_SELECTION)
     return (
         MeasureEstimate(float(values[0]), float(errors[0]), scheme),
         MeasureEstimate(float(values[1]), float(errors[1]), scheme),
@@ -232,8 +291,9 @@ class TransitionReport:
 
     ``region_measures`` covers all sixteen membership patterns (T1..T8,
     E1..E6, F, none).  ``sigma_minus`` is the measure of odd-membership
-    lambdas, which the sweep cross-checks against the negative-sign-product
-    measure cell by cell.
+    lambdas, which is also the negative-sign-product measure: both select
+    the same outcome patterns.  ``p_plus`` holds the context statistics
+    p_i^+ of the same sweep, canonical context order.
     """
 
     quadruple: AngleQuadruple
@@ -242,6 +302,7 @@ class TransitionReport:
     partition_measures: Mapping[TransitionSetId, tuple[MeasureEstimate, MeasureEstimate]]
     region_measures: Mapping[str, MeasureEstimate]
     sigma_minus: MeasureEstimate
+    p_plus: tuple[float, float, float, float]
 
     @property
     def seed(self) -> int | None:
@@ -298,67 +359,33 @@ class TransitionReport:
         }
 
 
-# Statistic layout for the full-report sweep.
-_N_STATS = 29
-_SET_BASE = 0
-_PARTITION_BASE = 4
-_REGION_BASE = 12
-_SIGMA_SLOT = 28
-
-
 def full_report(
     model: HvModel, dist: Distribution, quadruple: AngleQuadruple, scheme: Scheme
 ) -> TransitionReport:
     """Classify every lambda once and report every measure from that sweep.
 
-    Using a single pass keeps all statistics correlated on the same cells or
-    samples, so additivity identities (partitions summing to set measures,
-    regions summing to sigma_minus) hold exactly rather than approximately.
-    Raises :class:`NumericalInvariantError` if any lambda violates the
-    sign-parity rule.
+    The sweep fills one histogram over the 256 outcome patterns and every
+    statistic is a selection of its bins, so additivity identities
+    (partitions summing to set measures, regions summing to sigma_minus)
+    hold exactly rather than approximately.
     """
-
-    def masks_fn(coords: np.ndarray) -> np.ndarray:
-        contexts = context_outcomes(model, quadruple, coords)
-        members, signs = _membership_masks(contexts)
-        negative = (signs[0] * signs[1] * signs[2] * signs[3]) == -1
-        odd = members[0] ^ members[1] ^ members[2] ^ members[3]
-        if not np.array_equal(odd, negative):
-            raise NumericalInvariantError(
-                f"sign-parity rule violated for model {model.name!r}: some lambda has "
-                "sign product -1 without odd transition-set membership"
-            )
-        masks = np.empty((_N_STATS, coords.shape[0]), dtype=bool)
-        for i in range(4):
-            masks[_SET_BASE + i] = members[i]
-        pre_values = (contexts[0][1], contexts[1][0], contexts[3][1], contexts[0][0])
-        for i in range(4):
-            masks[_PARTITION_BASE + 2 * i] = members[i] & (pre_values[i] == 1)
-            masks[_PARTITION_BASE + 2 * i + 1] = members[i] & (pre_values[i] == -1)
-        mask_code = _membership_code(members)
-        for code in range(16):
-            masks[_REGION_BASE + code] = mask_code == code
-        masks[_SIGMA_SLOT] = odd
-        return masks
-
-    values, errors = sweep_statistics(dist, scheme, masks_fn, _N_STATS)
-
-    def est(slot: int) -> MeasureEstimate:
-        return MeasureEstimate(float(values[slot]), float(errors[slot]), scheme)
-
-    set_measures = {sid: est(_SET_BASE + i) for i, sid in enumerate(CANONICAL_SETS)}
-    partitions = {
-        sid: (est(_PARTITION_BASE + 2 * i), est(_PARTITION_BASE + 2 * i + 1))
-        for i, sid in enumerate(CANONICAL_SETS)
-    }
-    region_measures = {
-        LABELS_BY_MASK[code]: est(_REGION_BASE + code) for code in range(16)
-    }
+    values, errors = sweep_statistics(
+        dist, scheme, pattern_classifier(model, quadruple), N_PATTERNS, _REPORT_SELECTION
+    )
+    estimates = iter(
+        MeasureEstimate(float(value), float(error), scheme) for value, error in zip(values, errors)
+    )
+    set_measures = {sid: next(estimates) for sid in CANONICAL_SETS}
+    partitions = {sid: (next(estimates), next(estimates)) for sid in CANONICAL_SETS}
+    region_measures = {LABELS_BY_MASK[code]: next(estimates) for code in range(16)}
+    sigma_minus = next(estimates)
+    p_plus = tuple(next(estimates).value for _ in range(4))
     return TransitionReport(
         quadruple=quadruple,
         scheme=scheme,
         set_measures=set_measures,
         partition_measures=partitions,
         region_measures=region_measures,
-        sigma_minus=est(_SIGMA_SLOT),
+        sigma_minus=sigma_minus,
+        p_plus=p_plus,  # type: ignore[arg-type]
     )

@@ -128,6 +128,50 @@ def test_comm_log_and_summary_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+def test_sweep_and_transition_bytes_are_pinned(tmp_path, capsys):
+    # digests of the output of the two-sweep-per-row kernel this one replaced
+    svg = tmp_path / "sweep.svg"
+    argv = ["sweep", "--model", "singlet", "--steps", "6", "--grid", "256", "--svg", str(svg)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "9794820aed7f614a00041b710a7d0a6b68287d116d046c5faf8b2038d8cf8321"
+    )
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "dc57d986c241235f79964f6b689aefd84e2567776d621190d19adb20960f85c6"
+    )
+    argv = ["transition", "--model", "singlet+bias:q=0.7", "--mc", "1100000", "--seed", "5"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "479035420ebf83548f02fc714e18468c48b074b61a3906be51245081ea194cef"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, sweeps",
+    [
+        (["sweep", "--model", "singlet", "--steps", "3", "--grid", "64"], 3),
+        (["moc", "--grid", "64"], 8 + 1),  # one per ordering set, one for the induced model
+    ],
+)
+def test_one_sweep_per_quadruple(argv, sweeps, monkeypatch, capsys):
+    from eprb_lab import core, inequalities, transition
+
+    calls = []
+    original = core.sweep_statistics
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (core, transition, inequalities):
+        monkeypatch.setattr(module, "sweep_statistics", counting)
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(calls) == sweeps
+
+
 def test_comm_reruns_identically(tmp_path, capsys):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     log_a, log_b = tmp_path / "a_log.csv", tmp_path / "b_log.csv"

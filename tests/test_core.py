@@ -268,13 +268,19 @@ def test_bad_density_and_masks_rejected():
     with pytest.raises(ValueError, match="negative"):
         estimate_measure(bad, half_space, GridScheme(8))
 
-    # sweep statistics insist on boolean masks of the right shape
-    with pytest.raises(ValueError, match="boolean"):
-        sweep_statistics(UNIFORM, GridScheme(8), lambda c: c[:, :1].T, 1)
-    with pytest.raises(ValueError, match="boolean"):
-        sweep_statistics(
-            UNIFORM, GridScheme(8), lambda c: np.ones((3, c.shape[0]), dtype=bool), 2
-        )
+    # sweep statistics insist on one integer bin in [0, n_stats) per point
+    inside = np.array([[False, True]])
+    bad_classifiers = [
+        ("integer bin codes", lambda c: c[:, 0]),
+        ("integer bin codes", lambda c: np.ones(c.shape[0], dtype=bool)),
+        ("one bin per point", lambda c: np.ones((3, c.shape[0]), dtype=np.int64)),
+        ("one bin per point", lambda c: np.ones(c.shape[0] + 1, dtype=np.int64)),
+        ("negative bin", lambda c: np.full(c.shape[0], -1)),
+        ("not below n_stats", lambda c: np.full(c.shape[0], 2)),
+    ]
+    for message, classify in bad_classifiers:
+        with pytest.raises(ValueError, match=message):
+            sweep_statistics(UNIFORM, GridScheme(8), classify, 2, inside)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,166 @@
+"""The outcome-pattern histogram against the per-statistic boolean-mask sums.
+
+The reference below is the kernel the histogram replaced: one boolean mask
+per statistic and ``weights[mask].sum()`` per block.  With uniform density
+every sum is an exact count, so the two must agree to the bit.  With a
+biased density each histogram statistic adds at most 128 pairwise-accurate
+bin totals, which bounds the difference far below 1e-13 relative.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from eprb_lab.core import (
+    BLOCK_SIZE,
+    AngleQuadruple,
+    GridScheme,
+    MonteCarloScheme,
+    _grid_blocks,
+    _mc_blocks,
+    context_outcomes,
+)
+from eprb_lab.inequalities import stats_from_model
+from eprb_lab.models import as_simultaneous, resolve_model, sequential_singlet_model
+from eprb_lab.transition import (
+    CANONICAL_SETS,
+    LABELS_BY_MASK,
+    MASK_BY_PATTERN,
+    N_PATTERNS,
+    MembershipVector,
+    full_report,
+    partition_measures,
+)
+
+QUADRUPLE = AngleQuadruple.chain(0.7)
+TWO_BLOCKS = BLOCK_SIZE + 137
+BIASED_RTOL = 1e-13
+
+
+def reference_sweep(dist, scheme, masks_fn):
+    """Statistic k is the density summed over ``masks[k]``, block by block."""
+    if isinstance(scheme, GridScheme):
+        blocks = _grid_blocks(dist.space.dimension, scheme.resolution)
+    else:
+        blocks = _mc_blocks(dist.space.dimension, scheme.n, scheme.seed, 0)
+    sums = squares = None
+    for coords in blocks:
+        weights = np.asarray(dist.density(coords), dtype=np.float64)
+        masks = masks_fn(coords)
+        if sums is None:
+            sums, squares = np.zeros(len(masks)), np.zeros(len(masks))
+        for k, mask in enumerate(masks):
+            sums[k] += weights[mask].sum()
+            squares[k] += (weights * weights)[mask].sum()
+    if isinstance(scheme, GridScheme):
+        values = sums / float(scheme.resolution) ** dist.space.dimension
+        values = np.where((values > 1.0) & (values <= 1.0 + 1e-9), 1.0, values)
+        return values, np.zeros(len(values))
+    n = scheme.n
+    values = sums / n
+    variances = np.maximum(squares - n * values * values, 0.0) / (n - 1)
+    return np.clip(values, 0.0, 1.0), np.sqrt(variances / n)
+
+
+def reference_masks(model, quadruple):
+    """Masks of the full report's statistics, then the four p_i^+."""
+
+    def masks_fn(coords):
+        contexts = context_outcomes(model, quadruple, coords)
+        (a1, b1), (a2, b2), (a3, b3), (a4, b4) = contexts
+        members = [b1 != b2, a2 != a3, b4 != b3, a1 != a4]
+        pre_values = [b1, a2, b4, a1]
+        mask_code = sum(member.astype(np.int64) << i for i, member in enumerate(members))
+        rows = list(members)
+        for member, pre in zip(members, pre_values):
+            rows += [member & (pre == 1), member & (pre == -1)]
+        rows += [mask_code == code for code in range(16)]
+        rows.append(members[0] ^ members[1] ^ members[2] ^ members[3])
+        rows += [va * vb == 1 for va, vb in contexts]
+        return np.stack(rows)
+
+    return masks_fn
+
+
+def report_arrays(report):
+    """The report's statistics in :func:`reference_masks` order."""
+    estimates = [report.set_measures[sid] for sid in CANONICAL_SETS]
+    for sid in CANONICAL_SETS:
+        estimates += list(report.partition_measures[sid])
+    estimates += [report.region_measures[label] for label in LABELS_BY_MASK]
+    estimates.append(report.sigma_minus)
+    values = [est.value for est in estimates] + list(report.p_plus)
+    errors = [est.std_error for est in estimates]
+    return np.array(values), np.array(errors)
+
+
+def _models():
+    singlet = resolve_model("singlet")
+    biased = resolve_model("singlet+bias:q=0.8")
+    b_first = as_simultaneous(sequential_singlet_model(), "B")
+    return {
+        "singlet": (singlet.hv, singlet.distribution),
+        "b-first": (b_first, b_first.equilibrium),
+        "biased": (biased.hv, biased.distribution),
+    }
+
+
+CASES = [
+    ("singlet", GridScheme(256)),
+    ("singlet", MonteCarloScheme(TWO_BLOCKS, 3)),
+    ("b-first", GridScheme(256)),
+    ("biased", GridScheme(256)),
+    ("biased", MonteCarloScheme(TWO_BLOCKS, 3)),
+]
+
+
+def assert_matches(actual, expected, biased):
+    if biased:
+        np.testing.assert_allclose(actual, expected, rtol=BIASED_RTOL, atol=0.0)
+    else:
+        assert np.array_equal(actual, expected)
+
+
+@pytest.mark.parametrize("name, scheme", CASES, ids=[f"{n}-{s.label}" for n, s in CASES])
+def test_views_match_boolean_mask_sums(name, scheme):
+    model, dist = _models()[name]
+    biased = name == "biased"
+    ref_values, ref_errors = reference_sweep(dist, scheme, reference_masks(model, QUADRUPLE))
+
+    values, errors = report_arrays(full_report(model, dist, QUADRUPLE, scheme))
+    assert_matches(values, ref_values, biased)
+    assert_matches(errors, ref_errors[:29], biased)
+
+    stats = stats_from_model(model, dist, QUADRUPLE, scheme)
+    assert_matches(np.array(stats.p_plus), ref_values[29:], biased)
+
+    for i, sid in enumerate(CANONICAL_SETS):
+        plus_minus, minus_plus = partition_measures(model, dist, QUADRUPLE, sid, scheme)
+        rows = slice(4 + 2 * i, 6 + 2 * i)
+        assert_matches(np.array([plus_minus.value, minus_plus.value]), ref_values[rows], biased)
+        assert_matches(
+            np.array([plus_minus.std_error, minus_plus.std_error]), ref_errors[rows], biased
+        )
+
+
+def test_biased_case_has_non_trivial_weights_and_patterns():
+    # the tolerance case must exercise the sorted-bin path on several bins
+    model, dist = _models()["biased"]
+    coords = next(_grid_blocks(2, 256))
+    assert len(np.unique(dist.density(coords))) == 2
+    values, _ = report_arrays(full_report(model, dist, QUADRUPLE, GridScheme(256)))
+    assert np.count_nonzero(values[12:28]) >= 2
+
+
+def test_pattern_table_matches_set_definitions():
+    for pattern in range(N_PATTERNS):
+        # bit 2i: A is -1 in context i; bit 2i+1: B is -1 in context i
+        (a1, b1), (a2, b2), (a3, b3), (a4, b4) = [
+            (1 - 2 * (pattern >> 2 * i & 1), 1 - 2 * (pattern >> 2 * i + 1 & 1)) for i in range(4)
+        ]
+        in_set = (b1 != b2, a2 != a3, b4 != b3, a1 != a4)
+        vector = MembershipVector(in_set=in_set, sign_pattern=(a1 * b1, a2 * b2, a3 * b3, a4 * b4))
+        assert MASK_BY_PATTERN[pattern] == vector.mask
+        assert vector.parity_consistent()
+    assert set(MASK_BY_PATTERN.tolist()) == set(range(16))
