@@ -482,7 +482,12 @@ def context_outcomes(
 def _checked_outcomes(
     fn: OutcomeFn, alice: Angle, bob: Angle, coords: np.ndarray, name: str, wing: str
 ) -> np.ndarray:
-    values = np.asarray(fn(alice, bob, coords))
+    return _checked_values(fn(alice, bob, coords), coords, name, wing)
+
+
+def _checked_values(values: object, coords: np.ndarray, name: str, wing: str) -> np.ndarray:
+    """``values`` as an array, once it holds one +1/-1 outcome per point."""
+    values = np.asarray(values)
     if values.shape != coords.shape[:-1]:
         raise ValueError(
             f"{wing} outcomes of model {name!r} have shape {values.shape} "

@@ -43,7 +43,13 @@ _BIAS_PREFIX = "singlet+bias:q="
 
 def _coin(coords: np.ndarray, axis: int) -> np.ndarray:
     coords = np.asarray(coords, dtype=np.float64)
-    return np.where(coords[..., axis] < 0.5, 1, -1).astype(np.int8)
+    return np.int8(1) - np.int8(2) * (coords[..., axis] >= 0.5).view(np.int8)
+
+
+def _flip_below(values: np.ndarray, column: np.ndarray, threshold: float) -> np.ndarray:
+    """``values`` negated where ``column < threshold``, in int8 arithmetic."""
+    # strict < keeps midpoint grids off the threshold
+    return values * (np.int8(1) - np.int8(2) * (column < threshold).view(np.int8))
 
 
 def anticorrelation_threshold(theta: float) -> float:
@@ -86,9 +92,7 @@ def singlet_model() -> HvModel:
     def outcome_b(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=np.float64)
         threshold = anticorrelation_threshold(theta_between(a, b))
-        coin = _coin(coords, 0)
-        # strict < keeps midpoint grids off the threshold
-        return np.where(coords[..., 1] < threshold, -coin, coin).astype(np.int8)
+        return _flip_below(_coin(coords, 0), coords[..., 1], threshold)
 
     return HvModel(
         name="singlet",
@@ -179,8 +183,7 @@ def sequential_singlet_model() -> SequentialModel:
         _check_wing(wing)
         coords = np.asarray(coords, dtype=np.float64)
         threshold = anticorrelation_threshold(theta_between(own, other))
-        first_value = np.asarray(first_value)
-        return np.where(coords[..., 1] < threshold, -first_value, first_value).astype(np.int8)
+        return _flip_below(np.asarray(first_value), coords[..., 1], threshold)
 
     return SequentialModel(
         name="sequential-singlet",

@@ -10,6 +10,11 @@ local, all four of its setting-swap transition sets are empty and its
 P(sigma_minus) is zero.  Whenever the statistics demand a positive lower
 bound on P(sigma_minus), some ordering set must therefore be non-empty:
 reproducing those statistics forces ordering contextuality.
+
+:func:`moc_demo` measures all eight ordering sets in one sweep: each lambda
+gets an 8-bit code whose bit k is set when it lies in ordering set k, and
+set k is read off the histogram as the bins with bit k set.  The induced
+model's report is the only other sweep.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the kernel is called as core.sweep_statistics so that rebinding it on core reaches this sweep
+from . import core
 from .core import (
     Angle,
     AngleQuadruple,
@@ -25,12 +32,52 @@ from .core import (
     HvModel,
     MeasureEstimate,
     Scheme,
+    _checked_values,
     estimate_measure,
 )
 from .inequalities import JointStats, hardy_bounds, quantum_stats
 from .inequalities import stats_from_model  # noqa: F401  (bench/tracer.py rebinds it here)
 from .models import SequentialModel, WINGS
 from .transition import full_report
+
+#: The eight ordering sets as (wing, own setting, companion setting) names,
+#: in the order :func:`moc_demo` searches them.
+ORDERING_SETS: tuple[tuple[str, str, str], ...] = (
+    ("A", "a", "b"),
+    ("A", "a", "b'"),
+    ("A", "a'", "b"),
+    ("A", "a'", "b'"),
+    ("B", "b", "a"),
+    ("B", "b", "a'"),
+    ("B", "b'", "a"),
+    ("B", "b'", "a'"),
+)
+
+
+def _companion(wing: str) -> str:
+    return "B" if wing == "A" else "A"
+
+
+def _first(model: SequentialModel, wing: str, setting: Angle, coords: np.ndarray) -> np.ndarray:
+    return _checked_values(model.first_outcome(wing, setting, coords), coords, model.name, wing)
+
+
+def _order_flip(
+    model: SequentialModel,
+    wing: str,
+    own: Angle,
+    other: Angle,
+    first_own: np.ndarray,
+    companion_first: np.ndarray,
+    coords: np.ndarray,
+) -> np.ndarray:
+    """Where the wing's answer ``first_own`` at ``own`` changes when it is
+    measured second, after its companion answered ``companion_first`` at
+    ``other``."""
+    second_own = _checked_values(
+        model.second_outcome(wing, own, other, companion_first, coords), coords, model.name, wing
+    )
+    return first_own != second_own
 
 
 def moc_transition_measure(
@@ -45,17 +92,55 @@ def moc_transition_measure(
     wing's outcome at ``own``, with the companion wing set to ``other``."""
     if wing not in WINGS:
         raise ValueError(f"wing must be one of {WINGS}, got {wing!r}")
-    other_wing = "B" if wing == "A" else "A"
 
     def indicator(coords: np.ndarray) -> np.ndarray:
-        first_own = np.asarray(model.first_outcome(wing, own, coords))
-        companion_first = np.asarray(model.first_outcome(other_wing, other, coords))
-        second_own = np.asarray(
-            model.second_outcome(wing, own, other, companion_first, coords)
-        )
-        return first_own != second_own
+        first_own = _first(model, wing, own, coords)
+        companion_first = _first(model, _companion(wing), other, coords)
+        return _order_flip(model, wing, own, other, first_own, companion_first, coords)
 
     return estimate_measure(dist, indicator, scheme)
+
+
+def ordering_measures(
+    model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme
+) -> dict[tuple[str, str, str], MeasureEstimate]:
+    """The equilibrium measure of every ordering set, keyed as in
+    :data:`ORDERING_SETS`, from one sweep.
+
+    Each point's bin is an 8-bit code, bit k set when the point lies in
+    ordering set k, so set k is the bins with bit k set.  Each wing's first
+    answer at each of its settings is computed once per block and shared by
+    the sets that read it.
+    """
+    named = quadruple.named_angles()
+
+    def classify(coords: np.ndarray) -> np.ndarray:
+        firsts = {
+            (wing, name): _first(model, wing, named[name], coords)
+            for wing, names in (("A", ("a", "a'")), ("B", ("b", "b'")))
+            for name in names
+        }
+        code = np.zeros(coords.shape[0], dtype=np.uint8)
+        for k, (wing, own, other) in enumerate(ORDERING_SETS):
+            flip = _order_flip(
+                model,
+                wing,
+                named[own],
+                named[other],
+                firsts[wing, own],
+                firsts[_companion(wing), other],
+                coords,
+            )
+            code |= flip.astype(np.uint8) << k
+        return code
+
+    n_bins = 1 << len(ORDERING_SETS)
+    selection = (np.arange(n_bins) >> np.arange(len(ORDERING_SETS))[:, None]) & 1 == 1
+    values, errors = core.sweep_statistics(model.equilibrium, scheme, classify, n_bins, selection)
+    return {
+        triple: MeasureEstimate(float(value), float(error), scheme)
+        for triple, value, error in zip(ORDERING_SETS, values, errors)
+    }
 
 
 def induce_noncontextual(model: SequentialModel) -> HvModel:
@@ -121,29 +206,13 @@ class MocReport:
         }
 
 
-def _setting_pairs(quadruple: AngleQuadruple) -> list[tuple[str, str, str]]:
-    pairs = []
-    for own in ("a", "a'"):
-        for other in ("b", "b'"):
-            pairs.append(("A", own, other))
-    for own in ("b", "b'"):
-        for other in ("a", "a'"):
-            pairs.append(("B", own, other))
-    return pairs
-
-
 def moc_demo(model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme) -> MocReport:
     """Search all eight (wing, own, companion) triples and assemble the report."""
     named = quadruple.named_angles()
-    best: tuple[str, str, str, MeasureEstimate] | None = None
-    for wing, own_name, other_name in _setting_pairs(quadruple):
-        estimate = moc_transition_measure(
-            model, model.equilibrium, named[own_name], named[other_name], wing, scheme
-        )
-        if best is None or estimate.value > best[3].value:
-            best = (wing, own_name, other_name, estimate)
-    assert best is not None
-    wing, own_name, other_name, moc_measure = best
+    # max keeps the first of tied measures, in ORDERING_SETS order
+    (wing, own_name, other_name), moc_measure = max(
+        ordering_measures(model, quadruple, scheme).items(), key=lambda item: item[1].value
+    )
 
     induced = induce_noncontextual(model)
     report = full_report(induced, induced.equilibrium, quadruple, scheme)

@@ -23,18 +23,21 @@ from typing import Iterator
 
 import numpy as np
 
+# the kernel is called as core.sweep_statistics so that rebinding it on core reaches this sweep
+from . import core
 from .core import (
     BLOCK_SIZE,
     Angle,
     AngleQuadruple,
     Distribution,
     HvModel,
+    MeasureEstimate,
     NumericalInvariantError,
     Scheme,
     _check_seed,
+    _checked_outcomes,
     context_outcomes,
     derived_stream,
-    estimate_measure,
 )
 from .inequalities import JointStats, hardy_bounds
 from .transition import (
@@ -281,6 +284,11 @@ def average_bits_identity(report: TransitionReport) -> tuple[float, float]:
     return b_regions, lower_bound
 
 
+# Marginal-shift bins: bit 0 set when B(a1, b) = -1, bit 1 when B(a2, b) = -1.
+# Row j selects the bins where B is +1 at the j-th Alice setting.
+_B_UP_SELECTION = np.array([[True, False, True, False], [True, True, False, False]])
+
+
 def marginal_shift(
     model: HvModel,
     dist: Distribution,
@@ -289,17 +297,21 @@ def marginal_shift(
     a2: Angle,
     scheme: Scheme,
 ) -> float:
-    """|P(B=+1 at (a1, b)) - P(B=+1 at (a2, b))| under ``dist``."""
+    """|P(B=+1 at (a1, b)) - P(B=+1 at (a2, b))| under ``dist``.
 
-    def pointing_up(alice: Angle) -> float:
-        est = estimate_measure(
-            dist,
-            lambda coords: np.asarray(model.outcome_b(alice, b_setting, coords)) == 1,
-            scheme,
-        )
-        return est.value
+    One sweep bins each lambda by B's two outcomes; each P(B=+1) is a
+    selection of two of its four bins.
+    """
 
-    return abs(pointing_up(a1) - pointing_up(a2))
+    def classify(coords: np.ndarray) -> np.ndarray:
+        down_1 = _checked_outcomes(model.outcome_b, a1, b_setting, coords, model.name, "B") < 0
+        down_2 = _checked_outcomes(model.outcome_b, a2, b_setting, coords, model.name, "B") < 0
+        return down_1.astype(np.uint8) | (down_2.astype(np.uint8) << 1)
+
+    values, errors = core.sweep_statistics(dist, scheme, classify, 4, _B_UP_SELECTION)
+    # MeasureEstimate rejects a value outside [0, 1], e.g. from an unnormalized density
+    up_1, up_2 = (MeasureEstimate(float(v), float(e), scheme).value for v, e in zip(values, errors))
+    return abs(up_1 - up_2)
 
 
 def detailed_balance(

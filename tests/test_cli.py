@@ -148,11 +148,32 @@ def test_sweep_and_transition_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+def test_moc_and_signal_bytes_are_pinned(capsys):
+    # digests of the output of the one-sweep-per-ordering-set and
+    # two-sweep marginal-shift code these commands started from
+    for argv, digest in (
+        (
+            ["moc", "--mc", "1100000", "--seed", "5"],
+            "13ade2568d0e862540b187a77db3d2672aaed8845afa7cb29f79c6999507b699",
+        ),
+        (
+            ["signal", "--q", "0.7", "--mc", "1100000", "--seed", "5"],
+            "c423da46fa460859528049b0ed38092ea5e9979a2a0798c716f3902b736ff778",
+        ),
+    ):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, sweeps",
     [
         (["sweep", "--model", "singlet", "--steps", "3", "--grid", "64"], 3),
-        (["moc", "--grid", "64"], 8 + 1),  # one per ordering set, one for the induced model
+        # one for all eight ordering sets, one for the induced model
+        (["moc", "--grid", "64"], 1 + 1),
+        # one for the marginal shift, one for the balance gap
+        (["signal", "--grid", "64"], 1 + 1),
     ],
 )
 def test_one_sweep_per_quadruple(argv, sweeps, monkeypatch, capsys):

@@ -8,20 +8,24 @@ import numpy as np
 import pytest
 
 from eprb_lab.core import (
+    BLOCK_SIZE,
     AngleQuadruple,
     GridScheme,
     LambdaSpace,
+    MonteCarloScheme,
     probe_locality,
     theta_between,
     uniform_distribution,
 )
-from eprb_lab.inequalities import stats_from_model
+from eprb_lab.inequalities import hardy_bounds, stats_from_model
 from eprb_lab.models import SequentialModel, sequential_singlet_model
 from eprb_lab.ordering import (
+    ORDERING_SETS,
     MocReport,
     induce_noncontextual,
     moc_demo,
     moc_transition_measure,
+    ordering_measures,
 )
 from eprb_lab.transition import full_report
 
@@ -143,3 +147,94 @@ def test_moc_report_json_keys():
     }
     assert blob["moc_measure"]["value"] == report.moc_measure.value
     assert blob["own"] == report.own.radians
+
+
+@pytest.mark.parametrize(
+    "model, quadruple, scheme",
+    [
+        (sequential_singlet_model(), CHAIN, GridScheme(256)),
+        (sequential_singlet_model(), CHAIN, MonteCarloScheme(BLOCK_SIZE + 137, 3)),
+        (sequential_singlet_model(), AngleQuadruple.chain(0.7), GridScheme(256)),
+        (order_blind_model(), CHAIN, GridScheme(128)),
+    ],
+)
+def test_one_sweep_matches_each_ordering_set(model, quadruple, scheme):
+    named = quadruple.named_angles()
+    measures = ordering_measures(model, quadruple, scheme)
+    assert tuple(measures) == ORDERING_SETS
+    best = None
+    for wing, own, other in ORDERING_SETS:
+        alone = moc_transition_measure(
+            model, model.equilibrium, named[own], named[other], wing, scheme
+        )
+        assert measures[wing, own, other] == alone
+        if best is None or alone.value > best[1].value:
+            best = ((wing, own, other), alone)
+    # at theta = pi/4 several sets tie; the first in search order wins
+    report = moc_demo(model, quadruple, scheme)
+    (wing, own, other), measure = best
+    assert (report.wing, report.own, report.other) == (wing, named[own], named[other])
+    assert report.moc_measure == measure
+
+
+@pytest.mark.parametrize("scheme", [GridScheme(256), MonteCarloScheme(20_000, 4)])
+def test_moc_demo_induced_model_figures(scheme):
+    model = sequential_singlet_model()
+    report = moc_demo(model, CHAIN, scheme)
+    induced = induce_noncontextual(model)
+    assert report.induced_sigma_minus == full_report(
+        induced, induced.equilibrium, CHAIN, scheme
+    ).sigma_minus
+    stats = stats_from_model(induced, induced.equilibrium, CHAIN, scheme)
+    assert report.induced_bell_lhs == hardy_bounds(stats).bell_lhs
+
+
+def _zeros(coords):
+    return np.zeros(coords.shape[0])
+
+
+def _one_too_many(coords):
+    return np.ones(coords.shape[0] + 1)
+
+
+def _broken_model(first_b_value, second_value) -> SequentialModel:
+    """The sequential singlet with B's first answers, or every second
+    answer, replaced when a replacement is given."""
+    base = sequential_singlet_model()
+
+    def first_outcome(wing, own, coords):
+        if wing == "B" and first_b_value is not None:
+            return first_b_value(coords)
+        return base.first_outcome(wing, own, coords)
+
+    def second_outcome(wing, own, other, first_value, coords):
+        if second_value is not None:
+            return second_value(coords)
+        return base.second_outcome(wing, own, other, first_value, coords)
+
+    return SequentialModel(
+        name="broken",
+        space=base.space,
+        equilibrium=base.equilibrium,
+        first_outcome=first_outcome,
+        second_outcome=second_outcome,
+    )
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        # the first set searched reads A's second answer
+        (_broken_model(None, _zeros), "A outcomes of model 'broken' are not all"),
+        (_broken_model(None, _one_too_many), "A outcomes of model 'broken' have shape"),
+        (_broken_model(_zeros, None), "B outcomes of model 'broken' are not all"),
+    ],
+)
+def test_moc_rejects_outcomes_that_are_not_plus_minus_one(model, message):
+    with pytest.raises(ValueError, match=message):
+        moc_demo(model, CHAIN, GridScheme(16))
+    named = CHAIN.named_angles()
+    with pytest.raises(ValueError, match=message):
+        moc_transition_measure(
+            model, model.equilibrium, named["a"], named["b"], "A", GridScheme(16)
+        )

@@ -17,6 +17,7 @@ from eprb_lab.core import (
     LambdaSpace,
     MonteCarloScheme,
     NumericalInvariantError,
+    estimate_measure,
     evaluate_pair,
     make_angle,
     uniform_distribution,
@@ -272,3 +273,30 @@ def test_bias_strength_tracks_shift():
     ]
     assert shifts[0] == 0.0
     assert shifts[0] < shifts[1] < shifts[2]
+
+
+def reference_marginal_shift(model, dist, b, a1, a2, scheme):
+    """The two-sweep form: one ``estimate_measure`` of {B = +1} per Alice setting."""
+
+    def pointing_up(alice):
+        def indicator(coords):
+            return np.asarray(model.outcome_b(alice, b, coords)) == 1
+
+        return estimate_measure(dist, indicator, scheme).value
+
+    return abs(pointing_up(a1) - pointing_up(a2))
+
+
+@pytest.mark.parametrize("scheme", [GridScheme(256), MonteCarloScheme(BLOCK_SIZE + 137, 6)])
+@pytest.mark.parametrize("q", [None, 0.8])
+def test_marginal_shift_matches_two_sweep_reference(q, scheme):
+    model = singlet_model()
+    dist = model.equilibrium if q is None else biased_distribution(model, q)
+    b = make_angle(0.3)
+    for a1, a2 in ((0.0, math.pi / 2), (1.1, 2.9), (0.4, 0.4)):
+        args = (model, dist, b, make_angle(a1), make_angle(a2), scheme)
+        if q is None:
+            # uniform density: every bin total is an exact count
+            assert marginal_shift(*args) == reference_marginal_shift(*args)
+        else:
+            assert abs(marginal_shift(*args) - reference_marginal_shift(*args)) <= 1e-15
