@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import html
 import io
 import itertools
 import json
@@ -22,7 +23,6 @@ import math
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -270,7 +270,7 @@ def _svg_line_plot(title: str, series: Sequence[tuple[str, list[tuple[float, flo
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="13">{html.escape(title, quote=False)}</text>',
         f'<line x1="{left:.1f}" y1="{py(y_min):.1f}" x2="{left:.1f}" y2="{py(y_max):.1f}" '
         'stroke="black" stroke-width="1"/>',
         f'<line x1="{left:.1f}" y1="{py(y_min):.1f}" x2="{width - right:.1f}" '
@@ -309,7 +309,7 @@ def _svg_line_plot(title: str, series: Sequence[tuple[str, list[tuple[float, flo
         )
         parts.append(
             f'<text x="{width - right - 120:.1f}" y="{legend_y + 4:.1f}" '
-            f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="11">{html.escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

@@ -12,6 +12,19 @@ subsets of the hypercube, so this module owns the two integration schemes:
 * seeded Monte Carlo with counter-based streams, bit-reproducible and
   independent of how the sample range is partitioned into blocks.
 
+Breakpoint contract
+-------------------
+A model and a density may declare per-axis breakpoints (cut positions):
+every outcome of the model, and the density, is constant on each open cell
+between consecutive cuts.  The grid then splits each axis into runs of
+consecutive midpoints, either all the midpoints strictly between two cuts or
+one midpoint that equals a cut, and classifies one representative point per
+box of runs, weighted by the box's size.  That gives the numbers of the full
+midpoint grid (the same bytes on a uniform density) from a few points; the
+corners of every box are classified too, so a declaration that misses a
+change of outcome or density fails loudly.  Without a declaration every
+midpoint is its own run, which is the full grid.
+
 Batch convention
 ----------------
 Outcome functions, densities and indicators accept a numpy array whose last
@@ -34,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -161,7 +174,15 @@ class LambdaSpace:
 
 
 DensityFn = Callable[[np.ndarray], np.ndarray]
-SamplerFn = Callable[[np.random.Generator, int], np.ndarray]
+# a string, so that importing this module does not import numpy.random
+SamplerFn = Callable[["np.random.Generator", int], np.ndarray]
+
+#: Per-axis cut positions: one tuple of floats per axis of the space.
+Cuts = tuple[tuple[float, ...], ...]
+
+#: ``breakpoints(angles)`` of a model: its cuts for any setting pair drawn
+#: from ``angles``.
+BreakpointsFn = Callable[[Sequence[Angle]], Cuts]
 
 
 @dataclass(frozen=True)
@@ -173,12 +194,17 @@ class Distribution:
     samples ``(rng, n) -> array (n, d)``; it is required only by consumers
     that need realized lambdas (the communication game) rather than
     integrals, which are always density-weighted uniform sweeps.
+
+    ``breakpoints``, when present, holds one tuple of cut positions per axis
+    such that the density is constant on each open cell between the cuts
+    (an empty tuple: constant along that axis); None declares nothing.
     """
 
     space: LambdaSpace
     density: DensityFn
     label: str
     sampler: SamplerFn | None = None
+    breakpoints: Cuts | None = None
 
 
 def uniform_distribution(space: LambdaSpace, label: str = "equilibrium") -> Distribution:
@@ -189,7 +215,13 @@ def uniform_distribution(space: LambdaSpace, label: str = "equilibrium") -> Dist
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.random((n, space.dimension))
 
-    return Distribution(space=space, density=density, label=label, sampler=sampler)
+    return Distribution(
+        space=space,
+        density=density,
+        label=label,
+        sampler=sampler,
+        breakpoints=((),) * space.dimension,
+    )
 
 
 OutcomeFn = Callable[[Angle, Angle, np.ndarray], np.ndarray]
@@ -205,6 +237,11 @@ class HvModel:
     batch convention and must return +1/-1 integer arrays.  The locality tag
     is metadata: "local" promises that outcome_a ignores b and outcome_b
     ignores a, which :func:`probe_locality` spot-checks.
+
+    ``breakpoints(angles)``, when present, returns one tuple of cut
+    positions per axis such that both outcomes, at every setting pair drawn
+    from ``angles``, are constant on each open cell between the cuts; None
+    declares nothing.
     """
 
     name: str
@@ -213,6 +250,7 @@ class HvModel:
     outcome_b: OutcomeFn
     equilibrium: Distribution
     locality_tag: str = "unknown"
+    breakpoints: BreakpointsFn | None = None
 
     def __post_init__(self) -> None:
         if self.locality_tag not in LOCALITY_TAGS:
@@ -304,21 +342,105 @@ def derived_stream(seed: int, domain: int, block_index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _grid_blocks(dimension: int, resolution: int) -> Iterator[np.ndarray]:
+class _Declaring(Protocol):
+    name: str
+    breakpoints: BreakpointsFn | None
+
+
+@dataclass(frozen=True)
+class GridCuts:
+    """The merged cuts of one sweep's model and density, per axis, sorted."""
+
+    model: str
+    axes: Cuts
+
+
+def declared_cuts(
+    model: _Declaring, dist: Distribution, angles: Sequence[Angle]
+) -> GridCuts | None:
+    """The cuts of ``model`` at ``angles`` merged with those of ``dist``, or
+    None when either declares nothing.  ``model`` is an :class:`HvModel` or
+    any model with a ``name`` and a ``breakpoints`` field."""
+    if model.breakpoints is None or dist.breakpoints is None:
+        return None
+    dimension = dist.space.dimension
+    declared = (model.breakpoints(tuple(angles)), dist.breakpoints)
+    for owner, cuts in zip((f"model {model.name!r}", f"density {dist.label!r}"), declared):
+        if len(cuts) != dimension:
+            raise ValueError(
+                f"{owner} declares breakpoints for {len(cuts)} axes, expected {dimension}"
+            )
+        if not all(math.isfinite(cut) for axis in cuts for cut in axis):
+            raise ValueError(f"{owner} declares a breakpoint that is not finite")
+    axes = tuple(
+        tuple(sorted(set(map(float, model_axis)) | set(map(float, dist_axis))))
+        for model_axis, dist_axis in zip(*declared)
+    )
+    return GridCuts(model=model.name, axes=axes)
+
+
+def _axis_runs(
+    resolution: int, cuts: Sequence[float] | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First midpoint, last midpoint and length of each run of one grid axis.
+
+    A run is all the midpoints strictly between two consecutive cuts, or one
+    midpoint that equals a cut; without cuts every midpoint is its own run.
+    """
+    index = np.arange(resolution, dtype=np.int64)
+    midpoints = (index + 0.5) / resolution
+    if cuts is None:
+        firsts = index
+    else:
+        ordered = np.asarray(cuts, dtype=np.float64)
+        # even for a midpoint strictly between cuts, odd for one on a cut
+        cell = np.searchsorted(ordered, midpoints, "left") + np.searchsorted(
+            ordered, midpoints, "right"
+        )
+        firsts = np.flatnonzero(np.diff(cell, prepend=-1))
+    lasts = np.append(firsts[1:] - 1, resolution - 1)
+    return midpoints[firsts], midpoints[lasts], lasts - firsts + 1
+
+
+def _grid_blocks(
+    dimension: int, resolution: int, cuts: Cuts | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Blocks of run boxes as ``(coords, sizes)``.
+
+    A box is one run per axis (:func:`_axis_runs`), in row-major order; it
+    holds ``sizes[j]`` midpoints.  ``coords`` stacks the box corners: the
+    first or last midpoint of the box's run on every axis whose runs are not
+    all single midpoints.  Its first ``len(sizes)`` rows are the all-first
+    corners, the boxes' representatives; each further group of that many
+    rows is another corner of the same boxes.  When every box is a single
+    midpoint (always without cuts) ``sizes`` is None and the blocks are the
+    full grid in blocks of ``BLOCK_SIZE``.
+    """
     total = resolution**dimension
     if total > _MAX_GRID_CELLS:
         raise ValueError(
             f"grid of {resolution}^{dimension} = {total} cells exceeds the "
             f"{_MAX_GRID_CELLS}-cell limit; lower the resolution"
         )
-    for start in range(0, total, BLOCK_SIZE):
-        stop = min(start + BLOCK_SIZE, total)
+    runs = [_axis_runs(resolution, None if cuts is None else cuts[axis]) for axis in range(dimension)]
+    wide = [axis for axis, (_, _, lengths) in enumerate(runs) if np.any(lengths > 1)]
+    n_corners = 1 << len(wide)
+    n_boxes = math.prod(len(lengths) for _, _, lengths in runs)
+    step = max(1, BLOCK_SIZE // n_corners)
+    for start in range(0, n_boxes, step):
+        stop = min(start + step, n_boxes)
         flat = np.arange(start, stop, dtype=np.int64)
-        coords = np.empty((stop - start, dimension), dtype=np.float64)
+        coords = np.empty((n_corners, stop - start, dimension), dtype=np.float64)
+        sizes = np.ones(stop - start, dtype=np.int64) if wide else None
         for axis in range(dimension - 1, -1, -1):
-            flat, remainder = np.divmod(flat, resolution)
-            coords[:, axis] = (remainder + 0.5) / resolution
-        yield coords
+            firsts, lasts, lengths = runs[axis]
+            flat, run = np.divmod(flat, len(lengths))
+            coords[:, :, axis] = firsts[run]
+            if axis in wide:
+                sizes *= lengths[run]
+                bit = 1 << wide.index(axis)
+                coords[[c for c in range(n_corners) if c & bit], :, axis] = lasts[run]
+        yield coords.reshape(-1, dimension), None if sizes is None else sizes.astype(np.float64)
 
 
 def _mc_blocks(dimension: int, n: int, seed: int, domain: int) -> Iterator[np.ndarray]:
@@ -339,6 +461,7 @@ def sweep_statistics(
     selection: np.ndarray,
     *,
     domain: int = 0,
+    cuts: GridCuts | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate several set measures from one density-weighted histogram.
 
@@ -357,22 +480,30 @@ def sweep_statistics(
 
     Grid scheme: values are selected sums of density divided by the cell
     count once at the end, so uniform-density measures are exact ratios of
-    integers; std_errors are 0.  Monte Carlo: values are density-weighted
-    sample means clipped to [0, 1], std_errors the sample standard deviation
-    (ddof=1) over sqrt(n).
+    integers; std_errors are 0.  With ``cuts`` (see :func:`declared_cuts`
+    and the breakpoint contract in the module docstring) the grid classifies
+    one point per box of runs, weighted by density times box size, and
+    raises :class:`NumericalInvariantError` when the corners of a box
+    disagree in bin or density; the values are those of the full grid, the
+    same bits on a uniform density.  Monte Carlo ignores ``cuts``: values
+    are density-weighted sample means clipped to [0, 1], std_errors the
+    sample standard deviation (ddof=1) over sqrt(n).
     """
     dimension = dist.space.dimension
     if isinstance(scheme, GridScheme):
-        blocks = _grid_blocks(dimension, scheme.resolution)
+        blocks = _grid_blocks(dimension, scheme.resolution, None if cuts is None else cuts.axes)
     elif isinstance(scheme, MonteCarloScheme):
-        blocks = _mc_blocks(dimension, scheme.n, scheme.seed, domain)
+        blocks = ((coords, None) for coords in _mc_blocks(dimension, scheme.n, scheme.seed, domain))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     sums = np.zeros(n_stats, dtype=np.float64)
     squares = np.zeros(n_stats, dtype=np.float64)
-    for coords in blocks:
+    for coords, sizes in blocks:
         weights = _density_values(dist, coords)
         codes = _bin_codes(masks_fn, coords, n_stats)
+        if sizes is not None:
+            codes, weights = _box_values(coords, codes, weights, len(sizes), cuts, dist)
+            weights = weights * sizes
         counts = np.bincount(codes, minlength=n_stats)
         if np.all(weights == 1.0):
             # every bin total is an exact count, whatever the summation order
@@ -402,6 +533,33 @@ def sweep_statistics(
     else:
         std_errors = np.zeros(len(values), dtype=np.float64)
     return np.clip(values, 0.0, 1.0), std_errors
+
+
+def _box_values(
+    coords: np.ndarray,
+    codes: np.ndarray,
+    weights: np.ndarray,
+    n_boxes: int,
+    cuts: GridCuts | None,
+    dist: Distribution,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bin and density of each box's representative, once every corner
+    of the box agrees with it on both."""
+    assert cuts is not None  # boxes larger than one midpoint come from cuts
+    codes = codes.reshape(-1, n_boxes)
+    weights = weights.reshape(-1, n_boxes)
+    for values, culprit in (
+        (codes, f"the outcomes of model {cuts.model!r} change"),
+        (weights, f"density {dist.label!r} changes"),
+    ):
+        differs = np.any(values != values[0], axis=0)
+        if np.any(differs):
+            box = int(np.flatnonzero(differs)[0])
+            raise NumericalInvariantError(
+                f"{culprit} inside the grid cell of lambda = {coords[box].tolist()} "
+                "between its declared breakpoints"
+            )
+    return codes[0], weights[0]
 
 
 def _density_values(dist: Distribution, coords: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .core import (
     Distribution,
     HvModel,
     Scheme,
+    declared_cuts,
     sweep_statistics,
 )
 from .transition import (
@@ -145,7 +146,8 @@ def stats_from_model(
     """Measured product statistics of a model, one sweep for all contexts:
     the same outcome-pattern histogram :func:`transition.full_report` reads."""
     classify = pattern_classifier(model, quadruple)
-    values, _ = sweep_statistics(dist, scheme, classify, N_PATTERNS, P_PLUS_SELECTION)
+    cuts = declared_cuts(model, dist, quadruple.named_angles().values())
+    values, _ = sweep_statistics(dist, scheme, classify, N_PATTERNS, P_PLUS_SELECTION, cuts=cuts)
     return JointStats.from_p_plus(tuple(float(v) for v in values))
 
 

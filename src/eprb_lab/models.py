@@ -4,19 +4,24 @@ All built-ins live on the two-dimensional hypercube with lambda = (u, v):
 u drives the +1/-1 coin, v drives the right wing's anticorrelation flip.
 This is the smallest product structure whose transition sets are
 axis-aligned rectangles, so every downstream measure has a closed form
-against which the estimators can be tested.
+against which the estimators can be tested.  Every built-in declares where
+its outcomes can change (``breakpoints``): u at 1/2, and for the singlet
+models v at the anticorrelation threshold of every setting pair; the bias
+density changes only at u = 1/2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
     Angle,
+    BreakpointsFn,
+    Cuts,
     Distribution,
     HvModel,
     LambdaSpace,
@@ -57,6 +62,17 @@ def anticorrelation_threshold(theta: float) -> float:
     return 0.5 * (1.0 + math.cos(theta))
 
 
+def _coin_breakpoints(angles: Sequence[Angle]) -> Cuts:
+    return ((0.5,), (0.5,))
+
+
+def _singlet_breakpoints(angles: Sequence[Angle]) -> Cuts:
+    """u at 1/2; v at the anticorrelation threshold of every ordered pair of
+    ``angles``, computed as the outcome functions compute it."""
+    thresholds = (anticorrelation_threshold(theta_between(x, y)) for x in angles for y in angles)
+    return ((0.5,), tuple(thresholds))
+
+
 def local_coin_model() -> HvModel:
     """Two independent fair coins: A reads u, B reads v, settings ignored."""
 
@@ -73,6 +89,7 @@ def local_coin_model() -> HvModel:
         outcome_b=outcome_b,
         equilibrium=uniform_distribution(SPACE_2D),
         locality_tag="local",
+        breakpoints=_coin_breakpoints,
     )
 
 
@@ -101,6 +118,7 @@ def singlet_model() -> HvModel:
         outcome_b=outcome_b,
         equilibrium=uniform_distribution(SPACE_2D),
         locality_tag="nonlocal",
+        breakpoints=_singlet_breakpoints,
     )
 
 
@@ -136,6 +154,7 @@ def biased_distribution(model: HvModel, q: float) -> Distribution:
         density=density,
         label=f"nonequilibrium:q={q:.12g}",
         sampler=sampler,
+        breakpoints=((0.5,),) + ((),) * (dimension - 1),
     )
 
 
@@ -153,6 +172,11 @@ class SequentialModel:
     measurement.  ``second_outcome(wing, own_setting, other_setting,
     first_value, coords)`` is the outcome of the wing measured second, given
     the first wing's realized outcome.  Wings are named "A" and "B".
+
+    ``breakpoints(angles)``, when present, returns one tuple of cut
+    positions per axis such that every first and second outcome, at every
+    setting pair drawn from ``angles`` and either first value, is constant
+    on each open cell between the cuts; None declares nothing.
     """
 
     name: str
@@ -160,6 +184,7 @@ class SequentialModel:
     equilibrium: Distribution
     first_outcome: FirstOutcomeFn
     second_outcome: SecondOutcomeFn
+    breakpoints: BreakpointsFn | None = None
 
 
 def sequential_singlet_model() -> SequentialModel:
@@ -191,6 +216,7 @@ def sequential_singlet_model() -> SequentialModel:
         equilibrium=uniform_distribution(SPACE_2D),
         first_outcome=first_outcome,
         second_outcome=second_outcome,
+        breakpoints=_singlet_breakpoints,
     )
 
 
@@ -232,6 +258,7 @@ def as_simultaneous(model: SequentialModel, first_wing: str = "A") -> HvModel:
         outcome_b=outcome_b,
         equilibrium=model.equilibrium,
         locality_tag="nonlocal",
+        breakpoints=model.breakpoints,
     )
 
 

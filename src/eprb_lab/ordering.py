@@ -33,6 +33,7 @@ from .core import (
     MeasureEstimate,
     Scheme,
     _checked_values,
+    declared_cuts,
     estimate_measure,
 )
 from .inequalities import JointStats, hardy_bounds, quantum_stats
@@ -136,7 +137,9 @@ def ordering_measures(
 
     n_bins = 1 << len(ORDERING_SETS)
     selection = (np.arange(n_bins) >> np.arange(len(ORDERING_SETS))[:, None]) & 1 == 1
-    values, errors = core.sweep_statistics(model.equilibrium, scheme, classify, n_bins, selection)
+    dist = model.equilibrium
+    cuts = declared_cuts(model, dist, named.values())
+    values, errors = core.sweep_statistics(dist, scheme, classify, n_bins, selection, cuts=cuts)
     return {
         triple: MeasureEstimate(float(value), float(error), scheme)
         for triple, value, error in zip(ORDERING_SETS, values, errors)
@@ -164,6 +167,7 @@ def induce_noncontextual(model: SequentialModel) -> HvModel:
         outcome_b=outcome_b,
         equilibrium=model.equilibrium,
         locality_tag="local",
+        breakpoints=model.breakpoints,
     )
 
 

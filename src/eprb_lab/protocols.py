@@ -37,6 +37,7 @@ from .core import (
     _check_seed,
     _checked_outcomes,
     context_outcomes,
+    declared_cuts,
     derived_stream,
 )
 from .inequalities import JointStats, hardy_bounds
@@ -308,7 +309,8 @@ def marginal_shift(
         down_2 = _checked_outcomes(model.outcome_b, a2, b_setting, coords, model.name, "B") < 0
         return down_1.astype(np.uint8) | (down_2.astype(np.uint8) << 1)
 
-    values, errors = core.sweep_statistics(dist, scheme, classify, 4, _B_UP_SELECTION)
+    cuts = declared_cuts(model, dist, (a1, a2, b_setting))
+    values, errors = core.sweep_statistics(dist, scheme, classify, 4, _B_UP_SELECTION, cuts=cuts)
     # MeasureEstimate rejects a value outside [0, 1], e.g. from an unnormalized density
     up_1, up_2 = (MeasureEstimate(float(v), float(e), scheme).value for v, e in zip(values, errors))
     return abs(up_1 - up_2)

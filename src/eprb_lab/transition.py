@@ -41,6 +41,7 @@ from .core import (
     Scheme,
     as_lambda_point,
     context_outcomes,
+    declared_cuts,
     estimate_measure,
     sweep_statistics,
 )
@@ -278,7 +279,8 @@ def partition_measures(
         pre, post = _set_outcome_pair(model, quadruple, which, coords)
         return (pre != post) * np.where(pre == 1, 1, 2)
 
-    values, errors = sweep_statistics(dist, scheme, masks_fn, 3, _PARTITION_SELECTION)
+    cuts = declared_cuts(model, dist, quadruple.named_angles().values())
+    values, errors = sweep_statistics(dist, scheme, masks_fn, 3, _PARTITION_SELECTION, cuts=cuts)
     return (
         MeasureEstimate(float(values[0]), float(errors[0]), scheme),
         MeasureEstimate(float(values[1]), float(errors[1]), scheme),
@@ -370,7 +372,12 @@ def full_report(
     hold exactly rather than approximately.
     """
     values, errors = sweep_statistics(
-        dist, scheme, pattern_classifier(model, quadruple), N_PATTERNS, _REPORT_SELECTION
+        dist,
+        scheme,
+        pattern_classifier(model, quadruple),
+        N_PATTERNS,
+        _REPORT_SELECTION,
+        cuts=declared_cuts(model, dist, quadruple.named_angles().values()),
     )
     estimates = iter(
         MeasureEstimate(float(value), float(error), scheme) for value, error in zip(values, errors)

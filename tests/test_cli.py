@@ -7,6 +7,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -166,6 +169,31 @@ def test_moc_and_signal_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_grid_bytes_on_biased_and_sequential_paths_are_pinned(capsys):
+    # digests of the output of the full-grid kernel that classified every midpoint
+    for argv, digest in (
+        (
+            ["transition", "--model", "singlet+bias:q=0.7", "--grid", "256"],
+            "3935667a144793ef1177efa756f40596c35c426764bec88a2ab2415e8be2010a",
+        ),
+        (
+            ["signal", "--q", "0.7", "--grid", "256"],
+            "bba00b021de1c6c2b6798bd0c07d8d1adf8d45b0b662a9d8fd74901c21b5e3c4",
+        ),
+        (
+            ["moc", "--grid", "256"],
+            "a7391407f9327c8c24c2d4c35f0016ab6168f1567eb1c915ce05f26cbc090774",
+        ),
+        (
+            ["stats", "--model", "local-coin", "--grid", "64"],
+            "e0ec74231857f2f3e15bb9c182e158551e3292cb1fa11a17082a4365f5f25f68",
+        ),
+    ):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, sweeps",
     [
@@ -236,6 +264,28 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(["--version"], capsys)
     assert code == 0
     assert "eprb-lab" in out and __version__ in out
+
+
+def test_version_skips_heavy_imports():
+    # xml.sax pulls in urllib.request, http.client and ssl; numpy.random is
+    # only needed once a command samples
+    import eprb_lab
+
+    source = os.path.dirname(os.path.dirname(eprb_lab.__file__))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "eprb_lab.cli", "--version"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": source},
+        check=True,
+    )
+    imported = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "eprb_lab.core" in imported
+    assert not imported & {"xml.sax", "urllib.request", "numpy.random"}
 
 
 def test_stdout_mode_writes_nothing(tmp_path, monkeypatch, capsys):
