@@ -43,7 +43,6 @@ from .transition import (
     classify_lambda,
     full_report,
     partition_measures,
-    transition_measure,
 )
 from .inequalities import (
     ContradictionTrace,
@@ -102,7 +101,6 @@ __all__ = [
     "classify_lambda",
     "full_report",
     "partition_measures",
-    "transition_measure",
     "ContradictionTrace",
     "HardyBounds",
     "JointStats",

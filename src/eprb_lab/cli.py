@@ -8,7 +8,8 @@ is given; whenever a run writes files it also writes a manifest
 quadruple, scheme and seed, so the run can be replayed byte for byte.
 
 Exit codes: 0 success, 2 usage error (unknown model, malformed angles,
-conflicting scheme flags), 3 numerical-invariant failure.
+conflicting scheme flags, outputs that name the same file), 3
+numerical-invariant failure.
 """
 
 from __future__ import annotations
@@ -47,14 +48,9 @@ from .inequalities import (
 )
 from .models import ModelChoice, biased_distribution, resolve_model
 from .ordering import moc_demo
-from .protocols import (
-    CommBlock,
-    average_bits_identity,
-    detailed_balance,
-    marginal_shift,
-    simulate_game,
-)
-from .transition import LABELS_BY_MASK, TransitionSetId, full_report
+from .protocols import CommBlock, average_bits_identity, marginal_shift, simulate_game
+from .protocols import detailed_balance  # noqa: F401  (bench/tracer.py rebinds it here)
+from .transition import LABELS_BY_MASK, full_report
 
 TOOL_NAME = "eprb-lab"
 
@@ -97,9 +93,6 @@ class _Options:
 
     def flag_given(self, key: str) -> bool:
         return self._flags.get(key.replace("-", "_")) is not None
-
-    def in_config(self, key: str) -> bool:
-        return key in self._config
 
     def get(self, key: str, default: object, parse: Callable[[str], object]) -> object:
         value = self._flags.get(key.replace("-", "_"))
@@ -195,6 +188,21 @@ def _quadruple_json(quadruple: AngleQuadruple | None) -> dict[str, float] | None
         name.replace("'", "_prime"): angle.radians
         for name, angle in quadruple.named_angles().items()
     }
+
+
+def _check_distinct_outputs(paths: Sequence[object]) -> None:
+    """Refuse outputs that name the same file: ``paths`` are the run's
+    output flags in manifest order, None where not given; the manifest goes
+    next to the first one given."""
+    given = [str(path) for path in paths if path is not None]
+    if given:
+        given.append(given[0] + ".manifest.json")
+    seen: dict[Path, str] = {}
+    for path in given:
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ValueError(f"outputs {seen[resolved]!r} and {path!r} name the same file")
+        seen[resolved] = path
 
 
 def _emit(
@@ -412,6 +420,9 @@ def _cmd_sweep(opts: _Options, argv: Sequence[str]) -> int:
     if steps < 2:
         raise ValueError(f"--steps must be at least 2, got {steps}")
     seed = int(opts.get("seed", _DEFAULT_SEED, int))
+    out_path = opts.get("out", None, str)
+    svg_path = opts.get("svg", None, str)
+    _check_distinct_outputs([out_path, svg_path])
     if choice.kind == "quantum":
         scheme: Scheme | None = None
         scheme_label = "analytic"
@@ -427,7 +438,6 @@ def _cmd_sweep(opts: _Options, argv: Sequence[str]) -> int:
     payload = _csv_bytes(header, rows)
 
     side_outputs: list[str] = []
-    svg_path = opts.get("svg", None, str)
     if svg_path is not None:
         series = []
         for column, name in ((1, "hardy_bound"), (2, "unified"), (3, "bell_lhs"),
@@ -441,7 +451,7 @@ def _cmd_sweep(opts: _Options, argv: Sequence[str]) -> int:
 
     return _emit(
         payload,
-        opts.get("out", None, str),
+        out_path,
         subcommand="sweep",
         argv=argv,
         model=choice.name,
@@ -492,10 +502,12 @@ def _cmd_comm(opts: _Options, argv: Sequence[str]) -> int:
     quadruple = _resolve_quadruple(opts)
     runs = int(opts.get("runs", _DEFAULT_RUNS, int))
     seed = int(opts.get("seed", _DEFAULT_SEED, int))
+    out_path = opts.get("out", None, str)
+    log_path = opts.get("log", None, str)
+    _check_distinct_outputs([out_path, log_path])
     summary, run_stream = simulate_game(choice.hv, choice.distribution, quadruple, runs, seed)
 
     side_outputs: list[str] = []
-    log_path = opts.get("log", None, str)
     if log_path is not None:
         dimension = choice.hv.space.dimension
         header = (
@@ -524,7 +536,7 @@ def _cmd_comm(opts: _Options, argv: Sequence[str]) -> int:
     payload = _csv_bytes(header, [row])
     return _emit(
         payload,
-        opts.get("out", None, str),
+        out_path,
         subcommand="comm",
         argv=argv,
         model=choice.name,
@@ -550,8 +562,7 @@ def _cmd_signal(opts: _Options, argv: Sequence[str]) -> int:
     # B's outcome at b as Alice switches a1 <-> a2: the bob@b transition set
     # of the quadruple (a1, a2, b, b).
     quadruple = AngleQuadruple(a=a1, a_prime=a2, b=b_setting, b_prime=b_setting)
-    shift = marginal_shift(choice.hv, dist, b_setting, a1, a2, scheme)
-    gap = detailed_balance(choice.hv, dist, quadruple, TransitionSetId.BOB_AT_B, scheme)
+    shift, gap = marginal_shift(choice.hv, dist, b_setting, a1, a2, scheme)
     header = [
         "model",
         "distribution",
@@ -648,6 +659,8 @@ def _cmd_moc(opts: _Options, argv: Sequence[str]) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{args.manifest}: the manifest is not a JSON object")
     command_line = manifest.get("command_line")
     if not isinstance(command_line, list) or not all(isinstance(s, str) for s in command_line):
         raise ValueError(f"{args.manifest}: no usable command_line entry")

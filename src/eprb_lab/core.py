@@ -30,8 +30,7 @@ Batch convention
 Outcome functions, densities and indicators accept a numpy array whose last
 axis holds the coordinates of one lambda (shape ``(..., d)``) and return an
 array of the leading shape.  The engine always calls them with 2-D blocks of
-at most ``2**20`` points.  Scalar single-point functions can be adapted with
-:func:`vectorize_over_points` / :func:`vectorize_outcome`.
+at most ``2**20`` points.
 
 Bin contract
 ------------
@@ -40,7 +39,12 @@ of points to one integer bin per point, in ``[0, n_stats)``; the kernel adds
 up the density that falls in each bin (and, for Monte Carlo, the squared
 density).  A statistic is a fixed boolean selection of bins, and its value
 and standard error come from the selected bin totals, so every statistic of
-one sweep is a view over the same histogram.
+one sweep is a view over the same histogram.  The package fills three kinds
+of histogram: the 256 outcome patterns of a quadruple (every transition-set
+measure and context statistic, see :mod:`transition`), the four outcome
+pairs behind a signal-locality check, and the 256 ordering-set codes of a
+sequential model; :func:`estimate_measure` is the two-bin case for a bare
+indicator.
 """
 
 from __future__ import annotations
@@ -665,18 +669,6 @@ def evaluate_pair(model: HvModel, a: Angle, b: Angle, lam: object) -> tuple[int,
     return int(value_a[0]), int(value_b[0])
 
 
-def probe_determinism(model: HvModel, n_probes: int = 1000, seed: int = 2024) -> bool:
-    """Evaluate n random (angles, lambda) probes twice; True if all agree."""
-    rng = derived_stream(seed, 101, 0)
-    for _ in range(n_probes):
-        a = make_angle(float(rng.random()) * TAU)
-        b = make_angle(float(rng.random()) * TAU)
-        lam = rng.random(model.space.dimension)
-        if evaluate_pair(model, a, b, lam) != evaluate_pair(model, a, b, lam):
-            return False
-    return True
-
-
 def probe_locality(model: HvModel, n_probes: int = 1000, seed: int = 2024) -> bool:
     """Check that each wing's outcome ignores the other wing's setting.
 
@@ -696,32 +688,3 @@ def probe_locality(model: HvModel, n_probes: int = 1000, seed: int = 2024) -> bo
         if not (bool(np.all(same_a)) and bool(np.all(same_b))):
             return False
     return True
-
-
-def vectorize_over_points(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt a single-point function to the batch convention.
-
-    ``fn`` receives one coordinate vector of shape (d,) and returns a
-    scalar; the wrapper maps it over any (..., d) batch.  Intended for user
-    densities or indicators written without numpy broadcasting.
-    """
-
-    def batched(coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.float64)
-        flat = coords.reshape(-1, coords.shape[-1])
-        out = np.asarray([fn(point) for point in flat])
-        return out.reshape(coords.shape[:-1])
-
-    return batched
-
-
-def vectorize_outcome(fn: Callable[[Angle, Angle, np.ndarray], object]) -> OutcomeFn:
-    """Adapt a single-point outcome function to the batch convention."""
-
-    def batched(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.float64)
-        flat = coords.reshape(-1, coords.shape[-1])
-        out = np.asarray([fn(a, b, point) for point in flat], dtype=np.int64)
-        return out.reshape(coords.shape[:-1])
-
-    return batched

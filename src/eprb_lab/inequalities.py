@@ -8,30 +8,27 @@ linear lower bound on the measure of a corresponding intersection set; the
 two groups of four combine into a single unified lower bound on
 P(sigma_minus), and the same quantities rearrange into a single Bell-type
 inequality whose violation is exactly twice the unified bound.
+
+Measured statistics (:func:`stats_from_model`) are the p_i^+ rows of the
+outcome-pattern sweep in :mod:`transition`; this module makes no sweep of its
+own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    AngleQuadruple,
-    Distribution,
-    HvModel,
-    Scheme,
-    declared_cuts,
-    sweep_statistics,
-)
+from .core import AngleQuadruple, Distribution, HvModel, Scheme
+from .core import sweep_statistics  # noqa: F401  (bench/tracer.py rebinds it here)
 from .transition import (
     CANONICAL_SETS,
-    N_PATTERNS,
-    P_PLUS_SELECTION,
+    P_PLUS_ROWS,
     MembershipVector,
     TransitionSetId,
-    pattern_classifier,
+    _pattern_sweep,
 )
 
 _COMPLEMENT_TOL = 1e-12
@@ -105,14 +102,6 @@ class HardyBounds:
     def violated(self) -> bool:
         return self.unified > 0.0
 
-    def csv_row(self, label: str) -> list[object]:
-        return (
-            [label]
-            + list(self.alpha)
-            + list(self.beta)
-            + [self.unified, self.bell_lhs, int(self.violated)]
-        )
-
 
 def hardy_bounds(stats: JointStats) -> HardyBounds:
     """Evaluate the eight pattern bounds and the unified inequality."""
@@ -143,12 +132,10 @@ def quantum_stats(quadruple: AngleQuadruple) -> JointStats:
 def stats_from_model(
     model: HvModel, dist: Distribution, quadruple: AngleQuadruple, scheme: Scheme
 ) -> JointStats:
-    """Measured product statistics of a model, one sweep for all contexts:
-    the same outcome-pattern histogram :func:`transition.full_report` reads."""
-    classify = pattern_classifier(model, quadruple)
-    cuts = declared_cuts(model, dist, quadruple.named_angles().values())
-    values, _ = sweep_statistics(dist, scheme, classify, N_PATTERNS, P_PLUS_SELECTION, cuts=cuts)
-    return JointStats.from_p_plus(tuple(float(v) for v in values))
+    """Measured product statistics of a model: the p_i^+ rows of the pattern
+    sweep :func:`transition.full_report` reads, taken as they come."""
+    values, _ = _pattern_sweep(model, dist, quadruple, scheme)
+    return JointStats.from_p_plus(tuple(float(v) for v in values[P_PLUS_ROWS]))
 
 
 class ChshResult(NamedTuple):
@@ -176,11 +163,6 @@ def chsh_correlations(stats: JointStats) -> ChshResult:
 def lemma_check(stats: JointStats) -> int:
     """Count of strictly positive entries among the eight bounds (never >1)."""
     return sum(1 for value in hardy_bounds(stats).all_eight() if value > 0.0)
-
-
-def random_joint_stats(rng: np.random.Generator) -> JointStats:
-    """One uniform draw from the full statistics polytope (for property tests)."""
-    return JointStats.from_p_plus(tuple(float(v) for v in rng.random(4)))
 
 
 @dataclass(frozen=True)
@@ -325,10 +307,3 @@ def contradiction_trace(
         escape_options=() if consistent else tuple(CANONICAL_SETS),
         escapes_used=tuple(escapes_used),
     )
-
-
-def assignment_from_contexts(
-    contexts: Iterable[tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """Normalize an iterable of (A, B) pairs into a trace assignment."""
-    return tuple((int(va), int(vb)) for va, vb in contexts)

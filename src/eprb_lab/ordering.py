@@ -191,24 +191,6 @@ class MocReport:
     induced_bell_lhs: float
     quantum_required: float
 
-    def to_json(self) -> dict:
-        return {
-            "pair": self.pair,
-            "wing": self.wing,
-            "own": self.own.radians,
-            "other": self.other.radians,
-            "moc_measure": {
-                "value": self.moc_measure.value,
-                "std_error": self.moc_measure.std_error,
-            },
-            "induced_sigma_minus": {
-                "value": self.induced_sigma_minus.value,
-                "std_error": self.induced_sigma_minus.std_error,
-            },
-            "induced_bell_lhs": self.induced_bell_lhs,
-            "quantum_required": self.quantum_required,
-        }
-
 
 def moc_demo(model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme) -> MocReport:
     """Search all eight (wing, own, companion) triples and assemble the report."""

@@ -12,7 +12,11 @@ is bounded below by the measure of the odd-membership union sigma_minus.
 Signal locality: a remote setting swap moves lambdas between the two halves
 of a transition set (the (+,-) and (-,+) partitions).  At equilibrium the
 two halves have equal measure, so the local marginal cannot shift; a biased
-lambda distribution breaks the balance and the marginal moves.
+lambda distribution breaks the balance and the marginal moves.  The shift of
+the marginal and the balance gap are the same difference of sets read two
+ways, so :func:`marginal_shift` returns both from one four-bin sweep.
+:func:`detailed_balance` reads the gap of any of the four sets off the
+outcome-pattern sweep of :mod:`transition`.
 """
 
 from __future__ import annotations
@@ -129,29 +133,6 @@ class CommSummary:
     stats: JointStats
     context_counts: tuple[int, int, int, int]
     sigma_minus_bound: float
-
-    def to_json(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "seed": self.seed,
-            "average_bits": self.average_bits,
-            "bits_std_error": self.bits_std_error,
-            "sigma_minus_bound": self.sigma_minus_bound,
-            "contexts": [
-                {
-                    "label": label,
-                    "runs": count,
-                    "p_plus": plus,
-                    "p_minus": minus,
-                }
-                for label, count, plus, minus in zip(
-                    ("ab", "a'b", "a'b'", "ab'"),
-                    self.context_counts,
-                    self.stats.p_plus,
-                    self.stats.p_minus,
-                )
-            ],
-        }
 
 
 def _play_block(
@@ -286,8 +267,17 @@ def average_bits_identity(report: TransitionReport) -> tuple[float, float]:
 
 
 # Marginal-shift bins: bit 0 set when B(a1, b) = -1, bit 1 when B(a2, b) = -1.
-# Row j selects the bins where B is +1 at the j-th Alice setting.
-_B_UP_SELECTION = np.array([[True, False, True, False], [True, True, False, False]])
+# Rows 0 and 1 select the bins where B is +1 at a1 and at a2; rows 2 and 3
+# the single bins (+,-) and (-,+) of the bob@b set of the quadruple
+# (a1, a2, b, b), where B flips from +1 to -1 and from -1 to +1 as a1 -> a2.
+_SIGNAL_SELECTION = np.array(
+    [
+        [True, False, True, False],
+        [True, True, False, False],
+        [False, False, True, False],
+        [False, True, False, False],
+    ]
+)
 
 
 def marginal_shift(
@@ -297,11 +287,14 @@ def marginal_shift(
     a1: Angle,
     a2: Angle,
     scheme: Scheme,
-) -> float:
-    """|P(B=+1 at (a1, b)) - P(B=+1 at (a2, b))| under ``dist``.
+) -> tuple[float, float]:
+    """(shift, gap) at B's setting ``b_setting`` as Alice switches a1 -> a2.
 
-    One sweep bins each lambda by B's two outcomes; each P(B=+1) is a
-    selection of two of its four bins.
+    shift is |P(B=+1 at (a1, b)) - P(B=+1 at (a2, b))| and gap is
+    |P(+,-) - P(-,+)| of the bob@b set of the quadruple (a1, a2, b, b), the
+    :func:`detailed_balance` of that set.  Both are the same difference of
+    sets read two ways, so one sweep bins each lambda by B's two outcomes
+    and each probability is a selection of its four bins.
     """
 
     def classify(coords: np.ndarray) -> np.ndarray:
@@ -310,10 +303,12 @@ def marginal_shift(
         return down_1.astype(np.uint8) | (down_2.astype(np.uint8) << 1)
 
     cuts = declared_cuts(model, dist, (a1, a2, b_setting))
-    values, errors = core.sweep_statistics(dist, scheme, classify, 4, _B_UP_SELECTION, cuts=cuts)
+    values, errors = core.sweep_statistics(dist, scheme, classify, 4, _SIGNAL_SELECTION, cuts=cuts)
     # MeasureEstimate rejects a value outside [0, 1], e.g. from an unnormalized density
-    up_1, up_2 = (MeasureEstimate(float(v), float(e), scheme).value for v, e in zip(values, errors))
-    return abs(up_1 - up_2)
+    up_1, up_2, plus_minus, minus_plus = (
+        MeasureEstimate(float(v), float(e), scheme).value for v, e in zip(values, errors)
+    )
+    return abs(up_1 - up_2), abs(plus_minus - minus_plus)
 
 
 def detailed_balance(

@@ -21,6 +21,13 @@ excluded set walking through canonical indices 0..3; T5..T8: exactly one
 membership, the member walking through canonical indices 3..0).  The
 even-membership patterns get artifact labels: E1..E6 for the exactly-two
 patterns in lexicographic index-pair order, F for all four, "none" for zero.
+
+Every measure of a quadruple is a view over one histogram: a sweep bins each
+lambda by its 8 outcome bits (256 patterns), and each set, partition, region,
+sigma_minus and context statistic p_i^+ is a fixed selection of those bins.
+:func:`full_report` reads all of them, :func:`partition_measures` two, and
+:func:`inequalities.stats_from_model` the four p_i^+, all from the same
+private sweep, which is the only pattern sweep of the package.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from .core import (
     as_lambda_point,
     context_outcomes,
     declared_cuts,
-    estimate_measure,
     sweep_statistics,
 )
 
@@ -58,8 +64,6 @@ class TransitionSetId(enum.Enum):
 
 
 CANONICAL_SETS: tuple[TransitionSetId, ...] = tuple(TransitionSetId)
-
-SET_INDEX: dict[TransitionSetId, int] = {sid: i for i, sid in enumerate(CANONICAL_SETS)}
 
 # (wing, pre-context, post-context): the compared outcome is the wing's, the
 # two contexts differ only in the other wing's setting, unprimed swap slot
@@ -92,12 +96,6 @@ LABELS_BY_MASK: tuple[str, ...] = _build_region_labels()
 T_REGION_LABELS: tuple[str, ...] = tuple(f"T{i}" for i in range(1, 9))
 E_REGION_LABELS: tuple[str, ...] = tuple(f"E{i}" for i in range(1, 7))
 ALL_REGION_LABELS: tuple[str, ...] = T_REGION_LABELS + E_REGION_LABELS + ("F", "none")
-
-#: Membership pattern (canonical order) defining each region label.
-REGION_PATTERNS: dict[str, tuple[bool, bool, bool, bool]] = {
-    label: tuple(bool(mask & (1 << i)) for i in range(4))  # type: ignore[misc]
-    for mask, label in enumerate(LABELS_BY_MASK)
-}
 
 
 @dataclass(frozen=True)
@@ -201,9 +199,9 @@ if not np.array_equal(_ODD, np.prod(_SIGNS, axis=0) == -1):
 #: Pattern selection of the context statistics p_i^+, canonical order.
 P_PLUS_SELECTION = _SIGNS == 1
 
-# Pattern selection of every full-report statistic, in the order full_report
-# reads them: 4 sets, then (+,-) and (-,+) of each set, 16 regions by mask,
-# sigma_minus, and the 4 context p_i^+.
+# Pattern selection of every statistic of the pattern sweep, in the order
+# full_report reads them: 4 sets, then (+,-) and (-,+) of each set, 16 regions
+# by mask, sigma_minus, and the 4 context p_i^+.
 _REPORT_SELECTION = np.concatenate(
     [
         _MEMBERS,
@@ -213,6 +211,12 @@ _REPORT_SELECTION = np.concatenate(
         P_PLUS_SELECTION,
     ]
 )
+
+# Row of each set's (+,-) statistic; its (-,+) statistic is the next row.
+_PARTITION_ROW = {sid: 4 + 2 * i for i, sid in enumerate(CANONICAL_SETS)}
+
+#: Rows of the context statistics p_i^+ in the pattern sweep's results.
+P_PLUS_ROWS = slice(len(_REPORT_SELECTION) - 4, len(_REPORT_SELECTION))
 
 
 def classify_lambda(model: HvModel, quadruple: AngleQuadruple, lam: object) -> MembershipVector:
@@ -225,40 +229,21 @@ def classify_lambda(model: HvModel, quadruple: AngleQuadruple, lam: object) -> M
     )
 
 
-def _set_outcome_pair(
-    model: HvModel, quadruple: AngleQuadruple, which: TransitionSetId, coords: np.ndarray
+def _pattern_sweep(
+    model: HvModel, dist: Distribution, quadruple: AngleQuadruple, scheme: Scheme
 ) -> tuple[np.ndarray, np.ndarray]:
-    wing, pre_index, post_index = _SET_CONTEXTS[which]
-    contexts = quadruple.contexts()
-    fn = model.outcome_a if wing == "A" else model.outcome_b
-    pre = np.asarray(fn(*contexts[pre_index], coords))
-    post = np.asarray(fn(*contexts[post_index], coords))
-    return pre, post
-
-
-def transition_measure(
-    model: HvModel,
-    dist: Distribution,
-    quadruple: AngleQuadruple,
-    which: TransitionSetId,
-    scheme: Scheme,
-) -> MeasureEstimate:
-    """Measure of one transition set under ``dist``.
-
-    The indicator "pre != post" equals half the absolute outcome difference
-    |pre - post|/2 pointwise, so this is the integral form of the set
-    measure evaluated directly.
-    """
-
-    def indicator(coords: np.ndarray) -> np.ndarray:
-        pre, post = _set_outcome_pair(model, quadruple, which, coords)
-        return pre != post
-
-    return estimate_measure(dist, indicator, scheme)
-
-
-# Partition bins: 0 outside the set, 1 for (+,-), 2 for (-,+).
-_PARTITION_SELECTION = np.array([[False, True, False], [False, False, True]])
+    """Values and standard errors of every statistic of the quadruple, in the
+    row order of ``_REPORT_SELECTION``, from one sweep over the outcome
+    patterns.  This is the package's only pattern sweep: the full report,
+    the partitions and the context statistics all read its rows."""
+    return sweep_statistics(
+        dist,
+        scheme,
+        pattern_classifier(model, quadruple),
+        N_PATTERNS,
+        _REPORT_SELECTION,
+        cuts=declared_cuts(model, dist, quadruple.named_angles().values()),
+    )
 
 
 def partition_measures(
@@ -272,18 +257,14 @@ def partition_measures(
 
     (+,-) collects the lambdas whose outcome is +1 at the unprimed swap
     setting and flips to -1 at the primed one; (-,+) is the reverse.  Both
-    come from one sweep, so they add up to the set measure exactly.
+    are rows of the pattern sweep :func:`full_report` reads, so they add up
+    to the set measure exactly.
     """
-
-    def masks_fn(coords: np.ndarray) -> np.ndarray:
-        pre, post = _set_outcome_pair(model, quadruple, which, coords)
-        return (pre != post) * np.where(pre == 1, 1, 2)
-
-    cuts = declared_cuts(model, dist, quadruple.named_angles().values())
-    values, errors = sweep_statistics(dist, scheme, masks_fn, 3, _PARTITION_SELECTION, cuts=cuts)
+    values, errors = _pattern_sweep(model, dist, quadruple, scheme)
+    row = _PARTITION_ROW[which]
     return (
-        MeasureEstimate(float(values[0]), float(errors[0]), scheme),
-        MeasureEstimate(float(values[1]), float(errors[1]), scheme),
+        MeasureEstimate(float(values[row]), float(errors[row]), scheme),
+        MeasureEstimate(float(values[row + 1]), float(errors[row + 1]), scheme),
     )
 
 
@@ -334,32 +315,6 @@ class TransitionReport:
             rows.append((label, est.value, est.std_error))
         return rows
 
-    def to_json(self) -> dict:
-        def entry(est: MeasureEstimate) -> dict:
-            return {"value": est.value, "std_error": est.std_error}
-
-        return {
-            "quadruple": {
-                name.replace("'", "_prime"): angle.radians
-                for name, angle in self.quadruple.named_angles().items()
-            },
-            "scheme": self.scheme.label,
-            "seed": self.seed,
-            "set_measures": {sid.value: entry(self.set_measures[sid]) for sid in CANONICAL_SETS},
-            "partition_measures": {
-                sid.value: {
-                    "+-": entry(self.partition_measures[sid][0]),
-                    "-+": entry(self.partition_measures[sid][1]),
-                }
-                for sid in CANONICAL_SETS
-            },
-            "region_measures": {
-                label: entry(self.region_measures[label]) for label in ALL_REGION_LABELS
-            },
-            "sigma_minus": entry(self.sigma_minus),
-            "sum_t_regions": self.sum_t_regions,
-        }
-
 
 def full_report(
     model: HvModel, dist: Distribution, quadruple: AngleQuadruple, scheme: Scheme
@@ -371,14 +326,7 @@ def full_report(
     (partitions summing to set measures, regions summing to sigma_minus)
     hold exactly rather than approximately.
     """
-    values, errors = sweep_statistics(
-        dist,
-        scheme,
-        pattern_classifier(model, quadruple),
-        N_PATTERNS,
-        _REPORT_SELECTION,
-        cuts=declared_cuts(model, dist, quadruple.named_angles().values()),
-    )
+    values, errors = _pattern_sweep(model, dist, quadruple, scheme)
     estimates = iter(
         MeasureEstimate(float(value), float(error), scheme) for value, error in zip(values, errors)
     )

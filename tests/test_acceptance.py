@@ -30,7 +30,6 @@ from eprb_lab.inequalities import (
     hardy_bounds,
     lemma_check,
     quantum_stats,
-    random_joint_stats,
     stats_from_model,
 )
 from eprb_lab.models import (
@@ -42,6 +41,7 @@ from eprb_lab.models import (
 from eprb_lab.ordering import induce_noncontextual, moc_demo
 from eprb_lab.protocols import average_bits_identity, detailed_balance, marginal_shift, simulate_game
 from eprb_lab.transition import CANONICAL_SETS, MembershipVector, classify_lambda, full_report
+from helpers import random_joint_stats
 
 SQRT2 = math.sqrt(2)
 CHAIN = AngleQuadruple.chain(math.pi / 4)
@@ -184,13 +184,13 @@ def test_criterion_09_signal_locality():
     for _ in range(16):
         b, a1, a2 = (make_angle(float(x) * TAU) for x in rng.random(3))
         quadruple = AngleQuadruple(a=a1, a_prime=a2, b=b, b_prime=b)
-        shift = marginal_shift(model, model.equilibrium, b, a1, a2, scheme)
-        gap = detailed_balance(
+        shift, gap = marginal_shift(model, model.equilibrium, b, a1, a2, scheme)
+        assert gap == detailed_balance(
             model, model.equilibrium, quadruple, CANONICAL_SETS[0], scheme
         )
         assert shift <= 1e-3 and gap <= 1e-3
     biased = biased_distribution(model, 1.0)
-    shift = marginal_shift(
+    shift, _ = marginal_shift(
         model, biased, make_angle(0.0), make_angle(0.0), make_angle(math.pi / 2), GridScheme(1024)
     )
     assert abs(shift - 0.5) <= 1e-3

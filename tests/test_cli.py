@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,14 +195,34 @@ def test_grid_bytes_on_biased_and_sequential_paths_are_pinned(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_biased_stats_bytes_are_pinned(capsys):
+    # digests of the output of stats_from_model's own four-row pattern sweep,
+    # before it became a view over the full report's rows
+    for argv, digest in (
+        (
+            ["stats", "--model", "singlet+bias:q=0.7", "--mc", "1100000", "--seed", "5"],
+            "8a6a38625946fb0373f1c51745d777c9158e16a71845b800562879c946496c8f",
+        ),
+        (
+            ["stats", "--model", "singlet+bias:q=0.7", "--grid", "256"],
+            "5a9d218796068a3c94bb8615af90538c2d64b4febd44849ca38a75a2c0910da5",
+        ),
+    ):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, sweeps",
     [
         (["sweep", "--model", "singlet", "--steps", "3", "--grid", "64"], 3),
         # one for all eight ordering sets, one for the induced model
         (["moc", "--grid", "64"], 1 + 1),
-        # one for the marginal shift, one for the balance gap
-        (["signal", "--grid", "64"], 1 + 1),
+        # the marginal shift and the balance gap read the same four bins
+        (["signal", "--grid", "64"], 1),
+        (["stats", "--grid", "64"], 1),
+        (["transition", "--grid", "64"], 1),
     ],
 )
 def test_one_sweep_per_quadruple(argv, sweeps, monkeypatch, capsys):
@@ -219,6 +240,37 @@ def test_one_sweep_per_quadruple(argv, sweeps, monkeypatch, capsys):
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert len(calls) == sweeps
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "argv, sweeps",
+    [
+        (["stats", "--grid", "16"], 1),
+        (["transition", "--mc", "1000"], 1),
+        (["sweep", "--model", "singlet", "--steps", "2", "--grid", "16"], 2),
+        (["signal", "--q", "0.7", "--mc", "1000"], 1),
+        (["moc", "--grid", "16"], 2),
+        (["comm", "--runs", "200"], 0),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_bench_tracer_finds_every_sweep(argv, sweeps, tmp_path):
+    # the benchmark's tracer rebinds the package's functions by name, so a
+    # renamed or unreachable one fails this run instead of going untraced
+    spans_path = tmp_path / "spans.json"
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(spans_path), "--", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    assert sum(1 for span in spans if span[0] == "core.sweep") == sweeps
 
 
 def test_comm_reruns_identically(tmp_path, capsys):
@@ -372,12 +424,57 @@ def test_replay_rejects_bad_manifest(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("top_level", ["[1, 2]", '"x"', "3", "null"])
+def test_replay_rejects_a_manifest_that_is_not_an_object(top_level, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(top_level)
+    code, _, err = run_cli(["replay", str(path)], capsys)
+    assert code == 2
+    assert str(path) in err and "not a JSON object" in err
+
+
 def test_replay_rejects_a_replay_command_line(tmp_path, capsys):
     path = tmp_path / "self.json"
     path.write_text(json.dumps({"command_line": ["replay", str(path)]}))
     code, _, err = run_cli(["replay", str(path)], capsys)
     assert code == 2
     assert "itself a replay" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--out", "x.csv", "--log", "x.csv"],
+        ["--out", "x.csv", "--log", "./sub/../x.csv"],
+        # the manifest goes next to --out
+        ["--out", "x.csv", "--log", "x.csv.manifest.json"],
+    ],
+)
+def test_comm_refuses_outputs_naming_one_file(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, out, err = run_cli(["comm", "--runs", "100", *flags], capsys)
+    assert code == 2 and out == ""
+    assert "name the same file" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--out", "x.csv", "--svg", "x.csv"],
+        ["--svg", "x.svg", "--out", str(os.path.join("sub", "..", "x.svg"))],
+        # the manifest goes next to --out
+        ["--out", "x.csv", "--svg", "x.csv.manifest.json"],
+    ],
+)
+def test_sweep_refuses_outputs_naming_one_file(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, out, err = run_cli(["sweep", "--steps", "3", *flags], capsys)
+    assert code == 2 and out == ""
+    assert "name the same file" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,9 @@ from eprb_lab.core import (
     evaluate_pair,
     make_angle,
     normalize_radians,
-    probe_determinism,
     probe_locality,
     theta_between,
     uniform_distribution,
-    vectorize_outcome,
-    vectorize_over_points,
 )
 from eprb_lab.models import local_coin_model, singlet_model
 
@@ -341,26 +338,6 @@ def test_locality_tag_validation():
 
 
 def test_probes():
-    assert probe_determinism(local_coin_model(), n_probes=50)
-    assert probe_determinism(singlet_model(), n_probes=50)
     assert probe_locality(local_coin_model(), n_probes=50)
     # B's outcome responds to the remote setting, so the probe must fail
     assert not probe_locality(singlet_model(), n_probes=200)
-
-
-def test_vectorize_over_points_matches_direct():
-    fn = vectorize_over_points(lambda point: point[0] + 2 * point[1])
-    coords = np.array([[0.1, 0.2], [0.5, 0.25]])
-    assert np.allclose(fn(coords), [0.5, 1.0])
-
-
-def test_vectorize_outcome_matches_direct():
-    model = singlet_model()
-
-    def scalar_b(a, b, point):
-        return int(model.outcome_b(a, b, point.reshape(1, -1))[0])
-
-    batched = vectorize_outcome(scalar_b)
-    a, b = make_angle(0.4), make_angle(1.1)
-    coords = derived_stream(3, 0, 0).random((40, 2))
-    assert np.array_equal(batched(a, b, coords), model.outcome_b(a, b, coords))

@@ -18,18 +18,17 @@ from eprb_lab.inequalities import (
     ALPHA_SIGNS,
     BETA_SIGNS,
     JointStats,
-    assignment_from_contexts,
     bound_for_signs,
     chsh_correlations,
     contradiction_trace,
     hardy_bounds,
     lemma_check,
     quantum_stats,
-    random_joint_stats,
     stats_from_model,
 )
 from eprb_lab.models import singlet_model
 from eprb_lab.transition import CANONICAL_SETS, MembershipVector, TransitionSetId, classify_lambda
+from helpers import assignment_from_contexts, random_joint_stats
 
 CHAIN = AngleQuadruple.chain(math.pi / 4)
 
@@ -95,13 +94,6 @@ def test_all_half_stats():
     assert bounds.all_eight() == (-1.0,) * 8
     assert bounds.unified == 0.0 and bounds.bell_lhs == 0.0
     assert not bounds.violated
-
-
-def test_csv_row_shape():
-    row = hardy_bounds(quantum_stats(CHAIN)).csv_row("pi/4")
-    assert row[0] == "pi/4"
-    assert len(row) == 1 + 8 + 3
-    assert row[-1] == 1
 
 
 def test_validate_rejects_bad_stats():

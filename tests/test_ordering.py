@@ -132,23 +132,6 @@ def test_moc_demo_degenerate_quadruple():
     assert report.quantum_required == 0.0
 
 
-def test_moc_report_json_keys():
-    report = moc_demo(sequential_singlet_model(), CHAIN, GridScheme(64))
-    blob = report.to_json()
-    assert set(blob) == {
-        "pair",
-        "wing",
-        "own",
-        "other",
-        "moc_measure",
-        "induced_sigma_minus",
-        "induced_bell_lhs",
-        "quantum_required",
-    }
-    assert blob["moc_measure"]["value"] == report.moc_measure.value
-    assert blob["own"] == report.own.radians
-
-
 @pytest.mark.parametrize(
     "model, quadruple, scheme",
     [

@@ -128,15 +128,19 @@ def test_views_match_boolean_mask_sums(name, scheme):
     biased = name == "biased"
     ref_values, ref_errors = reference_sweep(dist, scheme, reference_masks(model, QUADRUPLE))
 
-    values, errors = report_arrays(full_report(model, dist, QUADRUPLE, scheme))
+    report = full_report(model, dist, QUADRUPLE, scheme)
+    values, errors = report_arrays(report)
     assert_matches(values, ref_values, biased)
     assert_matches(errors, ref_errors[:29], biased)
 
+    # the context statistics and the partitions are rows of the report's sweep
     stats = stats_from_model(model, dist, QUADRUPLE, scheme)
+    assert stats.p_plus == report.p_plus
     assert_matches(np.array(stats.p_plus), ref_values[29:], biased)
 
     for i, sid in enumerate(CANONICAL_SETS):
         plus_minus, minus_plus = partition_measures(model, dist, QUADRUPLE, sid, scheme)
+        assert (plus_minus, minus_plus) == report.partition_measures[sid]
         rows = slice(4 + 2 * i, 6 + 2 * i)
         assert_matches(np.array([plus_minus.value, minus_plus.value]), ref_values[rows], biased)
         assert_matches(

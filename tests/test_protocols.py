@@ -39,6 +39,7 @@ from eprb_lab.transition import (
     classify_lambda,
     full_report,
 )
+from helpers import reference_partition_measures
 
 CHAIN = AngleQuadruple.chain(math.pi / 4)
 
@@ -243,7 +244,7 @@ def test_equilibrium_hides_the_swap():
     model = singlet_model()
     b, a1, a2, quad = signal_setup()
     scheme = GridScheme(256)
-    assert marginal_shift(model, model.equilibrium, b, a1, a2, scheme) == 0.0
+    assert marginal_shift(model, model.equilibrium, b, a1, a2, scheme) == (0.0, 0.0)
     assert detailed_balance(model, model.equilibrium, quad, TransitionSetId.BOB_AT_B, scheme) == 0.0
 
 
@@ -252,7 +253,7 @@ def test_biased_distribution_signals():
     dist = biased_distribution(model, 1.0)
     b, a1, a2, quad = signal_setup()
     scheme = GridScheme(1024)
-    assert marginal_shift(model, dist, b, a1, a2, scheme) == 0.5
+    assert marginal_shift(model, dist, b, a1, a2, scheme) == (0.5, 0.5)
     assert detailed_balance(model, dist, quad, TransitionSetId.BOB_AT_B, scheme) == 0.5
 
 
@@ -260,7 +261,7 @@ def test_local_model_never_signals():
     model = local_coin_model()
     dist = biased_distribution(model, 1.0)
     b, a1, a2, _ = signal_setup()
-    assert marginal_shift(model, dist, b, a1, a2, GridScheme(256)) == 0.0
+    assert marginal_shift(model, dist, b, a1, a2, GridScheme(256)) == (0.0, 0.0)
 
 
 def test_bias_strength_tracks_shift():
@@ -268,7 +269,7 @@ def test_bias_strength_tracks_shift():
     b, a1, a2, _ = signal_setup()
     scheme = GridScheme(512)
     shifts = [
-        marginal_shift(model, biased_distribution(model, q), b, a1, a2, scheme)
+        marginal_shift(model, biased_distribution(model, q), b, a1, a2, scheme)[0]
         for q in (0.5, 0.75, 1.0)
     ]
     assert shifts[0] == 0.0
@@ -295,8 +296,29 @@ def test_marginal_shift_matches_two_sweep_reference(q, scheme):
     b = make_angle(0.3)
     for a1, a2 in ((0.0, math.pi / 2), (1.1, 2.9), (0.4, 0.4)):
         args = (model, dist, b, make_angle(a1), make_angle(a2), scheme)
+        shift, _ = marginal_shift(*args)
         if q is None:
             # uniform density: every bin total is an exact count
-            assert marginal_shift(*args) == reference_marginal_shift(*args)
+            assert shift == reference_marginal_shift(*args)
         else:
-            assert abs(marginal_shift(*args) - reference_marginal_shift(*args)) <= 1e-15
+            assert abs(shift - reference_marginal_shift(*args)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "scheme", [GridScheme(256), GridScheme(300), MonteCarloScheme(BLOCK_SIZE + 137, 6)]
+)
+@pytest.mark.parametrize("q", [None, 0.8])
+def test_signal_gap_matches_three_bin_reference(q, scheme):
+    # each partition is one bin of the four-bin signal sweep and one bin of
+    # the three-bin reference, summed over the same points in the same order
+    model = singlet_model()
+    dist = model.equilibrium if q is None else biased_distribution(model, q)
+    b = make_angle(0.3)
+    for a1, a2 in ((make_angle(0.0), make_angle(math.pi / 2)), (make_angle(1.1), make_angle(2.9))):
+        quadruple = AngleQuadruple(a=a1, a_prime=a2, b=b, b_prime=b)
+        _, gap = marginal_shift(model, dist, b, a1, a2, scheme)
+        plus_minus, minus_plus = reference_partition_measures(
+            model, dist, quadruple, TransitionSetId.BOB_AT_B, scheme
+        )
+        assert gap == abs(plus_minus.value - minus_plus.value)
+        assert gap > 0.0 or q is None

@@ -21,13 +21,11 @@ from eprb_lab.transition import (
     ALL_REGION_LABELS,
     CANONICAL_SETS,
     LABELS_BY_MASK,
-    REGION_PATTERNS,
     MembershipVector,
     TransitionSetId,
     classify_lambda,
     full_report,
     partition_measures,
-    transition_measure,
 )
 
 CHAIN = AngleQuadruple.chain(math.pi / 4)
@@ -64,9 +62,10 @@ def test_region_label_table():
         "E6", "T2", "T1", "F",
     )
     assert len(ALL_REGION_LABELS) == 16
-    assert REGION_PATTERNS["T6"] == (False, False, True, False)
-    assert REGION_PATTERNS["E2"] == (True, False, True, False)
-    assert REGION_PATTERNS["F"] == (True, True, True, True)
+    # a label's membership pattern is its mask's bits, canonical set i at bit i
+    assert LABELS_BY_MASK[0b0100] == "T6"
+    assert LABELS_BY_MASK[0b0101] == "E2"
+    assert LABELS_BY_MASK[0b1111] == "F"
 
 
 def test_membership_vector_properties():
@@ -116,9 +115,9 @@ def test_parity_rule_randomized():
 
 def test_singlet_a_side_sets_empty():
     model = singlet_model()
+    report = full_report(model, model.equilibrium, CHAIN, GridScheme(128))
     for which in (TransitionSetId.ALICE_AT_A, TransitionSetId.ALICE_AT_A_PRIME):
-        est = transition_measure(model, model.equilibrium, CHAIN, which, GridScheme(128))
-        assert est.value == 0.0
+        assert report.set_measures[which].value == 0.0
 
 
 @pytest.mark.parametrize("which", [TransitionSetId.BOB_AT_B, TransitionSetId.BOB_AT_B_PRIME])
@@ -127,7 +126,7 @@ def test_singlet_b_side_measures_closed_form(which):
     rng = derived_stream(77, 0, 0)
     for _ in range(4):
         quadruple = random_quadruple(rng)
-        est = transition_measure(model, model.equilibrium, quadruple, which, GRID)
+        est = full_report(model, model.equilibrium, quadruple, GRID).set_measures[which]
         assert est.value == pytest.approx(b_side_measure(quadruple, which), abs=1e-3)
 
 
@@ -136,8 +135,9 @@ def test_partitions_sum_to_set_measure_exactly():
     rng = derived_stream(78, 0, 0)
     quadruple = random_quadruple(rng)
     scheme = GridScheme(512)
+    report = full_report(model, model.equilibrium, quadruple, scheme)
     for which in CANONICAL_SETS:
-        total = transition_measure(model, model.equilibrium, quadruple, which, scheme)
+        total = report.set_measures[which]
         plus_minus, minus_plus = partition_measures(
             model, model.equilibrium, quadruple, which, scheme
         )
@@ -228,9 +228,5 @@ def test_report_rows_and_json():
     assert "bob@b:+-" in names and "alice@a:-+" in names
     assert names[12:15] == ["sigma_minus", "sum_t_regions", "sum_t_minus_sigma"]
     assert len(rows) == 15 + 16
-
-    blob = report.to_json()
-    assert blob["quadruple"]["a_prime"] == CHAIN.a_prime.radians
-    assert blob["scheme"] == "grid(64)"
-    assert set(blob["region_measures"]) == set(ALL_REGION_LABELS)
-    assert blob["sigma_minus"]["value"] == report.sigma_minus.value
+    assert set(names[15:]) == set(ALL_REGION_LABELS)
+    assert rows[12][1] == report.sigma_minus.value
