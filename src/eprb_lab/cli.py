@@ -1,15 +1,18 @@
 """Batch front-end over the built-in models.
 
-Subcommands: stats, transition, sweep, comm, signal, moc, replay.  Every
-run resolves its parameters from flags, then an optional key-value config
-file (flags win), then built-in defaults.  CSV goes to stdout unless --out
+Subcommands: stats, transition, sweep, comm, signal, moc, replay.  Each
+subcommand declares only the flags it reads, and the parser holds every
+flag's type and default.  An optional key-value config file supplies the
+subcommand's defaults, so flags still win.  CSV goes to stdout unless --out
 is given; whenever a run writes files it also writes a manifest
 (<first output>.manifest.json) recording the command line, resolved model,
 quadruple, scheme and seed, so the run can be replayed byte for byte.
+``_emit`` is the only writer: the CSV first, then --log or --svg, then the
+manifest, and nothing at all when two outputs name the same file.
 
 Exit codes: 0 success, 2 usage error (unknown model, malformed angles,
-conflicting scheme flags, outputs that name the same file), 3
-numerical-invariant failure.
+--grid with --mc, outputs that name the same file, a manifest that is not
+valid JSON), 3 numerical-invariant failure.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import html
-import io
 import itertools
 import json
 import math
@@ -61,7 +63,7 @@ _DEFAULT_RUNS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# Option resolution: flag, then config entry, then built-in default.
+# Option resolution: flag, then config entry, then the parser's default.
 
 
 def _read_config(path: str, known: set[str]) -> dict[str, str]:
@@ -84,68 +86,68 @@ def _read_config(path: str, known: set[str]) -> dict[str, str]:
     return table
 
 
-class _Options:
-    """Merged view over parsed flags and a config table."""
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
-    def __init__(self, args: argparse.Namespace, config: dict[str, str]):
-        self._flags = vars(args)
-        self._config = config
 
-    def flag_given(self, key: str) -> bool:
-        return self._flags.get(key.replace("-", "_")) is not None
-
-    def get(self, key: str, default: object, parse: Callable[[str], object]) -> object:
-        value = self._flags.get(key.replace("-", "_"))
-        if value is not None:
-            return value
-        if key in self._config:
-            text = self._config[key]
+def _merge_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: Sequence[str]
+) -> argparse.Namespace:
+    """Make the config file's entries the subcommand's defaults and parse
+    ``argv`` again, so flags win; refuse --grid with --mc from either source."""
+    grid, mc = getattr(args, "grid", None), getattr(args, "mc", None)
+    if args.config:
+        subparser = _subparsers(parser)[args.subcommand]
+        # a config file cannot name another config file
+        actions = {
+            action.dest.replace("_", "-"): action
+            for action in subparser._actions
+            if action.option_strings and action.dest not in ("help", "config")
+        }
+        config = _read_config(args.config, set(actions))
+        if grid is not None or mc is not None:
+            # a flag-level grid/mc choice shadows both config entries, so a
+            # config file holding `grid = ...` can still be overridden by --mc alone
+            config.pop("grid", None)
+            config.pop("mc", None)
+        defaults: dict[str, object] = {}
+        for key, text in config.items():
+            action = actions[key]
             try:
-                return parse(text)
+                defaults[action.dest] = text if action.type is None else action.type(text)
             except ValueError:
                 raise ValueError(f"config entry {key} = {text!r} is malformed") from None
-        return default
-
-
-def _resolve_scheme(opts: _Options, dimension: int, seed: int) -> Scheme:
-    # A flag-level grid/mc choice shadows both config entries, so a config
-    # file holding `grid = ...` can still be overridden by --mc alone.
-    if opts.flag_given("grid") or opts.flag_given("mc"):
-        grid = opts.get("grid", None, int) if opts.flag_given("grid") else None
-        mc = opts.get("mc", None, int) if opts.flag_given("mc") else None
-    else:
-        grid = opts.get("grid", None, int)
-        mc = opts.get("mc", None, int)
-    if grid is not None and mc is not None:
+        subparser.set_defaults(**defaults)
+        args = parser.parse_args(argv)
+    if getattr(args, "grid", None) is not None and getattr(args, "mc", None) is not None:
         raise ValueError("--grid and --mc are mutually exclusive")
-    if mc is not None:
-        return MonteCarloScheme(n=int(mc), seed=seed)
-    resolution = int(grid) if grid is not None else default_grid_resolution(dimension)
+    return args
+
+
+def _resolve_scheme(args: argparse.Namespace, dimension: int) -> Scheme:
+    if args.mc is not None:
+        return MonteCarloScheme(n=args.mc, seed=args.seed)
+    resolution = args.grid if args.grid is not None else default_grid_resolution(dimension)
     return GridScheme(resolution=resolution)
 
 
-def _resolve_quadruple(opts: _Options) -> AngleQuadruple:
-    angles = opts.get("angles", None, str)
-    if angles is not None:
-        parts = str(angles).split(",")
+def _resolve_quadruple(args: argparse.Namespace) -> AngleQuadruple:
+    if args.angles is not None:
+        parts = args.angles.split(",")
         if len(parts) != 4:
             raise ValueError("--angles needs four comma-separated radians: a,a',b,b'")
         try:
             values = [float(part) for part in parts]
         except ValueError:
-            raise ValueError(f"malformed angles {angles!r}") from None
+            raise ValueError(f"malformed angles {args.angles!r}") from None
         return AngleQuadruple(
             a=make_angle(values[0]),
             a_prime=make_angle(values[1]),
             b=make_angle(values[2]),
             b_prime=make_angle(values[3]),
         )
-    theta = float(opts.get("theta", _DEFAULT_THETA, float))
-    return AngleQuadruple.chain(theta)
-
-
-def _resolve_model_choice(opts: _Options, default: str) -> ModelChoice:
-    return resolve_model(str(opts.get("model", default, str)))
+    return AngleQuadruple.chain(args.theta)
 
 
 def _require_hidden_variables(choice: ModelChoice) -> None:
@@ -172,15 +174,6 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _csv_bytes(header: Sequence[str], rows: Iterable[Sequence[object]]) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(value) for value in row])
-    return buffer.getvalue().encode("utf-8")
-
-
 def _quadruple_json(quadruple: AngleQuadruple | None) -> dict[str, float] | None:
     if quadruple is None:
         return None
@@ -190,47 +183,48 @@ def _quadruple_json(quadruple: AngleQuadruple | None) -> dict[str, float] | None
     }
 
 
-def _check_distinct_outputs(paths: Sequence[object]) -> None:
-    """Refuse outputs that name the same file: ``paths`` are the run's
-    output flags in manifest order, None where not given; the manifest goes
-    next to the first one given."""
-    given = [str(path) for path in paths if path is not None]
-    if given:
-        given.append(given[0] + ".manifest.json")
-    seen: dict[Path, str] = {}
-    for path in given:
-        resolved = Path(path).resolve()
-        if resolved in seen:
-            raise ValueError(f"outputs {seen[resolved]!r} and {path!r} name the same file")
-        seen[resolved] = path
-
-
 def _emit(
-    payload: bytes,
-    out: str | None,
-    *,
-    subcommand: str,
+    args: argparse.Namespace,
     argv: Sequence[str],
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    *,
     model: str | None,
     quadruple: AngleQuadruple | None,
     scheme_label: str,
     seed: int | None,
     parameters: dict[str, object],
-    side_outputs: Sequence[str] = (),
+    side_outputs: Sequence[tuple[str | None, Callable[[TextIO], object]]] = (),
 ) -> int:
-    """Write the CSV (file or stdout) and, when files exist, the manifest."""
-    outputs: list[str] = []
-    if out is not None:
-        Path(out).write_bytes(payload)
-        outputs.append(out)
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
-    outputs.extend(side_outputs)
+    """Write the run's CSV, side outputs and manifest; the CLI's only writer.
+
+    ``side_outputs`` are ``(path, write)`` pairs, path None where the flag
+    was not given.  Outputs that name the same file, the manifest next to
+    the first output included, are refused before anything is written.
+    Then the CSV goes to --out (or stdout), each side output to its path,
+    and the manifest last.
+    """
+
+    def write_csv(handle: TextIO) -> None:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+    given = [(args.out, write_csv), *side_outputs]
+    files = [(path, write) for path, write in given if path is not None]
+    outputs = [path for path, _ in files]
     if outputs:
+        manifest_path = outputs[0] + ".manifest.json"
+        seen: dict[Path, str] = {}
+        for path in [*outputs, manifest_path]:
+            resolved = Path(path).resolve()
+            if resolved in seen:
+                raise ValueError(f"outputs {seen[resolved]!r} and {path!r} name the same file")
+            seen[resolved] = path
         manifest = {
             "tool": TOOL_NAME,
             "tool_version": __version__,
-            "subcommand": subcommand,
+            "subcommand": args.subcommand,
             "command_line": list(argv),
             "model": model,
             "quadruple": _quadruple_json(quadruple),
@@ -239,16 +233,20 @@ def _emit(
             "parameters": parameters,
             "outputs": outputs,
         }
-        Path(outputs[0] + ".manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        files.append((manifest_path, lambda handle: handle.write(text)))
+    if args.out is None:
+        write_csv(sys.stdout)
+    for path, write in files:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            write(handle)
     return 0
 
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def _svg_line_plot(title: str, series: Sequence[tuple[str, list[tuple[float, float]]]]) -> bytes:
+def _svg_line_plot(title: str, series: Sequence[tuple[str, list[tuple[float, float]]]]) -> str:
     """A self-contained line plot: axes, ticks, legend, one polyline per series."""
     width, height = 720.0, 480.0
     left, right, top, bottom = 64.0, 16.0, 28.0, 44.0
@@ -320,24 +318,23 @@ def _svg_line_plot(title: str, series: Sequence[tuple[str, list[tuple[float, flo
             f'font-family="sans-serif" font-size="11">{html.escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
 
 
-def _cmd_stats(opts: _Options, argv: Sequence[str]) -> int:
-    choice = _resolve_model_choice(opts, "singlet")
-    quadruple = _resolve_quadruple(opts)
-    seed = int(opts.get("seed", _DEFAULT_SEED, int))
+def _cmd_stats(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    choice = resolve_model(args.model)
+    quadruple = _resolve_quadruple(args)
     if choice.kind == "quantum":
         scheme_label = "analytic"
         manifest_seed = None
         stats = quantum_stats(quadruple)
     else:
         assert choice.hv is not None and choice.distribution is not None
-        scheme = _resolve_scheme(opts, choice.hv.space.dimension, seed)
+        scheme = _resolve_scheme(args, choice.hv.space.dimension)
         scheme_label = scheme.label
         manifest_seed = scheme.seed
         stats = stats_from_model(choice.hv, choice.distribution, quadruple, scheme)
@@ -355,12 +352,11 @@ def _cmd_stats(opts: _Options, argv: Sequence[str]) -> int:
                 stats.p_minus[i],
             ]
         )
-    payload = _csv_bytes(["context", "alice", "bob", "theta", "p_plus", "p_minus"], rows)
     return _emit(
-        payload,
-        opts.get("out", None, str),
-        subcommand="stats",
-        argv=argv,
+        args,
+        argv,
+        ["context", "alice", "bob", "theta", "p_plus", "p_minus"],
+        rows,
         model=choice.name,
         quadruple=quadruple,
         scheme_label=scheme_label,
@@ -369,24 +365,22 @@ def _cmd_stats(opts: _Options, argv: Sequence[str]) -> int:
     )
 
 
-def _cmd_transition(opts: _Options, argv: Sequence[str]) -> int:
-    choice = _resolve_model_choice(opts, "singlet")
+def _cmd_transition(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    choice = resolve_model(args.model)
     _require_hidden_variables(choice)
     assert choice.hv is not None and choice.distribution is not None
-    quadruple = _resolve_quadruple(opts)
-    seed = int(opts.get("seed", _DEFAULT_SEED, int))
-    scheme = _resolve_scheme(opts, choice.hv.space.dimension, seed)
+    quadruple = _resolve_quadruple(args)
+    scheme = _resolve_scheme(args, choice.hv.space.dimension)
     report = full_report(choice.hv, choice.distribution, quadruple, scheme)
     rows = [
         [name, value, std_error, scheme.label, scheme.seed]
         for name, value, std_error in report.csv_rows()
     ]
-    payload = _csv_bytes(["name", "value", "std_error", "scheme", "seed"], rows)
     return _emit(
-        payload,
-        opts.get("out", None, str),
-        subcommand="transition",
-        argv=argv,
+        args,
+        argv,
+        ["name", "value", "std_error", "scheme", "seed"],
+        rows,
         model=choice.name,
         quadruple=quadruple,
         scheme_label=scheme.label,
@@ -412,54 +406,43 @@ def _sweep_row(choice: ModelChoice, theta: float, scheme: Scheme) -> list[object
     return [theta, hardy_bound, bounds.unified, bounds.bell_lhs, sigma_minus, avg_bits]
 
 
-def _cmd_sweep(opts: _Options, argv: Sequence[str]) -> int:
-    choice = _resolve_model_choice(opts, "quantum")
-    theta_min = float(opts.get("theta-min", 0.0, float))
-    theta_max = float(opts.get("theta-max", math.pi, float))
-    steps = int(opts.get("steps", _DEFAULT_STEPS, int))
+def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    choice = resolve_model(args.model)
+    theta_min, theta_max, steps = args.theta_min, args.theta_max, args.steps
     if steps < 2:
         raise ValueError(f"--steps must be at least 2, got {steps}")
-    seed = int(opts.get("seed", _DEFAULT_SEED, int))
-    out_path = opts.get("out", None, str)
-    svg_path = opts.get("svg", None, str)
-    _check_distinct_outputs([out_path, svg_path])
     if choice.kind == "quantum":
         scheme: Scheme | None = None
         scheme_label = "analytic"
         manifest_seed = None
     else:
         assert choice.hv is not None
-        scheme = _resolve_scheme(opts, choice.hv.space.dimension, seed)
+        scheme = _resolve_scheme(args, choice.hv.space.dimension)
         scheme_label = scheme.label
         manifest_seed = scheme.seed
     thetas = [theta_min + i * (theta_max - theta_min) / (steps - 1) for i in range(steps)]
     rows = [_sweep_row(choice, theta, scheme) for theta in thetas]  # type: ignore[arg-type]
     header = ["theta", "hardy_bound", "unified", "bell_lhs", "sigma_minus", "avg_bits"]
-    payload = _csv_bytes(header, rows)
 
-    side_outputs: list[str] = []
-    if svg_path is not None:
+    def write_svg(handle: TextIO) -> None:
         series = []
-        for column, name in ((1, "hardy_bound"), (2, "unified"), (3, "bell_lhs"),
-                             (4, "sigma_minus"), (5, "avg_bits")):
+        for column, name in enumerate(header[1:], start=1):
             pts = [(row[0], row[column]) for row in rows if row[column] is not None]
             if pts:
                 series.append((name, pts))
-        svg = _svg_line_plot(f"{choice.name}: chain sweep", series)
-        Path(str(svg_path)).write_bytes(svg)
-        side_outputs.append(str(svg_path))
+        handle.write(_svg_line_plot(f"{choice.name}: chain sweep", series))
 
     return _emit(
-        payload,
-        out_path,
-        subcommand="sweep",
-        argv=argv,
+        args,
+        argv,
+        header,
+        rows,
         model=choice.name,
         quadruple=None,
         scheme_label=scheme_label,
         seed=manifest_seed,
         parameters={"theta_min": theta_min, "theta_max": theta_max, "steps": steps},
-        side_outputs=side_outputs,
+        side_outputs=[(args.svg, write_svg)],
     )
 
 
@@ -471,56 +454,45 @@ _BOB_LABELS = np.array(["b", "b'"], dtype=object)
 _REGION_LABELS = np.array(LABELS_BY_MASK, dtype=object)
 
 
-def _write_log_block(handle: TextIO, block: CommBlock) -> None:
-    """Append one block of the run log.
+def _write_log(handle: TextIO, dimension: int, blocks: Iterable[CommBlock]) -> None:
+    """Write the run log: its header, then one row per run, block by block.
 
-    Every row is one ``%``-template, which gives the bytes ``_csv_bytes``
-    would: integers in decimal, floats as ``%.12g``, and no field that
-    needs quoting.
+    Every row is one ``%``-template, which gives the bytes ``_emit``'s CSV
+    writer would: integers in decimal, floats as ``%.12g``, and no field
+    that needs quoting.
     """
-    dimension = block.lam.shape[1]
+    header = (
+        ["run"]
+        + [f"lambda_{axis}" for axis in range(dimension)]
+        + ["alice_setting", "bob_setting", "region", "bits", "outcome_a", "outcome_b"]
+    )
+    handle.write(",".join(header) + "\n")
     row = "%d," + "%.12g," * dimension + "%s,%s,%s,%d,%d,%d\n"
-    for lo in range(0, len(block.bits), _LOG_CHUNK_ROWS):
-        hi = min(lo + _LOG_CHUNK_ROWS, len(block.bits))
-        columns = [range(block.start + lo, block.start + hi)]
-        columns += [block.lam[lo:hi, axis].tolist() for axis in range(dimension)]
-        columns += [
-            _ALICE_LABELS[block.alice_choice[lo:hi]].tolist(),
-            _BOB_LABELS[block.bob_choice[lo:hi]].tolist(),
-            _REGION_LABELS[block.mask_code[lo:hi]].tolist(),
-            block.bits[lo:hi].tolist(),
-            block.outcome_a[lo:hi].tolist(),
-            block.outcome_b[lo:hi].tolist(),
-        ]
-        handle.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*columns))))
+    for block in blocks:
+        for lo in range(0, len(block.bits), _LOG_CHUNK_ROWS):
+            hi = min(lo + _LOG_CHUNK_ROWS, len(block.bits))
+            columns = [range(block.start + lo, block.start + hi)]
+            columns += [block.lam[lo:hi, axis].tolist() for axis in range(dimension)]
+            columns += [
+                _ALICE_LABELS[block.alice_choice[lo:hi]].tolist(),
+                _BOB_LABELS[block.bob_choice[lo:hi]].tolist(),
+                _REGION_LABELS[block.mask_code[lo:hi]].tolist(),
+                block.bits[lo:hi].tolist(),
+                block.outcome_a[lo:hi].tolist(),
+                block.outcome_b[lo:hi].tolist(),
+            ]
+            handle.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*columns))))
+        del block  # free it before the stream plays the next one
 
 
-def _cmd_comm(opts: _Options, argv: Sequence[str]) -> int:
-    choice = _resolve_model_choice(opts, "singlet")
+def _cmd_comm(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    choice = resolve_model(args.model)
     _require_hidden_variables(choice)
     assert choice.hv is not None and choice.distribution is not None
-    quadruple = _resolve_quadruple(opts)
-    runs = int(opts.get("runs", _DEFAULT_RUNS, int))
-    seed = int(opts.get("seed", _DEFAULT_SEED, int))
-    out_path = opts.get("out", None, str)
-    log_path = opts.get("log", None, str)
-    _check_distinct_outputs([out_path, log_path])
+    quadruple = _resolve_quadruple(args)
+    runs, seed = args.runs, args.seed
     summary, run_stream = simulate_game(choice.hv, choice.distribution, quadruple, runs, seed)
-
-    side_outputs: list[str] = []
-    if log_path is not None:
-        dimension = choice.hv.space.dimension
-        header = (
-            ["run"]
-            + [f"lambda_{axis}" for axis in range(dimension)]
-            + ["alice_setting", "bob_setting", "region", "bits", "outcome_a", "outcome_b"]
-        )
-        with open(str(log_path), "w", newline="", encoding="utf-8") as handle:
-            handle.write(",".join(header) + "\n")
-            for block in run_stream:
-                _write_log_block(handle, block)
-                del block  # free it before the stream plays the next one
-        side_outputs.append(str(log_path))
+    dimension = choice.hv.space.dimension
 
     header = ["n_runs", "seed", "average_bits", "bits_std_error", "sigma_minus_bound"]
     row: list[object] = [
@@ -533,32 +505,29 @@ def _cmd_comm(opts: _Options, argv: Sequence[str]) -> int:
     for i in range(4):
         header += [f"p_plus_{i + 1}", f"p_minus_{i + 1}", f"count_{i + 1}"]
         row += [summary.stats.p_plus[i], summary.stats.p_minus[i], summary.context_counts[i]]
-    payload = _csv_bytes(header, [row])
     return _emit(
-        payload,
-        out_path,
-        subcommand="comm",
-        argv=argv,
+        args,
+        argv,
+        header,
+        [row],
         model=choice.name,
         quadruple=quadruple,
         scheme_label=f"game(runs={runs},seed={seed})",
         seed=seed,
         parameters={"runs": runs},
-        side_outputs=side_outputs,
+        side_outputs=[(args.log, lambda handle: _write_log(handle, dimension, run_stream))],
     )
 
 
-def _cmd_signal(opts: _Options, argv: Sequence[str]) -> int:
-    choice = _resolve_model_choice(opts, "singlet")
+def _cmd_signal(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    choice = resolve_model(args.model)
     _require_hidden_variables(choice)
     assert choice.hv is not None and choice.distribution is not None
-    b_setting = make_angle(float(opts.get("b-setting", 0.0, float)))
-    a1 = make_angle(float(opts.get("a1", 0.0, float)))
-    a2 = make_angle(float(opts.get("a2", math.pi / 2, float)))
-    q = opts.get("q", None, float)
-    dist = choice.distribution if q is None else biased_distribution(choice.hv, float(q))
-    seed = int(opts.get("seed", _DEFAULT_SEED, int))
-    scheme = _resolve_scheme(opts, choice.hv.space.dimension, seed)
+    b_setting = make_angle(args.b_setting)
+    a1 = make_angle(args.a1)
+    a2 = make_angle(args.a2)
+    dist = choice.distribution if args.q is None else biased_distribution(choice.hv, args.q)
+    scheme = _resolve_scheme(args, choice.hv.space.dimension)
     # B's outcome at b as Alice switches a1 <-> a2: the bob@b transition set
     # of the quadruple (a1, a2, b, b).
     quadruple = AngleQuadruple(a=a1, a_prime=a2, b=b_setting, b_prime=b_setting)
@@ -583,30 +552,28 @@ def _cmd_signal(opts: _Options, argv: Sequence[str]) -> int:
         gap,
         scheme.label,
     ]
-    payload = _csv_bytes(header, [row])
     return _emit(
-        payload,
-        opts.get("out", None, str),
-        subcommand="signal",
-        argv=argv,
+        args,
+        argv,
+        header,
+        [row],
         model=choice.name,
         quadruple=quadruple,
         scheme_label=scheme.label,
         seed=scheme.seed,
-        parameters={"q": None if q is None else float(q), "distribution": dist.label},
+        parameters={"q": args.q, "distribution": dist.label},
     )
 
 
-def _cmd_moc(opts: _Options, argv: Sequence[str]) -> int:
-    choice = _resolve_model_choice(opts, "sequential-singlet")
+def _cmd_moc(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    choice = resolve_model(args.model)
     if choice.sequential is None:
         raise ValueError(
             f"model {choice.name!r} does not resolve measurement order; "
             "this command needs an order-resolved model"
         )
-    quadruple = _resolve_quadruple(opts)
-    seed = int(opts.get("seed", _DEFAULT_SEED, int))
-    scheme = _resolve_scheme(opts, choice.sequential.space.dimension, seed)
+    quadruple = _resolve_quadruple(args)
+    scheme = _resolve_scheme(args, choice.sequential.space.dimension)
     report = moc_demo(choice.sequential, quadruple, scheme)
     named = quadruple.named_angles()
     header = [
@@ -643,12 +610,11 @@ def _cmd_moc(opts: _Options, argv: Sequence[str]) -> int:
         report.quantum_required,
         scheme.label,
     ]
-    payload = _csv_bytes(header, [row])
     return _emit(
-        payload,
-        opts.get("out", None, str),
-        subcommand="moc",
-        argv=argv,
+        args,
+        argv,
+        header,
+        [row],
         model=choice.name,
         quadruple=quadruple,
         scheme_label=scheme.label,
@@ -658,7 +624,10 @@ def _cmd_moc(opts: _Options, argv: Sequence[str]) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.manifest}: the manifest is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{args.manifest}: the manifest is not a JSON object")
     command_line = manifest.get("command_line")
@@ -674,15 +643,28 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 # Parser and entry point.
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, default_model: str) -> None:
-    parser.add_argument("--model", help=f"model name (default {default_model})")
-    parser.add_argument("--angles", help="a,a',b,b' in radians; overrides --theta")
+def _add_common_flags(
+    parser: argparse.ArgumentParser, default_model: str, *, angles: bool, scheme: bool
+) -> None:
+    """The flags every subcommand reads, plus the quadruple's (``angles``)
+    and the integration scheme's (``scheme``) where it reads them."""
     parser.add_argument(
-        "--theta", type=float, help="chain angle: a-b = b-a' = a'-b' = theta (default pi/4)"
+        "--model", default=default_model, help=f"model name (default {default_model})"
     )
-    parser.add_argument("--grid", type=int, metavar="N", help="midpoint grid, N cells per axis")
-    parser.add_argument("--mc", type=int, metavar="N", help="Monte Carlo with N samples")
-    parser.add_argument("--seed", type=int, metavar="S", help="PRNG seed (default 42)")
+    if angles:
+        parser.add_argument("--angles", help="a,a',b,b' in radians; overrides --theta")
+        parser.add_argument(
+            "--theta",
+            type=float,
+            default=_DEFAULT_THETA,
+            help="chain angle: a-b = b-a' = a'-b' = theta (default pi/4)",
+        )
+    if scheme:
+        parser.add_argument("--grid", type=int, metavar="N", help="midpoint grid, N cells per axis")
+        parser.add_argument("--mc", type=int, metavar="N", help="Monte Carlo with N samples")
+    parser.add_argument(
+        "--seed", type=int, default=_DEFAULT_SEED, metavar="S", help="PRNG seed (default 42)"
+    )
     parser.add_argument(
         "--out", metavar="PATH", help="write CSV to PATH plus PATH.manifest.json (default stdout)"
     )
@@ -704,38 +686,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_stats = sub.add_parser("stats", help="per-context product statistics")
-    _add_common_flags(p_stats, "singlet")
+    _add_common_flags(p_stats, "singlet", angles=True, scheme=True)
 
     p_transition = sub.add_parser(
         "transition", help="transition-set, partition and region measures"
     )
-    _add_common_flags(p_transition, "singlet")
+    _add_common_flags(p_transition, "singlet", angles=True, scheme=True)
 
     p_sweep = sub.add_parser("sweep", help="bound curves over a theta range")
-    _add_common_flags(p_sweep, "quantum")
-    p_sweep.add_argument("--theta-min", type=float, help="sweep start (default 0)")
-    p_sweep.add_argument("--theta-max", type=float, help="sweep end (default pi)")
-    p_sweep.add_argument("--steps", type=int, help=f"sample count (default {_DEFAULT_STEPS})")
+    _add_common_flags(p_sweep, "quantum", angles=False, scheme=True)
+    p_sweep.add_argument("--theta-min", type=float, default=0.0, help="sweep start (default 0)")
+    p_sweep.add_argument("--theta-max", type=float, default=math.pi, help="sweep end (default pi)")
+    p_sweep.add_argument(
+        "--steps", type=int, default=_DEFAULT_STEPS, help=f"sample count (default {_DEFAULT_STEPS})"
+    )
     p_sweep.add_argument("--svg", metavar="PATH", help="also write a line plot to PATH")
 
     p_comm = sub.add_parser("comm", help="play the classical-communication game")
-    _add_common_flags(p_comm, "singlet")
-    p_comm.add_argument("--runs", type=int, help=f"number of runs (default {_DEFAULT_RUNS})")
+    _add_common_flags(p_comm, "singlet", angles=True, scheme=False)
+    p_comm.add_argument(
+        "--runs", type=int, default=_DEFAULT_RUNS, help=f"number of runs (default {_DEFAULT_RUNS})"
+    )
     p_comm.add_argument("--log", metavar="PATH", help="also write a per-run CSV log to PATH")
 
     p_signal = sub.add_parser(
         "signal", help="marginal shift and detailed-balance gap at one wing"
     )
-    _add_common_flags(p_signal, "singlet")
+    _add_common_flags(p_signal, "singlet", angles=False, scheme=True)
     p_signal.add_argument(
         "--q", type=float, help="bias weight; replaces the equilibrium distribution"
     )
-    p_signal.add_argument("--b-setting", type=float, help="B's fixed setting (default 0)")
-    p_signal.add_argument("--a1", type=float, help="Alice's first setting (default 0)")
-    p_signal.add_argument("--a2", type=float, help="Alice's second setting (default pi/2)")
+    p_signal.add_argument(
+        "--b-setting", type=float, default=0.0, help="B's fixed setting (default 0)"
+    )
+    p_signal.add_argument("--a1", type=float, default=0.0, help="Alice's first setting (default 0)")
+    p_signal.add_argument(
+        "--a2", type=float, default=math.pi / 2, help="Alice's second setting (default pi/2)"
+    )
 
     p_moc = sub.add_parser("moc", help="measurement-ordering contextuality demonstration")
-    _add_common_flags(p_moc, "sequential-singlet")
+    _add_common_flags(p_moc, "sequential-singlet", angles=True, scheme=True)
 
     p_replay = sub.add_parser("replay", help="re-run the command recorded in a manifest")
     p_replay.add_argument("manifest", help="path to a .manifest.json file")
@@ -743,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH: dict[str, Callable[[_Options, Sequence[str]], int]] = {
+_DISPATCH: dict[str, Callable[[argparse.Namespace, Sequence[str]], int]] = {
     "stats": _cmd_stats,
     "transition": _cmd_transition,
     "sweep": _cmd_sweep,
@@ -766,12 +756,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.subcommand == "replay":
             return _cmd_replay(args)
-        # The namespace holds exactly the subcommand's flags, plus the
-        # subcommand itself; a config file cannot name another config file.
-        known = {key.replace("_", "-") for key in vars(args)} - {"subcommand", "config"}
-        config = _read_config(args.config, known) if args.config else {}
-        opts = _Options(args, config)
-        return _DISPATCH[args.subcommand](opts, args_list)
+        args = _merge_config(parser, args, args_list)
+        return _DISPATCH[args.subcommand](args, args_list)
     except NumericalInvariantError as exc:
         print(f"{TOOL_NAME}: numerical invariant violated: {exc}", file=sys.stderr)
         return 3

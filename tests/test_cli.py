@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from eprb_lab import __version__
-from eprb_lab.cli import main
+from eprb_lab.cli import _subparsers, build_parser, main
 from eprb_lab.core import AngleQuadruple, NumericalInvariantError
 
 
@@ -424,13 +426,14 @@ def test_replay_rejects_bad_manifest(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("top_level", ["[1, 2]", '"x"', "3", "null"])
+@pytest.mark.parametrize("top_level", ["[1, 2]", '"x"', "3", "null", "{bad", ""])
 def test_replay_rejects_a_manifest_that_is_not_an_object(top_level, tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text(top_level)
     code, _, err = run_cli(["replay", str(path)], capsys)
     assert code == 2
-    assert str(path) in err and "not a JSON object" in err
+    message = "not valid JSON" if top_level in ("{bad", "") else "not a JSON object"
+    assert str(path) in err and message in err
 
 
 def test_replay_rejects_a_replay_command_line(tmp_path, capsys):
@@ -475,6 +478,23 @@ def test_sweep_refuses_outputs_naming_one_file(flags, tmp_path, monkeypatch, cap
     assert code == 2 and out == ""
     assert "name the same file" in err
     assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["comm", "--runs", "100", "--out", "d", "--log", "x.csv"],
+        ["sweep", "--steps", "3", "--out", "d", "--svg", "y.svg"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_side_output_when_the_csv_cannot_be_written(argv, tmp_path, monkeypatch, capsys):
+    # the CSV is written before --log or --svg, so a failed --out leaves nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and "Is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +575,12 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     other.write_text("runs = 10\n")
     code, _, err = run_cli(["stats", "--config", str(other)], capsys)
     assert code == 2 and "unknown key 'runs'" in err
+    # and so is a flag the subcommand does not read
+    for subcommand, line in (("comm", "grid = 8\n"), ("signal", "theta = 1\n")):
+        unread = tmp_path / f"{subcommand}.conf"
+        unread.write_text(line)
+        code, _, err = run_cli([subcommand, "--config", str(unread)], capsys)
+        assert code == 2 and f"unknown key {line.split()[0]!r}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +602,37 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         ["stats", "--theta", "abc"],
         ["unknown-subcommand"],
         [],
+        # the analytic model resolves no scheme, but the flags still conflict
+        ["stats", "--model", "quantum", "--grid", "3", "--mc", "4"],
+        ["sweep", "--steps", "2", "--grid", "3", "--mc", "4"],
+        # flags a subcommand does not read
+        ["comm", "--grid", "64"],
+        ["comm", "--mc", "10"],
+        ["signal", "--theta", "1"],
+        ["signal", "--angles", "1,2,3,4"],
+        ["sweep", "--angles", "1,2,3,4"],
+        ["sweep", "--theta", "1"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
     code, _, _ = run_cli(argv, capsys)
     assert code == 2
+
+
+def test_readme_lists_each_subcommands_flags():
+    # the README's table of flags per subcommand is the parser's, row for row
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    documented: dict[str, set[str]] = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        _, names, flags, _ = line.split("|")
+        for name in re.findall(r"`([a-z]+)`", names):
+            documented[name] = set(re.findall(r"`(--[a-z0-9-]+)`", flags))
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in _subparsers(build_parser()).items()
+    }
+    assert documented == parsed
 
 
 def test_usage_error_messages(capsys):
