@@ -8,7 +8,7 @@ is given; whenever a run writes files it also writes a manifest
 (<first output>.manifest.json) recording the command line, resolved model,
 quadruple, scheme and seed, so the run can be replayed byte for byte.
 ``_emit`` is the only writer: the CSV first, then --log or --svg, then the
-manifest, and nothing at all when two outputs name the same file.
+manifest, and no file at all when the run fails.
 
 Exit codes: 0 success, 2 usage error (unknown model, malformed angles,
 --grid with --mc, outputs that name the same file, a manifest that is not
@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import html
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
@@ -50,7 +52,7 @@ from .inequalities import (
 )
 from .models import ModelChoice, biased_distribution, resolve_model
 from .ordering import moc_demo
-from .protocols import CommBlock, average_bits_identity, marginal_shift, simulate_game
+from .protocols import N_KEYS, CommBlock, average_bits_identity, marginal_shift, simulate_game
 from .protocols import detailed_balance  # noqa: F401  (bench/tracer.py rebinds it here)
 from .transition import LABELS_BY_MASK, full_report
 
@@ -167,8 +169,6 @@ def _fmt(value: object) -> str:
         return ""
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -199,10 +199,11 @@ def _emit(
     """Write the run's CSV, side outputs and manifest; the CLI's only writer.
 
     ``side_outputs`` are ``(path, write)`` pairs, path None where the flag
-    was not given.  Outputs that name the same file, the manifest next to
-    the first output included, are refused before anything is written.
-    Then the CSV goes to --out (or stdout), each side output to its path,
-    and the manifest last.
+    was not given.  Outputs that name the same file, a directory or a path
+    in no directory, the manifest next to the first output included, are
+    refused before anything is written.  The CSV (to --out or stdout), each
+    side output and the manifest are then written in that order, each under
+    a temporary name renamed into place once all are written.
     """
 
     def write_csv(handle: TextIO) -> None:
@@ -213,14 +214,17 @@ def _emit(
     given = [(args.out, write_csv), *side_outputs]
     files = [(path, write) for path, write in given if path is not None]
     outputs = [path for path, _ in files]
+    targets: dict[Path, str] = {}
     if outputs:
         manifest_path = outputs[0] + ".manifest.json"
-        seen: dict[Path, str] = {}
         for path in [*outputs, manifest_path]:
             resolved = Path(path).resolve()
-            if resolved in seen:
-                raise ValueError(f"outputs {seen[resolved]!r} and {path!r} name the same file")
-            seen[resolved] = path
+            if resolved in targets:
+                raise ValueError(f"outputs {targets[resolved]!r} and {path!r} name the same file")
+            if resolved.is_dir() or not resolved.parent.is_dir():
+                code = errno.EISDIR if resolved.is_dir() else errno.ENOENT
+                raise OSError(code, os.strerror(code), path)
+            targets[resolved] = path
         manifest = {
             "tool": TOOL_NAME,
             "tool_version": __version__,
@@ -237,9 +241,16 @@ def _emit(
         files.append((manifest_path, lambda handle: handle.write(text)))
     if args.out is None:
         write_csv(sys.stdout)
-    for path, write in files:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            write(handle)
+    temporaries = [f"{target}.{os.getpid()}.tmp" for target in targets]
+    try:
+        for (_, write), temporary in zip(files, temporaries):
+            with open(temporary, "w", newline="", encoding="utf-8") as handle:
+                write(handle)
+        for target, temporary in zip(targets, temporaries):
+            os.replace(temporary, target)
+    finally:
+        for temporary in filter(os.path.exists, temporaries):
+            os.remove(temporary)
     return 0
 
 
@@ -449,17 +460,15 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
 # Rows per formatting call of the run log: large enough to amortize the
 # call, small enough that the per-row Python objects stay a few hundred kB.
 _LOG_CHUNK_ROWS = 1024
-_ALICE_LABELS = np.array(["a", "a'"], dtype=object)
-_BOB_LABELS = np.array(["b", "b'"], dtype=object)
-_REGION_LABELS = np.array(LABELS_BY_MASK, dtype=object)
 
 
 def _write_log(handle: TextIO, dimension: int, blocks: Iterable[CommBlock]) -> None:
     """Write the run log: its header, then one row per run, block by block.
 
-    Every row is one ``%``-template, which gives the bytes ``_emit``'s CSV
-    writer would: integers in decimal, floats as ``%.12g``, and no field
-    that needs quoting.
+    A row is the run number, the ``dimension`` lambda columns and a tail
+    ``alice,bob,region,bits,A,B\n`` looked up by the run's key, in one
+    ``%``-template.  That gives the bytes ``_emit``'s CSV writer would:
+    integers in decimal, floats as ``%.12g``, and no field that needs quoting.
     """
     header = (
         ["run"]
@@ -467,20 +476,22 @@ def _write_log(handle: TextIO, dimension: int, blocks: Iterable[CommBlock]) -> N
         + ["alice_setting", "bob_setting", "region", "bits", "outcome_a", "outcome_b"]
     )
     handle.write(",".join(header) + "\n")
-    row = "%d," + "%.12g," * dimension + "%s,%s,%s,%d,%d,%d\n"
+    row = "%d," + "%.12g," * dimension + "%s"
+    every = CommBlock(start=0, lam=np.empty((N_KEYS, 0)), key=np.arange(N_KEYS))
+    fields = ("alice_choice", "bob_choice", "mask_code", "bits", "outcome_a", "outcome_b")
+    tails = np.array(
+        [
+            "%s,%s,%s,%d,%d,%d\n" % (("a", "a'")[a], ("b", "b'")[b], LABELS_BY_MASK[mask], *rest)
+            for a, b, mask, *rest in zip(*(getattr(every, name).tolist() for name in fields))
+        ],
+        dtype=object,
+    )
     for block in blocks:
-        for lo in range(0, len(block.bits), _LOG_CHUNK_ROWS):
-            hi = min(lo + _LOG_CHUNK_ROWS, len(block.bits))
+        for lo in range(0, len(block.key), _LOG_CHUNK_ROWS):
+            hi = min(lo + _LOG_CHUNK_ROWS, len(block.key))
             columns = [range(block.start + lo, block.start + hi)]
             columns += [block.lam[lo:hi, axis].tolist() for axis in range(dimension)]
-            columns += [
-                _ALICE_LABELS[block.alice_choice[lo:hi]].tolist(),
-                _BOB_LABELS[block.bob_choice[lo:hi]].tolist(),
-                _REGION_LABELS[block.mask_code[lo:hi]].tolist(),
-                block.bits[lo:hi].tolist(),
-                block.outcome_a[lo:hi].tolist(),
-                block.outcome_b[lo:hi].tolist(),
-            ]
+            columns.append(tails[block.key[lo:hi]].tolist())
             handle.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*columns))))
         del block  # free it before the stream plays the next one
 
@@ -626,7 +637,7 @@ def _cmd_moc(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{args.manifest}: the manifest is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{args.manifest}: the manifest is not a JSON object")

@@ -51,6 +51,8 @@ from .transition import (
     MembershipVector,
     TransitionReport,
     MASK_BY_PATTERN,
+    N_PATTERNS,
+    OUTCOMES_BY_PATTERN,
     TransitionSetId,
     partition_measures,
     pattern_code,
@@ -67,7 +69,6 @@ _DOMAIN_BOB = 13
 BITS_BY_MASK: tuple[int, ...] = tuple(
     int(bool(mask & 0b0101)) + int(bool(mask & 0b1010)) for mask in range(16)
 )
-_BITS_BY_MASK = np.array(BITS_BY_MASK, dtype=np.int8)
 
 
 def bits_required(memberships: MembershipVector) -> int:
@@ -80,39 +81,47 @@ REGION_BITS: dict[str, int] = {
     label: BITS_BY_MASK[LABELS_BY_MASK.index(label)] for label in ALL_REGION_LABELS
 }
 
-# Canonical context index of each setting choice 2 * alice + bob.
-_CONTEXT_BY_CHOICE = np.array([0, 3, 1, 2], dtype=np.int8)
+#: Number of run keys (see :class:`CommBlock`).
+N_KEYS = 4 * N_PATTERNS
+# Every command imports these tables: small dtypes and table lookups keep that cheap.
+_CHOICES, _PATTERNS = np.divmod(np.arange(N_KEYS, dtype=np.int16), N_PATTERNS)
+
+#: Canonical context of each run key: choice 2 * alice + bob plays context (0, 3, 1, 2)[choice].
+CONTEXT_BY_KEY = np.array([0, 3, 1, 2], dtype=np.int8)[_CHOICES]
+#: Membership mask (an index into ``LABELS_BY_MASK``) of each run key.
+MASK_BY_KEY = MASK_BY_PATTERN[_PATTERNS]
+#: Bits exchanged in each run key.
+BITS_BY_KEY = np.array(BITS_BY_MASK, dtype=np.int8)[MASK_BY_KEY]
+#: Alice's and Bob's outcomes in the context each run key plays.
+OUTCOME_A_BY_KEY, OUTCOME_B_BY_KEY = OUTCOMES_BY_PATTERN[CONTEXT_BY_KEY, :, _PATTERNS].T
 
 
-def _realized_context(alice_choice: np.ndarray, bob_choice: np.ndarray) -> np.ndarray:
-    """Canonical context of each run; a choice is 0 for the unprimed
-    setting and 1 for the primed one."""
-    return _CONTEXT_BY_CHOICE[2 * alice_choice + bob_choice]
-
-
-# Game histogram bins: realized context (4) x membership mask (16) x
-# outcome-product sign (2, bin 1 for +1).
-_GAME_BINS = 4 * 16 * 2
+def _by_key(table: np.ndarray) -> property:
+    return property(lambda block: table[block.key], doc="A column of the runs, looked up by key.")
 
 
 @dataclass(frozen=True, eq=False)
 class CommBlock:
-    """The runs of one sampling block, as columns.
+    """The runs of one sampling block.
 
-    Row j is run ``start + j``: the shared lambda ``lam[j]``, the setting
-    choices (0 = unprimed, 1 = primed), lambda's membership mask (an index
-    into ``LABELS_BY_MASK``) and bit cost, and the outcomes of the realized
-    context.
+    Row j is run ``start + j``: the shared lambda ``lam[j]`` and the run key
+    ``key[j] = (2 * alice + bob) * 256 + pattern``, where a choice is 0 for
+    the unprimed setting and 1 for the primed one and ``pattern`` is
+    lambda's :func:`pattern_code`.  The setting choices, lambda's membership
+    mask (an index into ``LABELS_BY_MASK``), the bit cost and the outcomes
+    of the realized context are lookups of the key.
     """
 
     start: int
     lam: np.ndarray
-    alice_choice: np.ndarray
-    bob_choice: np.ndarray
-    mask_code: np.ndarray
-    bits: np.ndarray
-    outcome_a: np.ndarray
-    outcome_b: np.ndarray
+    key: np.ndarray
+
+    alice_choice = _by_key(np.array([0, 0, 1, 1], dtype=np.int8)[_CHOICES])
+    bob_choice = _by_key(np.array([0, 1, 0, 1], dtype=np.int8)[_CHOICES])
+    mask_code = _by_key(MASK_BY_KEY)
+    bits = _by_key(BITS_BY_KEY)
+    outcome_a = _by_key(OUTCOME_A_BY_KEY)
+    outcome_b = _by_key(OUTCOME_B_BY_KEY)
 
 
 @dataclass(frozen=True)
@@ -149,28 +158,11 @@ def _play_block(
     lam = dist.sampler(derived_stream(seed, _DOMAIN_LAMBDA, block_index), m)
     if np.any(lam < 0.0) or np.any(lam >= 1.0):
         raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
-    alice = derived_stream(seed, _DOMAIN_ALICE, block_index).integers(0, 2, m)
-    bob = derived_stream(seed, _DOMAIN_BOB, block_index).integers(0, 2, m)
-    contexts = context_outcomes(model, quadruple, lam)
-    mask_code = MASK_BY_PATTERN[pattern_code(contexts)]
-    context = _realized_context(alice, bob)
-    return CommBlock(
-        start=start,
-        lam=lam,
-        alice_choice=alice,
-        bob_choice=bob,
-        mask_code=mask_code,
-        bits=_BITS_BY_MASK[mask_code],
-        outcome_a=np.choose(context, [va for va, _ in contexts]),
-        outcome_b=np.choose(context, [vb for _, vb in contexts]),
-    )
-
-
-def _block_histogram(block: CommBlock) -> np.ndarray:
-    positive = block.outcome_a == block.outcome_b
-    context = _realized_context(block.alice_choice, block.bob_choice)
-    index = (context * 16 + block.mask_code) * 2 + positive
-    return np.bincount(index, minlength=_GAME_BINS)
+    key = 2 * derived_stream(seed, _DOMAIN_ALICE, block_index).integers(0, 2, m)
+    key += derived_stream(seed, _DOMAIN_BOB, block_index).integers(0, 2, m)
+    key *= N_PATTERNS
+    key += pattern_code(context_outcomes(model, quadruple, lam))
+    return CommBlock(start=start, lam=lam, key=key)
 
 
 def simulate_game(
@@ -185,10 +177,11 @@ def simulate_game(
     Lambdas come from ``dist.sampler`` and the two setting coins from
     domain-separated streams of the same seed, one stream triple per
     ``BLOCK_SIZE`` runs, so a (seed, n_runs) pair fixes every run exactly.
-    The summary comes from a histogram filled one block at a time, so memory
-    stays at one block whatever ``n_runs`` is.  The returned iterator
-    regenerates the blocks on demand and yields one :class:`CommBlock` per
-    block; consuming it is optional.
+    The summary's counts, ``p_plus`` and bit sums are exact integer sums
+    over one ``N_KEYS``-bin histogram of the run keys, filled one block at a
+    time, so memory stays at one block whatever ``n_runs`` is.  The returned
+    iterator regenerates the blocks on demand and yields one
+    :class:`CommBlock` per block; consuming it is optional.
     """
     if not isinstance(n_runs, int) or n_runs < 1:
         raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
@@ -199,34 +192,30 @@ def simulate_game(
         raise ValueError("distribution and model live on different spaces")
 
     n_blocks = -(-n_runs // BLOCK_SIZE)
-    histogram = np.zeros(_GAME_BINS, dtype=np.int64)
+    histogram = np.zeros(N_KEYS, dtype=np.int64)
     for block_index in range(n_blocks):
-        histogram += _block_histogram(
-            _play_block(model, dist, quadruple, n_runs, seed, block_index)
+        histogram += np.bincount(
+            _play_block(model, dist, quadruple, n_runs, seed, block_index).key, minlength=N_KEYS
         )
-    by_context = histogram.reshape(4, 16, 2)
 
-    counts = []
-    p_plus = []
-    for k in range(4):
-        count = int(by_context[k].sum())
+    in_context = CONTEXT_BY_KEY[:, None] == np.arange(4)
+    counts = (histogram @ in_context).tolist()
+    plus = ((OUTCOME_A_BY_KEY == OUTCOME_B_BY_KEY) * histogram @ in_context).tolist()
+    for k, count in enumerate(counts):
         if count == 0:
             raise ValueError(
                 f"context {k + 1} was never played in {n_runs} runs; increase n_runs"
             )
-        counts.append(count)
-        p_plus.append(int(by_context[k, :, 1].sum()) / count)
 
-    runs_by_mask = by_context.sum(axis=(0, 2)).tolist()
-    bits_sum = sum(bits * runs for bits, runs in zip(BITS_BY_MASK, runs_by_mask))
-    bits_squares = sum(bits * bits * runs for bits, runs in zip(BITS_BY_MASK, runs_by_mask))
+    bits_sum = int(histogram @ BITS_BY_KEY)
+    bits_squares = int(histogram @ (BITS_BY_KEY * BITS_BY_KEY))
     if n_runs > 1:
         # The sums are exact integers, so the variance is rounded only once.
         variance = (n_runs * bits_squares - bits_sum * bits_sum) / (n_runs * (n_runs - 1))
         bits_std_error = math.sqrt(variance) / math.sqrt(n_runs)
     else:
         bits_std_error = 0.0
-    stats = JointStats.from_p_plus(tuple(p_plus))
+    stats = JointStats.from_p_plus(tuple(p / count for p, count in zip(plus, counts)))
     summary = CommSummary(
         n_runs=n_runs,
         seed=seed,

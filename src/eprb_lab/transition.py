@@ -161,6 +161,11 @@ def pattern_classifier(model: HvModel, quadruple: AngleQuadruple) -> ClassifierF
     return classify
 
 
+#: The outcome (+1/-1) that each pattern holds, indexed [context, wing,
+#: pattern] with wing 0 for A and 1 for B: the inverse of :func:`pattern_code`.
+OUTCOMES_BY_PATTERN = 1 - 2 * (np.arange(N_PATTERNS) >> np.arange(8).reshape(4, 2, 1) & 1)
+
+
 def _build_pattern_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Set memberships, context signs and pre-swap values of every pattern.
 
@@ -168,19 +173,13 @@ def _build_pattern_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     per pattern.  Set i compares the outcomes that ``_SET_CONTEXTS`` names;
     its pre-swap value is the outcome at the unprimed swap setting.
     """
-    patterns = np.arange(N_PATTERNS)
-    outcomes = {
-        (wing, i): 1 - 2 * ((patterns >> (2 * i + bit)) & 1)
-        for i in range(4)
-        for bit, wing in enumerate("AB")
-    }
     members, pre_values = [], []
     for sid in CANONICAL_SETS:
         wing, pre, post = _SET_CONTEXTS[sid]
-        members.append(outcomes[wing, pre] != outcomes[wing, post])
-        pre_values.append(outcomes[wing, pre])
-    signs = [outcomes["A", i] * outcomes["B", i] for i in range(4)]
-    return np.stack(members), np.stack(signs), np.stack(pre_values)
+        outcomes = OUTCOMES_BY_PATTERN[:, "AB".index(wing)]
+        members.append(outcomes[pre] != outcomes[post])
+        pre_values.append(outcomes[pre])
+    return np.stack(members), np.prod(OUTCOMES_BY_PATTERN, axis=1), np.stack(pre_values)
 
 
 _MEMBERS, _SIGNS, _PRE_VALUES = _build_pattern_tables()

@@ -9,7 +9,7 @@ import numpy as np
 from eprb_lab import core
 from eprb_lab.core import MeasureEstimate, declared_cuts
 from eprb_lab.inequalities import JointStats
-from eprb_lab.transition import TransitionSetId
+from eprb_lab.transition import LABELS_BY_MASK, TransitionSetId
 
 
 def random_joint_stats(rng: np.random.Generator) -> JointStats:
@@ -53,3 +53,33 @@ def reference_partition_measures(model, dist, quadruple, which, scheme):
     cuts = declared_cuts(model, dist, quadruple.named_angles().values())
     values, errors = core.sweep_statistics(dist, scheme, masks_fn, 3, _PARTITION_SELECTION, cuts=cuts)
     return tuple(MeasureEstimate(float(v), float(e), scheme) for v, e in zip(values, errors))
+
+
+def reference_write_log(handle, dimension, blocks):
+    """The run log as the package wrote it before the row tail became a
+    lookup of the run key: nine fields plus lambda per row, each row from
+    the block's separate columns, kept as the reference for the log bytes."""
+    header = (
+        ["run"]
+        + [f"lambda_{axis}" for axis in range(dimension)]
+        + ["alice_setting", "bob_setting", "region", "bits", "outcome_a", "outcome_b"]
+    )
+    handle.write(",".join(header) + "\n")
+    row = "%d," + "%.12g," * dimension + "%s,%s,%s,%d,%d,%d\n"
+    alice_labels = np.array(["a", "a'"], dtype=object)
+    bob_labels = np.array(["b", "b'"], dtype=object)
+    region_labels = np.array(LABELS_BY_MASK, dtype=object)
+    for block in blocks:
+        n = len(block.lam)
+        columns = [range(block.start, block.start + n)]
+        columns += [block.lam[:, axis].tolist() for axis in range(dimension)]
+        columns += [
+            alice_labels[block.alice_choice].tolist(),
+            bob_labels[block.bob_choice].tolist(),
+            region_labels[block.mask_code].tolist(),
+            block.bits.tolist(),
+            block.outcome_a.tolist(),
+            block.outcome_b.tolist(),
+        ]
+        for values in zip(*columns):
+            handle.write(row % values)

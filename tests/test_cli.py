@@ -14,11 +14,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eprb_lab import __version__
-from eprb_lab.cli import _subparsers, build_parser, main
+from eprb_lab import __version__, cli
+from eprb_lab.cli import _subparsers, _write_log, build_parser, main
 from eprb_lab.core import AngleQuadruple, NumericalInvariantError
+from eprb_lab.protocols import N_KEYS, CommBlock
+from helpers import reference_write_log
 
 
 def run_cli(argv, capsys):
@@ -132,6 +135,52 @@ def test_comm_log_and_summary_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "fcb99961188c5967ac6a8891a7d0ab382029c1369d81c2f67048f36046359a8f"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, log_digest, out_digest",
+    [
+        # the biased density's sampler
+        (
+            ["--model", "singlet+bias:q=0.7", "--runs", "5000", "--seed", "3"],
+            "df64b91019dc539bba4640650a2b783b49d03fccf22b0a2588b03783cc759ec7",
+            "a65d854a18c803439b153aa56ae9c2c2e09ed91fbbd800afaf59c46780df107f",
+        ),
+        (
+            ["--model", "local-coin", "--runs", "5000", "--seed", "4"],
+            "d754dfd22df149062ca06c5fc4d6d2a39046258c0c49b23faecce8877e8ef70f",
+            "d6de1128b60d5bb2f525870bf640fd81ea46edafaf8b8589613b96bb3b7eaf62",
+        ),
+    ],
+    ids=["biased", "local-coin"],
+)
+def test_comm_log_bytes_on_biased_and_local_paths_are_pinned(
+    argv, log_digest, out_digest, tmp_path, capsys
+):
+    log = tmp_path / "log.csv"
+    code, out, _ = run_cli(["comm", *argv, "--log", str(log)], capsys)
+    assert code == 0
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == log_digest
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == out_digest
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_write_log_matches_the_reference_in_any_dimension(dimension):
+    # every built-in model is 2-D, so only these blocks reach other widths,
+    # and only these reach every run key
+    rng = np.random.default_rng(dimension)
+    n = N_KEYS + 3000  # every run key, and more than one formatting chunk
+    lam = rng.random((n, dimension))
+    lam[:7] = np.array([0.0, 5e-324, 1e-5, 0.1, 0.5, 1 / 3, 1 - 2.0**-53])[:, None]
+    key = np.concatenate([np.arange(N_KEYS), rng.integers(0, N_KEYS, n - N_KEYS)])
+    blocks = [
+        CommBlock(start=0, lam=lam, key=key),
+        CommBlock(start=n, lam=rng.random((1, dimension)), key=np.array([N_KEYS - 1])),
+    ]
+    written, expected = io.StringIO(), io.StringIO()
+    _write_log(written, dimension, blocks)
+    reference_write_log(expected, dimension, blocks)
+    assert written.getvalue() == expected.getvalue()
 
 
 def test_sweep_and_transition_bytes_are_pinned(tmp_path, capsys):
@@ -320,6 +369,20 @@ def test_version_flag(capsys):
     assert "eprb-lab" in out and __version__ in out
 
 
+def test_python_dash_m_runs_the_cli():
+    import eprb_lab
+
+    source = os.path.dirname(os.path.dirname(eprb_lab.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "eprb_lab", "--version"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": source},
+    )
+    assert result.returncode == 0
+    assert result.stdout.strip() == f"eprb-lab {__version__}"
+
+
 def test_version_skips_heavy_imports():
     # xml.sax pulls in urllib.request, http.client and ssl; numpy.random is
     # only needed once a command samples
@@ -426,13 +489,14 @@ def test_replay_rejects_bad_manifest(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("top_level", ["[1, 2]", '"x"', "3", "null", "{bad", ""])
+@pytest.mark.parametrize("top_level", ["[1, 2]", '"x"', "3", "null", "{bad", "", "\xff\xfe"])
 def test_replay_rejects_a_manifest_that_is_not_an_object(top_level, tmp_path, capsys):
     path = tmp_path / "list.json"
-    path.write_text(top_level)
+    # Latin-1 writes the last case as the bytes ff fe, which are not UTF-8
+    path.write_text(top_level, encoding="latin-1")
     code, _, err = run_cli(["replay", str(path)], capsys)
     assert code == 2
-    message = "not valid JSON" if top_level in ("{bad", "") else "not a JSON object"
+    message = "not valid JSON" if top_level in ("{bad", "", "\xff\xfe") else "not a JSON object"
     assert str(path) in err and message in err
 
 
@@ -495,6 +559,59 @@ def test_no_side_output_when_the_csv_cannot_be_written(argv, tmp_path, monkeypat
     code, _, err = run_cli(argv, capsys)
     assert code == 2 and "Is a directory" in err
     assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+
+@pytest.mark.parametrize(
+    "argv, directory, message",
+    [
+        (["comm", "--runs", "100", "--out", "a.csv", "--log", "d"], "d", "Is a directory: 'd'"),
+        (["sweep", "--steps", "3", "--out", "a.csv", "--svg", "d"], "d", "Is a directory: 'd'"),
+        (
+            ["comm", "--runs", "100", "--out", "a.csv", "--log", "x.csv"],
+            "a.csv.manifest.json",
+            "Is a directory: 'a.csv.manifest.json'",
+        ),
+        (
+            ["comm", "--runs", "100", "--out", "a.csv", "--log", "d/e/x.csv"],
+            "d",
+            "No such file or directory: 'd/e/x.csv'",
+        ),
+    ],
+    ids=["comm", "sweep", "manifest", "missing-directory"],
+)
+def test_no_file_when_a_later_output_cannot_be_written(
+    argv, directory, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / directory).mkdir()
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and message in err
+    assert [p.name for p in tmp_path.iterdir()] == [directory]
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.csv").symlink_to("target.csv")
+    code, _, _ = run_cli(["comm", "--runs", "100", "--out", "link.csv"], capsys)
+    assert code == 0 and (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "target.csv").read_text().startswith("n_runs,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.csv", "link.csv.manifest.json", "target.csv"
+    ]
+
+
+def test_no_file_when_writing_fails_midway(tmp_path, monkeypatch, capsys):
+    # every output goes under a temporary name first, and a failed run removes them
+    monkeypatch.chdir(tmp_path)
+
+    def failing_log(handle, dimension, blocks):
+        handle.write("run\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_log", failing_log)
+    code, _, err = run_cli(["comm", "--runs", "100", "--out", "a.csv", "--log", "x.csv"], capsys)
+    assert code == 2 and "disk full" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

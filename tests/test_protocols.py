@@ -14,9 +14,11 @@ from eprb_lab.core import (
     AngleQuadruple,
     Distribution,
     GridScheme,
+    HvModel,
     LambdaSpace,
     MonteCarloScheme,
     NumericalInvariantError,
+    context_outcomes,
     estimate_measure,
     evaluate_pair,
     make_angle,
@@ -25,6 +27,13 @@ from eprb_lab.core import (
 from eprb_lab.inequalities import quantum_stats
 from eprb_lab.models import biased_distribution, local_coin_model, singlet_model
 from eprb_lab.protocols import (
+    BITS_BY_KEY,
+    BITS_BY_MASK,
+    CONTEXT_BY_KEY,
+    MASK_BY_KEY,
+    N_KEYS,
+    OUTCOME_A_BY_KEY,
+    OUTCOME_B_BY_KEY,
     REGION_BITS,
     average_bits_identity,
     bits_required,
@@ -34,10 +43,12 @@ from eprb_lab.protocols import (
 )
 from eprb_lab.transition import (
     LABELS_BY_MASK,
+    MASK_BY_PATTERN,
     MembershipVector,
     TransitionSetId,
     classify_lambda,
     full_report,
+    pattern_code,
 )
 from helpers import reference_partition_measures
 
@@ -172,6 +183,42 @@ def test_game_memory_is_one_block():
 
     one, three = peak(BLOCK_SIZE), peak(3 * BLOCK_SIZE)
     assert three <= 1.5 * one
+
+
+def _scrambled_model():
+    """Outcomes drawn at random per setting pair and per cell of lambda_0, so
+    random lambdas reach every outcome pattern."""
+
+    def outcome(wing):
+        def fn(a, b, coords):
+            seed = [wing, round(a.radians * 1e6), round(b.radians * 1e6)]
+            table = np.random.default_rng(seed).choice([-1, 1], 8192)
+            return table[(coords[..., 0] * 8192).astype(int)]
+
+        return fn
+
+    space = LambdaSpace(2)
+    return HvModel("scrambled", space, outcome(0), outcome(1), uniform_distribution(space))
+
+
+@pytest.mark.parametrize("model", [singlet_model(), _scrambled_model()], ids=lambda m: m.name)
+def test_key_tables_agree_with_context_outcomes(model):
+    rng = np.random.default_rng(17)
+    quadruple = AngleQuadruple(*(make_angle(x) for x in rng.uniform(0, 2 * math.pi, 4)))
+    lam = rng.random((50_000, 2))
+    alice, bob = rng.integers(0, 2, (2, len(lam)))
+    contexts = context_outcomes(model, quadruple, lam)
+    pattern = pattern_code(contexts)
+    key = (2 * alice + bob) * 256 + pattern
+    # the choice -> canonical context map: (a,b), (a,b'), (a',b), (a',b')
+    context = np.array([[0, 3], [1, 2]])[alice, bob]
+    assert np.array_equal(CONTEXT_BY_KEY[key], context)
+    assert np.array_equal(OUTCOME_A_BY_KEY[key], np.choose(context, [va for va, _ in contexts]))
+    assert np.array_equal(OUTCOME_B_BY_KEY[key], np.choose(context, [vb for _, vb in contexts]))
+    assert np.array_equal(MASK_BY_KEY[key], MASK_BY_PATTERN[pattern])
+    assert np.array_equal(BITS_BY_KEY[key], np.array(BITS_BY_MASK)[MASK_BY_PATTERN[pattern]])
+    if model.name == "scrambled":
+        assert len(np.unique(key)) == N_KEYS
 
 
 def test_game_argument_errors():
