@@ -8,7 +8,7 @@ is given; whenever a run writes files it also writes a manifest
 (<first output>.manifest.json) recording the command line, resolved model,
 quadruple, scheme and seed, so the run can be replayed byte for byte.
 ``_emit`` is the only writer: the CSV first, then --log or --svg, then the
-manifest, and no file at all when the run fails.
+manifest, a new or regular file renamed into place once all are written.
 
 Exit codes: 0 success, 2 usage error (unknown model, malformed angles,
 --grid with --mc, outputs that name the same file, a manifest that is not
@@ -169,6 +169,8 @@ def _fmt(value: object) -> str:
         return ""
     if isinstance(value, bool):
         return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -199,11 +201,11 @@ def _emit(
     """Write the run's CSV, side outputs and manifest; the CLI's only writer.
 
     ``side_outputs`` are ``(path, write)`` pairs, path None where the flag
-    was not given.  Outputs that name the same file, a directory or a path
-    in no directory, the manifest next to the first output included, are
-    refused before anything is written.  The CSV (to --out or stdout), each
-    side output and the manifest are then written in that order, each under
-    a temporary name renamed into place once all are written.
+    was not given.  Outputs that name the same file or a directory are
+    refused first.  The CSV (to --out or stdout), side outputs and manifest
+    are written in that order, new and regular files under temporary names
+    renamed into place once all are written; any other path (a FIFO, a
+    device, /dev/stdout) is opened as it is.
     """
 
     def write_csv(handle: TextIO) -> None:
@@ -221,9 +223,8 @@ def _emit(
             resolved = Path(path).resolve()
             if resolved in targets:
                 raise ValueError(f"outputs {targets[resolved]!r} and {path!r} name the same file")
-            if resolved.is_dir() or not resolved.parent.is_dir():
-                code = errno.EISDIR if resolved.is_dir() else errno.ENOENT
-                raise OSError(code, os.strerror(code), path)
+            if resolved.is_dir():
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             targets[resolved] = path
         manifest = {
             "tool": TOOL_NAME,
@@ -241,16 +242,23 @@ def _emit(
         files.append((manifest_path, lambda handle: handle.write(text)))
     if args.out is None:
         write_csv(sys.stdout)
-    temporaries = [f"{target}.{os.getpid()}.tmp" for target in targets]
+    staged = {
+        target: target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        for target, path in targets.items()
+        if os.path.isfile(path) or not os.path.exists(path)
+    }
     try:
-        for (_, write), temporary in zip(files, temporaries):
-            with open(temporary, "w", newline="", encoding="utf-8") as handle:
-                write(handle)
-        for target, temporary in zip(targets, temporaries):
+        for (path, write), target in zip(files, targets):
+            try:
+                with open(staged.get(target, path), "w", newline="", encoding="utf-8") as handle:
+                    write(handle)
+            except OSError as exc:  # name the output as given, not its temporary
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for target, temporary in staged.items():
             os.replace(temporary, target)
     finally:
-        for temporary in filter(os.path.exists, temporaries):
-            os.remove(temporary)
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
     return 0
 
 
@@ -479,13 +487,11 @@ def _write_log(handle: TextIO, dimension: int, blocks: Iterable[CommBlock]) -> N
     row = "%d," + "%.12g," * dimension + "%s"
     every = CommBlock(start=0, lam=np.empty((N_KEYS, 0)), key=np.arange(N_KEYS))
     fields = ("alice_choice", "bob_choice", "mask_code", "bits", "outcome_a", "outcome_b")
-    tails = np.array(
-        [
-            "%s,%s,%s,%d,%d,%d\n" % (("a", "a'")[a], ("b", "b'")[b], LABELS_BY_MASK[mask], *rest)
-            for a, b, mask, *rest in zip(*(getattr(every, name).tolist() for name in fields))
-        ],
-        dtype=object,
-    )
+    tails = np.empty(N_KEYS, dtype=object)
+    tails[:] = [
+        "%s,%s,%s,%d,%d,%d\n" % (("a", "a'")[a], ("b", "b'")[b], LABELS_BY_MASK[mask], *rest)
+        for a, b, mask, *rest in zip(*(getattr(every, name).tolist() for name in fields))
+    ]
     for block in blocks:
         for lo in range(0, len(block.key), _LOG_CHUNK_ROWS):
             hi = min(lo + _LOG_CHUNK_ROWS, len(block.key))
@@ -506,13 +512,8 @@ def _cmd_comm(args: argparse.Namespace, argv: Sequence[str]) -> int:
     dimension = choice.hv.space.dimension
 
     header = ["n_runs", "seed", "average_bits", "bits_std_error", "sigma_minus_bound"]
-    row: list[object] = [
-        summary.n_runs,
-        summary.seed,
-        summary.average_bits,
-        summary.bits_std_error,
-        summary.sigma_minus_bound,
-    ]
+    row: list[object] = [summary.n_runs, summary.seed, summary.average_bits]
+    row += [summary.bits_std_error, summary.sigma_minus_bound]
     for i in range(4):
         header += [f"p_plus_{i + 1}", f"p_minus_{i + 1}", f"count_{i + 1}"]
         row += [summary.stats.p_plus[i], summary.stats.p_minus[i], summary.context_counts[i]]

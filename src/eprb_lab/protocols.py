@@ -201,11 +201,9 @@ def simulate_game(
     in_context = CONTEXT_BY_KEY[:, None] == np.arange(4)
     counts = (histogram @ in_context).tolist()
     plus = ((OUTCOME_A_BY_KEY == OUTCOME_B_BY_KEY) * histogram @ in_context).tolist()
-    for k, count in enumerate(counts):
-        if count == 0:
-            raise ValueError(
-                f"context {k + 1} was never played in {n_runs} runs; increase n_runs"
-            )
+    if 0 in counts:
+        unplayed = counts.index(0) + 1
+        raise ValueError(f"context {unplayed} was never played in {n_runs} runs; increase n_runs")
 
     bits_sum = int(histogram @ BITS_BY_KEY)
     bits_squares = int(histogram @ (BITS_BY_KEY * BITS_BY_KEY))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import itertools
@@ -10,8 +11,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -601,17 +604,43 @@ def test_output_through_a_symlink_writes_its_target(tmp_path, monkeypatch, capsy
 
 
 def test_no_file_when_writing_fails_midway(tmp_path, monkeypatch, capsys):
-    # every output goes under a temporary name first, and a failed run removes them
+    # every output goes under a temporary name first, and a failed run removes
+    # them; the error names the output as given, not its temporary
     monkeypatch.chdir(tmp_path)
 
     def failing_log(handle, dimension, blocks):
         handle.write("run\n")
-        raise OSError("disk full")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(cli, "_write_log", failing_log)
     code, _, err = run_cli(["comm", "--runs", "100", "--out", "a.csv", "--log", "x.csv"], capsys)
-    assert code == 2 and "disk full" in err
+    assert code == 2 and f"{os.strerror(errno.ENOSPC)}: 'x.csv'" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_an_existing_fifo_is_written_in_place(tmp_path, monkeypatch, capsys):
+    # only new and regular files are renamed into place; a FIFO, like a device
+    # or /dev/stdout, is opened as it is and stays what it was
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("fifo")
+    received = []
+    reader = threading.Thread(target=lambda: received.append(Path("fifo").read_bytes()))
+    reader.daemon = True
+    reader.start()
+    replaced = []
+    real_replace = os.replace
+    monkeypatch.setattr(
+        os, "replace", lambda src, dst: (replaced.append(dst), real_replace(src, dst))
+    )
+    argv = ["comm", "--runs", "3000", "--seed", "5", "--out", "a.csv", "--log"]
+    code, _, _ = run_cli([*argv, "fifo"], capsys)
+    reader.join(timeout=10)
+    assert code == 0 and stat.S_ISFIFO(os.stat("fifo").st_mode)
+    assert [Path(dst).name for dst in replaced] == ["a.csv", "a.csv.manifest.json"]
+    assert json.loads(Path("a.csv.manifest.json").read_text())["outputs"] == ["a.csv", "fifo"]
+    code, _, _ = run_cli([*argv, "x.csv"], capsys)
+    assert code == 0 and received == [Path("x.csv").read_bytes()]
 
 
 # ---------------------------------------------------------------------------
