@@ -7,12 +7,16 @@ subcommand's defaults, so flags still win.  CSV goes to stdout unless --out
 is given; whenever a run writes files it also writes a manifest
 (<first output>.manifest.json) recording the command line, resolved model,
 quadruple, scheme and seed, so the run can be replayed byte for byte.
-``_emit`` is the only writer: the CSV first, then --log or --svg, then the
-manifest, a new or regular file renamed into place once all are written.
+Each subcommand asks ``_resolve_model`` for the kind of model it needs (any,
+hidden-variable or order-resolved), and ``_resolve_scheme`` gives None for
+an analytic model, which the manifest records as scheme "analytic" with no
+seed.  ``_emit`` is the only writer: the CSV first, then --log or --svg,
+then the manifest, a new or regular file renamed into place once all are
+written.
 
-Exit codes: 0 success, 2 usage error (unknown model, malformed angles,
---grid with --mc, outputs that name the same file, a manifest that is not
-valid JSON), 3 numerical-invariant failure.
+Exit codes: 0 success, 2 usage error (unknown model or one of the wrong
+kind, malformed angles, --grid with --mc, outputs that name the same file,
+a manifest that is not valid JSON), 3 numerical-invariant failure.
 """
 
 from __future__ import annotations
@@ -127,9 +131,29 @@ def _merge_config(
     return args
 
 
-def _resolve_scheme(args: argparse.Namespace, dimension: int) -> Scheme:
+#: Why a model that lacks a ``ModelChoice`` field cannot run a command needing it.
+_MISSING = {
+    "hv": "provides analytic statistics only; this command needs a hidden-variable model",
+    "sequential": "does not resolve measurement order; this command needs an order-resolved model",
+}
+
+
+def _resolve_model(args: argparse.Namespace, needs: str | None = None) -> ModelChoice:
+    """The --model choice, once it has the ``ModelChoice`` field ``needs``
+    ("hv" or "sequential"; None accepts any model)."""
+    choice = resolve_model(args.model)
+    if needs is not None and getattr(choice, needs) is None:
+        raise ValueError(f"model {choice.name!r} {_MISSING[needs]}")
+    return choice
+
+
+def _resolve_scheme(args: argparse.Namespace, choice: ModelChoice) -> Scheme | None:
+    """The integration scheme of the flags; None for an analytic model."""
+    if choice.hv is None:
+        return None
     if args.mc is not None:
         return MonteCarloScheme(n=args.mc, seed=args.seed)
+    dimension = choice.hv.space.dimension
     resolution = args.grid if args.grid is not None else default_grid_resolution(dimension)
     return GridScheme(resolution=resolution)
 
@@ -152,14 +176,6 @@ def _resolve_quadruple(args: argparse.Namespace) -> AngleQuadruple:
     return AngleQuadruple.chain(args.theta)
 
 
-def _require_hidden_variables(choice: ModelChoice) -> None:
-    if choice.hv is None:
-        raise ValueError(
-            f"model {choice.name!r} provides analytic statistics only; "
-            "this command needs a hidden-variable model"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Serialization.
 
@@ -167,10 +183,6 @@ def _require_hidden_variables(choice: ModelChoice) -> None:
 def _fmt(value: object) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -191,14 +203,16 @@ def _emit(
     header: Sequence[str],
     rows: Iterable[Sequence[object]],
     *,
-    model: str | None,
     quadruple: AngleQuadruple | None,
-    scheme_label: str,
-    seed: int | None,
+    scheme: Scheme | str | None,
     parameters: dict[str, object],
     side_outputs: Sequence[tuple[str | None, Callable[[TextIO], object]]] = (),
 ) -> int:
     """Write the run's CSV, side outputs and manifest; the CLI's only writer.
+
+    The manifest's scheme and seed come from ``scheme``: its label and seed,
+    "analytic" and null for None (an analytic model), or for a str, that
+    label and --seed (the game's own label).
 
     ``side_outputs`` are ``(path, write)`` pairs, path None where the flag
     was not given.  Outputs that name the same file or a directory are
@@ -226,14 +240,20 @@ def _emit(
             if resolved.is_dir():
                 raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             targets[resolved] = path
+        if scheme is None:
+            label, seed = "analytic", None
+        elif isinstance(scheme, str):
+            label, seed = scheme, args.seed
+        else:
+            label, seed = scheme.label, scheme.seed
         manifest = {
             "tool": TOOL_NAME,
             "tool_version": __version__,
             "subcommand": args.subcommand,
             "command_line": list(argv),
-            "model": model,
+            "model": args.model,
             "quadruple": _quadruple_json(quadruple),
-            "scheme": scheme_label,
+            "scheme": label,
             "seed": seed,
             "parameters": parameters,
             "outputs": outputs,
@@ -345,77 +365,42 @@ def _svg_line_plot(title: str, series: Sequence[tuple[str, list[tuple[float, flo
 
 
 def _cmd_stats(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    choice = resolve_model(args.model)
+    choice = _resolve_model(args)
     quadruple = _resolve_quadruple(args)
-    if choice.kind == "quantum":
-        scheme_label = "analytic"
-        manifest_seed = None
+    scheme = _resolve_scheme(args, choice)
+    if scheme is None:
         stats = quantum_stats(quadruple)
     else:
-        assert choice.hv is not None and choice.distribution is not None
-        scheme = _resolve_scheme(args, choice.hv.space.dimension)
-        scheme_label = scheme.label
-        manifest_seed = scheme.seed
         stats = stats_from_model(choice.hv, choice.distribution, quadruple, scheme)
-    rows = []
-    for i, ((alice, bob), theta) in enumerate(
-        zip(quadruple.contexts(), quadruple.context_thetas())
-    ):
-        rows.append(
-            [
-                CONTEXT_LABELS[i],
-                alice.radians,
-                bob.radians,
-                theta,
-                stats.p_plus[i],
-                stats.p_minus[i],
-            ]
-        )
-    return _emit(
-        args,
-        argv,
-        ["context", "alice", "bob", "theta", "p_plus", "p_minus"],
-        rows,
-        model=choice.name,
-        quadruple=quadruple,
-        scheme_label=scheme_label,
-        seed=manifest_seed,
-        parameters={},
-    )
+    per_context = zip(quadruple.contexts(), quadruple.context_thetas(), stats.p_plus, stats.p_minus)
+    rows = [
+        [label, alice.radians, bob.radians, theta, p_plus, p_minus]
+        for label, ((alice, bob), theta, p_plus, p_minus) in zip(CONTEXT_LABELS, per_context)
+    ]
+    header = ["context", "alice", "bob", "theta", "p_plus", "p_minus"]
+    return _emit(args, argv, header, rows, quadruple=quadruple, scheme=scheme, parameters={})
 
 
 def _cmd_transition(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    choice = resolve_model(args.model)
-    _require_hidden_variables(choice)
-    assert choice.hv is not None and choice.distribution is not None
+    choice = _resolve_model(args, "hv")
     quadruple = _resolve_quadruple(args)
-    scheme = _resolve_scheme(args, choice.hv.space.dimension)
+    scheme = _resolve_scheme(args, choice)
     report = full_report(choice.hv, choice.distribution, quadruple, scheme)
     rows = [
         [name, value, std_error, scheme.label, scheme.seed]
         for name, value, std_error in report.csv_rows()
     ]
-    return _emit(
-        args,
-        argv,
-        ["name", "value", "std_error", "scheme", "seed"],
-        rows,
-        model=choice.name,
-        quadruple=quadruple,
-        scheme_label=scheme.label,
-        seed=scheme.seed,
-        parameters={},
-    )
+    header = ["name", "value", "std_error", "scheme", "seed"]
+    return _emit(args, argv, header, rows, quadruple=quadruple, scheme=scheme, parameters={})
 
 
-def _sweep_row(choice: ModelChoice, theta: float, scheme: Scheme) -> list[object]:
+def _sweep_row(choice: ModelChoice, theta: float, scheme: Scheme | None) -> list[object]:
     quadruple = AngleQuadruple.chain(theta)
-    if choice.kind == "quantum":
+    sigma_minus: float | None = None
+    avg_bits: float | None = None
+    if scheme is None:
         stats = quantum_stats(quadruple)
-        sigma_minus: float | None = None
-        avg_bits: float | None = None
     else:
-        assert choice.hv is not None and choice.distribution is not None
         report = full_report(choice.hv, choice.distribution, quadruple, scheme)
         stats = JointStats.from_p_plus(report.p_plus)
         sigma_minus = report.sigma_minus.value
@@ -426,21 +411,13 @@ def _sweep_row(choice: ModelChoice, theta: float, scheme: Scheme) -> list[object
 
 
 def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    choice = resolve_model(args.model)
+    choice = _resolve_model(args)
     theta_min, theta_max, steps = args.theta_min, args.theta_max, args.steps
     if steps < 2:
         raise ValueError(f"--steps must be at least 2, got {steps}")
-    if choice.kind == "quantum":
-        scheme: Scheme | None = None
-        scheme_label = "analytic"
-        manifest_seed = None
-    else:
-        assert choice.hv is not None
-        scheme = _resolve_scheme(args, choice.hv.space.dimension)
-        scheme_label = scheme.label
-        manifest_seed = scheme.seed
+    scheme = _resolve_scheme(args, choice)
     thetas = [theta_min + i * (theta_max - theta_min) / (steps - 1) for i in range(steps)]
-    rows = [_sweep_row(choice, theta, scheme) for theta in thetas]  # type: ignore[arg-type]
+    rows = [_sweep_row(choice, theta, scheme) for theta in thetas]
     header = ["theta", "hardy_bound", "unified", "bell_lhs", "sigma_minus", "avg_bits"]
 
     def write_svg(handle: TextIO) -> None:
@@ -456,10 +433,8 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         argv,
         header,
         rows,
-        model=choice.name,
         quadruple=None,
-        scheme_label=scheme_label,
-        seed=manifest_seed,
+        scheme=scheme,
         parameters={"theta_min": theta_min, "theta_max": theta_max, "steps": steps},
         side_outputs=[(args.svg, write_svg)],
     )
@@ -503,136 +478,86 @@ def _write_log(handle: TextIO, dimension: int, blocks: Iterable[CommBlock]) -> N
 
 
 def _cmd_comm(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    choice = resolve_model(args.model)
-    _require_hidden_variables(choice)
-    assert choice.hv is not None and choice.distribution is not None
+    choice = _resolve_model(args, "hv")
     quadruple = _resolve_quadruple(args)
     runs, seed = args.runs, args.seed
     summary, run_stream = simulate_game(choice.hv, choice.distribution, quadruple, runs, seed)
     dimension = choice.hv.space.dimension
 
-    header = ["n_runs", "seed", "average_bits", "bits_std_error", "sigma_minus_bound"]
-    row: list[object] = [summary.n_runs, summary.seed, summary.average_bits]
-    row += [summary.bits_std_error, summary.sigma_minus_bound]
-    for i in range(4):
-        header += [f"p_plus_{i + 1}", f"p_minus_{i + 1}", f"count_{i + 1}"]
-        row += [summary.stats.p_plus[i], summary.stats.p_minus[i], summary.context_counts[i]]
+    fields = ("n_runs", "seed", "average_bits", "bits_std_error", "sigma_minus_bound")
+    columns: list[tuple[str, object]] = [(field, getattr(summary, field)) for field in fields]
+    per_context = zip(summary.stats.p_plus, summary.stats.p_minus, summary.context_counts)
+    for i, values in enumerate(per_context, start=1):
+        columns += zip((f"p_plus_{i}", f"p_minus_{i}", f"count_{i}"), values)
+    header, row = zip(*columns)
     return _emit(
         args,
         argv,
         header,
         [row],
-        model=choice.name,
         quadruple=quadruple,
-        scheme_label=f"game(runs={runs},seed={seed})",
-        seed=seed,
+        scheme=f"game(runs={runs},seed={seed})",
         parameters={"runs": runs},
         side_outputs=[(args.log, lambda handle: _write_log(handle, dimension, run_stream))],
     )
 
 
 def _cmd_signal(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    choice = resolve_model(args.model)
-    _require_hidden_variables(choice)
-    assert choice.hv is not None and choice.distribution is not None
+    choice = _resolve_model(args, "hv")
     b_setting = make_angle(args.b_setting)
     a1 = make_angle(args.a1)
     a2 = make_angle(args.a2)
     dist = choice.distribution if args.q is None else biased_distribution(choice.hv, args.q)
-    scheme = _resolve_scheme(args, choice.hv.space.dimension)
+    scheme = _resolve_scheme(args, choice)
     # B's outcome at b as Alice switches a1 <-> a2: the bob@b transition set
     # of the quadruple (a1, a2, b, b).
     quadruple = AngleQuadruple(a=a1, a_prime=a2, b=b_setting, b_prime=b_setting)
     shift, gap = marginal_shift(choice.hv, dist, b_setting, a1, a2, scheme)
-    header = [
-        "model",
-        "distribution",
-        "b_setting",
-        "a1",
-        "a2",
-        "marginal_shift",
-        "balance_gap",
-        "scheme",
-    ]
-    row = [
-        choice.name,
-        dist.label,
-        b_setting.radians,
-        a1.radians,
-        a2.radians,
-        shift,
-        gap,
-        scheme.label,
-    ]
+    header, row = zip(
+        ("model", choice.name),
+        ("distribution", dist.label),
+        ("b_setting", b_setting.radians),
+        ("a1", a1.radians),
+        ("a2", a2.radians),
+        ("marginal_shift", shift),
+        ("balance_gap", gap),
+        ("scheme", scheme.label),
+    )
     return _emit(
         args,
         argv,
         header,
         [row],
-        model=choice.name,
         quadruple=quadruple,
-        scheme_label=scheme.label,
-        seed=scheme.seed,
+        scheme=scheme,
         parameters={"q": args.q, "distribution": dist.label},
     )
 
 
 def _cmd_moc(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    choice = resolve_model(args.model)
-    if choice.sequential is None:
-        raise ValueError(
-            f"model {choice.name!r} does not resolve measurement order; "
-            "this command needs an order-resolved model"
-        )
+    choice = _resolve_model(args, "sequential")
     quadruple = _resolve_quadruple(args)
-    scheme = _resolve_scheme(args, choice.sequential.space.dimension)
+    scheme = _resolve_scheme(args, choice)
     report = moc_demo(choice.sequential, quadruple, scheme)
     named = quadruple.named_angles()
-    header = [
-        "model",
-        "a",
-        "a_prime",
-        "b",
-        "b_prime",
-        "pair",
-        "wing",
-        "own",
-        "other",
-        "moc_measure",
-        "moc_std_error",
-        "induced_sigma_minus",
-        "induced_bell_lhs",
-        "quantum_required",
-        "scheme",
-    ]
-    row = [
-        choice.name,
-        named["a"].radians,
-        named["a'"].radians,
-        named["b"].radians,
-        named["b'"].radians,
-        report.pair,
-        report.wing,
-        report.own.radians,
-        report.other.radians,
-        report.moc_measure.value,
-        report.moc_measure.std_error,
-        report.induced_sigma_minus.value,
-        report.induced_bell_lhs,
-        report.quantum_required,
-        scheme.label,
-    ]
-    return _emit(
-        args,
-        argv,
-        header,
-        [row],
-        model=choice.name,
-        quadruple=quadruple,
-        scheme_label=scheme.label,
-        seed=scheme.seed,
-        parameters={},
+    header, row = zip(
+        ("model", choice.name),
+        ("a", named["a"].radians),
+        ("a_prime", named["a'"].radians),
+        ("b", named["b"].radians),
+        ("b_prime", named["b'"].radians),
+        ("pair", report.pair),
+        ("wing", report.wing),
+        ("own", report.own.radians),
+        ("other", report.other.radians),
+        ("moc_measure", report.moc_measure.value),
+        ("moc_std_error", report.moc_measure.std_error),
+        ("induced_sigma_minus", report.induced_sigma_minus.value),
+        ("induced_bell_lhs", report.induced_bell_lhs),
+        ("quantum_required", report.quantum_required),
+        ("scheme", scheme.label),
     )
+    return _emit(args, argv, header, [row], quadruple=quadruple, scheme=scheme, parameters={})
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:

@@ -324,7 +324,7 @@ class MeasureEstimate:
 
     @property
     def seed(self) -> int | None:
-        return self.scheme.seed if isinstance(self.scheme, MonteCarloScheme) else None
+        return self.scheme.seed
 
 
 def _check_seed(seed: int) -> None:
@@ -464,7 +464,6 @@ def sweep_statistics(
     n_stats: int,
     selection: np.ndarray,
     *,
-    domain: int = 0,
     cuts: GridCuts | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate several set measures from one density-weighted histogram.
@@ -497,7 +496,7 @@ def sweep_statistics(
     if isinstance(scheme, GridScheme):
         blocks = _grid_blocks(dimension, scheme.resolution, None if cuts is None else cuts.axes)
     elif isinstance(scheme, MonteCarloScheme):
-        blocks = ((coords, None) for coords in _mc_blocks(dimension, scheme.n, scheme.seed, domain))
+        blocks = ((coords, None) for coords in _mc_blocks(dimension, scheme.n, scheme.seed, 0))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     sums = np.zeros(n_stats, dtype=np.float64)
@@ -614,6 +613,11 @@ def check_normalization(dist: Distribution, scheme: Scheme) -> MeasureEstimate:
     return estimate_measure(dist, lambda coords: np.ones(coords.shape[0], dtype=bool), scheme)
 
 
+def _in_unit_cube(points: np.ndarray) -> bool:
+    """Whether every coordinate lies in [0, 1); NaN does not."""
+    return bool(np.all((points >= 0.0) & (points < 1.0)))
+
+
 def as_lambda_point(lam: object, space: LambdaSpace) -> np.ndarray:
     """Validate one lambda as a float vector of the space's dimension."""
     point = np.asarray(lam, dtype=np.float64)
@@ -621,7 +625,7 @@ def as_lambda_point(lam: object, space: LambdaSpace) -> np.ndarray:
         raise ValueError(
             f"lambda has shape {point.shape}, expected ({space.dimension},)"
         )
-    if np.any(point < 0.0) or np.any(point >= 1.0):
+    if not _in_unit_cube(point):
         raise ValueError(f"lambda coordinates must lie in [0, 1), got {point!r}")
     return point
 

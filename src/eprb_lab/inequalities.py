@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import AngleQuadruple, Distribution, HvModel, Scheme
+from .core import CONTEXT_LABELS, AngleQuadruple, Distribution, HvModel, Scheme
 from .core import sweep_statistics  # noqa: F401  (bench/tracer.py rebinds it here)
 from .transition import (
     CANONICAL_SETS,
@@ -266,7 +266,6 @@ def contradiction_trace(
     )
     # Alternate: context product fixes the other wing, then a transition set
     # carries that wing to the neighbouring context.  Set order is canonical.
-    context_names = ("ab", "a'b", "a'b'", "ab'")
     for leg in range(4):
         sign = signs[leg]
         value = sign * value
@@ -276,7 +275,7 @@ def contradiction_trace(
                 kind="context-sign",
                 observable=_CHAIN_OBSERVABLES[2 * leg + 1],
                 value=value,
-                rule=f"context {context_names[leg]} product is {sign:+d}",
+                rule=f"context {CONTEXT_LABELS[leg]} product is {sign:+d}",
             )
         )
         crossed = CANONICAL_SETS[leg]

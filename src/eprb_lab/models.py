@@ -266,15 +266,14 @@ def as_simultaneous(model: SequentialModel, first_wing: str = "A") -> HvModel:
 class ModelChoice:
     """A resolved CLI model name.
 
-    ``kind`` is "hv", "sequential" or "quantum".  For "hv" and "sequential",
-    ``hv`` and ``distribution`` are populated (sequential models are
-    collapsed A-first for the simultaneous-analysis commands and keep the
-    order-resolved form in ``sequential``).  The "quantum" source has no
-    hidden variables: only analytic statistics are available.
+    Every hidden-variable model populates ``hv`` and ``distribution``.  An
+    order-resolved model also populates ``sequential``; its ``hv`` is the
+    A-first collapse used by the simultaneous-analysis commands.  The
+    "quantum" source populates neither: it has no hidden variables, so only
+    analytic statistics are available.
     """
 
     name: str
-    kind: str
     hv: HvModel | None = None
     sequential: SequentialModel | None = None
     distribution: Distribution | None = None
@@ -287,13 +286,13 @@ def resolve_model(name: str) -> ModelChoice:
     "sequential-singlet" and "quantum".  Unknown names raise ValueError.
     """
     if name == "quantum":
-        return ModelChoice(name=name, kind="quantum")
+        return ModelChoice(name=name)
     if name == "local-coin":
         model = local_coin_model()
-        return ModelChoice(name=name, kind="hv", hv=model, distribution=model.equilibrium)
+        return ModelChoice(name=name, hv=model, distribution=model.equilibrium)
     if name == "singlet":
         model = singlet_model()
-        return ModelChoice(name=name, kind="hv", hv=model, distribution=model.equilibrium)
+        return ModelChoice(name=name, hv=model, distribution=model.equilibrium)
     if name.startswith(_BIAS_PREFIX):
         text = name[len(_BIAS_PREFIX):]
         try:
@@ -301,14 +300,11 @@ def resolve_model(name: str) -> ModelChoice:
         except ValueError:
             raise ValueError(f"malformed bias value {text!r} in model name {name!r}") from None
         model = singlet_model()
-        return ModelChoice(
-            name=name, kind="hv", hv=model, distribution=biased_distribution(model, q)
-        )
+        return ModelChoice(name=name, hv=model, distribution=biased_distribution(model, q))
     if name == "sequential-singlet":
         sequential = sequential_singlet_model()
         return ModelChoice(
             name=name,
-            kind="sequential",
             hv=as_simultaneous(sequential, "A"),
             sequential=sequential,
             distribution=sequential.equilibrium,

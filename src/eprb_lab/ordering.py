@@ -38,7 +38,7 @@ from .core import (
 )
 from .inequalities import JointStats, hardy_bounds, quantum_stats
 from .inequalities import stats_from_model  # noqa: F401  (bench/tracer.py rebinds it here)
-from .models import SequentialModel, WINGS
+from .models import SequentialModel, _check_wing
 from .transition import full_report
 
 #: The eight ordering sets as (wing, own setting, companion setting) names,
@@ -91,8 +91,7 @@ def moc_transition_measure(
 ) -> MeasureEstimate:
     """Measure of the lambdas where measuring first vs second changes the
     wing's outcome at ``own``, with the companion wing set to ``other``."""
-    if wing not in WINGS:
-        raise ValueError(f"wing must be one of {WINGS}, got {wing!r}")
+    _check_wing(wing)
 
     def indicator(coords: np.ndarray) -> np.ndarray:
         first_own = _first(model, wing, own, coords)

@@ -40,6 +40,7 @@ from .core import (
     Scheme,
     _check_seed,
     _checked_outcomes,
+    _in_unit_cube,
     context_outcomes,
     declared_cuts,
     derived_stream,
@@ -156,7 +157,7 @@ def _play_block(
     start = block_index * BLOCK_SIZE
     m = min(BLOCK_SIZE, n_runs - start)
     lam = dist.sampler(derived_stream(seed, _DOMAIN_LAMBDA, block_index), m)
-    if np.any(lam < 0.0) or np.any(lam >= 1.0):
+    if not _in_unit_cube(lam):
         raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
     key = 2 * derived_stream(seed, _DOMAIN_ALICE, block_index).integers(0, 2, m)
     key += derived_stream(seed, _DOMAIN_BOB, block_index).integers(0, 2, m)

@@ -346,7 +346,7 @@ def test_misdeclared_density_raises_naming_it():
 )
 def test_misdeclared_model_exits_three(argv, monkeypatch, capsys):
     model = misdeclared_singlet(64)
-    choice = ModelChoice(name="singlet", kind="hv", hv=model, distribution=model.equilibrium)
+    choice = ModelChoice(name="singlet", hv=model, distribution=model.equilibrium)
     monkeypatch.setattr("eprb_lab.cli.resolve_model", lambda name: choice)
     assert main(argv) == 3
     captured = capsys.readouterr()

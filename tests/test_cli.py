@@ -268,6 +268,82 @@ def test_biased_stats_bytes_are_pinned(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (
+            ["stats", "--model", "quantum"],
+            {
+                "out.csv": "9ef7869a4791d54f16b70bef774ace25135f9977b9871547d86b7fc431cabca3",
+                "out.csv.manifest.json": "5ccdb67b2e9ebace6b425370a694d32669cbeb6ae9c0c1dfae1b56b9f582b6b9",
+            },
+        ),
+        (
+            ["stats", "--model", "singlet+bias:q=0.7", "--mc", "20000", "--seed", "3"],
+            {
+                "out.csv": "969fcbcdc5ff340d9d09330b7541f2e5907f457a8ec538f21d393a8c18248493",
+                "out.csv.manifest.json": "331a6718db61ff8ec774fc39eea7bf3556640937af9d5706bd03f1c3fc0cdb54",
+            },
+        ),
+        (
+            ["transition", "--grid", "64"],
+            {
+                "out.csv": "7778ce11521ae81f5f9e48631d5f0b0811539ead7d744b379c8c6d005ab052d5",
+                "out.csv.manifest.json": "eef418f60411d82bd449da70a3a7d0803417df9cb94c7518c13463baf695f584",
+            },
+        ),
+        (
+            ["sweep", "--steps", "5", "--svg", "out.svg"],
+            {
+                "out.csv": "b8a71008340e2f9c1d8a7cba6fd3b21aa99d8ad3a76deb8e1447b9f7822183aa",
+                "out.csv.manifest.json": "d91fce5846a4e8c6e3b8a2bc0dbb8e599706e635cd06a487ea2d3b897a1a0a22",
+                "out.svg": "6c4a01beefeda2d1b40a8adec68c314912b4b908dbfc39366b3581d8ca44ba63",
+            },
+        ),
+        (
+            ["sweep", "--model", "singlet", "--steps", "3", "--grid", "64"],
+            {
+                "out.csv": "a3b461995d57a951ebda12088a208f9dafd5c4d3d5305fc9999ecda638709a53",
+                "out.csv.manifest.json": "e82d4f06010fe2c65511bd435496f98b0a49d625735f8c9f0616c9c6c1e808ab",
+            },
+        ),
+        (
+            ["comm", "--runs", "3000", "--seed", "7", "--log", "log.csv"],
+            {
+                "log.csv": "6bea2c9f231a4ac078e2f6709c16c6ed8ecb8bf6a9c51fad1aa76b9810bdb3c3",
+                "out.csv": "7065ac7261e5e9354787db343df5c23c8e3beeb6eb19eec4bf6c2fe673c5723f",
+                "out.csv.manifest.json": "dc59cb6fd4140d744ac29f5e6ef5b087bbbab79fd70e4ac06e90a028c1ba9339",
+            },
+        ),
+        (
+            ["signal", "--q", "0.7", "--grid", "64"],
+            {
+                "out.csv": "fa247f4240fd988419cfdc77b85333efb384b478af63ae04a16649093ab69a67",
+                "out.csv.manifest.json": "2721f17d29961900c220d9c647730d6fb8982b7d777e92147d010360567192d8",
+            },
+        ),
+        (
+            ["moc", "--mc", "20000", "--seed", "3"],
+            {
+                "out.csv": "7d8aba5f3926013ff4792e97627dddfe4583412b2b2071df7d01e580704a6e57",
+                "out.csv.manifest.json": "bb7070ef7c4a0f7e38fe38ab22f8cb370a2947eb1621a3480f47255b93c0169c",
+            },
+        ),
+    ],
+    ids=[
+        "stats-analytic", "stats-mc", "transition", "sweep-analytic-svg", "sweep-grid", "comm-log",
+        "signal", "moc",
+    ],
+)
+def test_every_subcommand_writes_pinned_files(argv, digests, tmp_path, monkeypatch, capsys):
+    # relative outputs keep each manifest's bytes independent of the directory
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli([*argv, "--out", "out.csv"], capsys)
+    assert code == 0 and out == ""
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in written.items()} == digests
+
+
+@pytest.mark.parametrize(
     "argv, sweeps",
     [
         (["sweep", "--model", "singlet", "--steps", "3", "--grid", "64"], 3),
@@ -782,10 +858,17 @@ def test_readme_lists_each_subcommands_flags():
 
 
 def test_usage_error_messages(capsys):
-    _, _, err = run_cli(["transition", "--model", "quantum"], capsys)
-    assert "analytic statistics only" in err
-    _, _, err = run_cli(["moc", "--model", "singlet"], capsys)
-    assert "does not resolve measurement order" in err
+    hidden = "provides analytic statistics only; this command needs a hidden-variable model"
+    ordered = "does not resolve measurement order; this command needs an order-resolved model"
+    for subcommand, model, message in (
+        ("transition", "quantum", hidden),
+        ("comm", "quantum", hidden),
+        ("signal", "quantum", hidden),
+        ("moc", "quantum", ordered),
+        ("moc", "singlet", ordered),
+    ):
+        code, out, err = run_cli([subcommand, "--model", model], capsys)
+        assert (code, out, err) == (2, "", f"eprb-lab: error: model {model!r} {message}\n")
 
 
 def test_invariant_failure_exits_three(monkeypatch, capsys):

@@ -304,6 +304,13 @@ def test_evaluate_pair_and_context_outcomes():
     assert (int(contexts[0][0][0]), int(contexts[0][1][0])) == pair
 
 
+@pytest.mark.parametrize("coordinate", [math.nan, 1.0, -0.1])
+def test_evaluate_pair_rejects_lambda_outside_the_cube(coordinate):
+    # NaN fails every comparison, so only a check that every coordinate is inside refuses it
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+        evaluate_pair(singlet_model(), make_angle(0), make_angle(1), (coordinate, 0.3))
+
+
 def test_evaluate_pair_rejects_wrong_dimension():
     model = singlet_model()
     with pytest.raises(ValueError):

@@ -168,25 +168,24 @@ def test_as_simultaneous_names_and_tags():
 
 
 def test_resolve_model_builtins():
-    assert resolve_model("quantum").kind == "quantum"
     assert resolve_model("quantum").hv is None
+    assert resolve_model("quantum").sequential is None
 
     coin = resolve_model("local-coin")
-    assert coin.kind == "hv"
+    assert coin.sequential is None
     assert coin.hv is not None and coin.hv.locality_tag == "local"
 
     singlet = resolve_model("singlet")
     assert singlet.distribution is singlet.hv.equilibrium
 
     seq = resolve_model("sequential-singlet")
-    assert seq.kind == "sequential"
     assert seq.sequential is not None
     assert seq.hv is not None and seq.hv.name == "sequential-singlet[A first]"
 
 
 def test_resolve_model_bias_parsing():
     choice = resolve_model("singlet+bias:q=0.75")
-    assert choice.kind == "hv"
+    assert choice.hv is not None and choice.sequential is None
     assert choice.distribution.label == "nonequilibrium:q=0.75"
     with pytest.raises(ValueError, match="malformed bias"):
         resolve_model("singlet+bias:q=abc")

@@ -238,6 +238,20 @@ def test_game_argument_errors():
         simulate_game(model, uniform_distribution(LambdaSpace(1)), CHAIN, 100, seed=1)
 
 
+@pytest.mark.parametrize("coordinate", [math.nan, 1.0, -0.1])
+def test_game_refuses_sampler_points_outside_the_cube(coordinate):
+    model = singlet_model()
+
+    def sampler(rng, n):
+        points = rng.random((n, 2))
+        points[n // 2, 0] = coordinate
+        return points
+
+    stray = dataclasses.replace(model.equilibrium, sampler=sampler)
+    with pytest.raises(ValueError, match="outside"):
+        simulate_game(model, stray, CHAIN, 1000, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Cost identity
 
