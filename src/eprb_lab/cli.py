@@ -148,14 +148,17 @@ def _resolve_model(args: argparse.Namespace, needs: str | None = None) -> ModelC
 
 
 def _resolve_scheme(args: argparse.Namespace, choice: ModelChoice) -> Scheme | None:
-    """The integration scheme of the flags; None for an analytic model."""
-    if choice.hv is None:
-        return None
+    """The integration scheme of the flags; None for an analytic model, which
+    still refuses the flags any other model refuses."""
     if args.mc is not None:
-        return MonteCarloScheme(n=args.mc, seed=args.seed)
-    dimension = choice.hv.space.dimension
-    resolution = args.grid if args.grid is not None else default_grid_resolution(dimension)
-    return GridScheme(resolution=resolution)
+        scheme: Scheme = MonteCarloScheme(n=args.mc, seed=args.seed)
+    elif args.grid is not None:
+        scheme = GridScheme(resolution=args.grid)
+    elif choice.hv is None:
+        return None
+    else:
+        scheme = GridScheme(resolution=default_grid_resolution(choice.hv.space.dimension))
+    return None if choice.hv is None else scheme
 
 
 def _resolve_quadruple(args: argparse.Namespace) -> AngleQuadruple:
@@ -290,8 +293,6 @@ def _svg_line_plot(title: str, series: Sequence[tuple[str, list[tuple[float, flo
     width, height = 720.0, 480.0
     left, right, top, bottom = 64.0, 16.0, 28.0, 44.0
     points = [(x, y) for _, pts in series for x, y in pts]
-    if not points:
-        raise ValueError("nothing to plot")
     x_min = min(x for x, _ in points)
     x_max = max(x for x, _ in points)
     y_min = min(y for _, y in points)
@@ -402,7 +403,7 @@ def _sweep_row(choice: ModelChoice, theta: float, scheme: Scheme | None) -> list
         stats = quantum_stats(quadruple)
     else:
         report = full_report(choice.hv, choice.distribution, quadruple, scheme)
-        stats = JointStats.from_p_plus(report.p_plus)
+        stats = JointStats(report.p_plus)
         sigma_minus = report.sigma_minus.value
         avg_bits, _ = average_bits_identity(report)
     bounds = hardy_bounds(stats)
@@ -685,11 +686,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(args_list)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse exits with 0 (--help, --version) or 2
+        return exc.code
     try:
         if args.subcommand == "replay":
             return _cmd_replay(args)

@@ -211,7 +211,7 @@ class Distribution:
     breakpoints: Cuts | None = None
 
 
-def uniform_distribution(space: LambdaSpace, label: str = "equilibrium") -> Distribution:
+def uniform_distribution(space: LambdaSpace) -> Distribution:
     def density(coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=np.float64)
         return np.ones(coords.shape[:-1], dtype=np.float64)
@@ -222,7 +222,7 @@ def uniform_distribution(space: LambdaSpace, label: str = "equilibrium") -> Dist
     return Distribution(
         space=space,
         density=density,
-        label=label,
+        label="equilibrium",
         sampler=sampler,
         breakpoints=((),) * space.dimension,
     )

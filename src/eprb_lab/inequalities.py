@@ -31,8 +31,6 @@ from .transition import (
     _pattern_sweep,
 )
 
-_COMPLEMENT_TOL = 1e-12
-
 #: The four all-but-one-plus sign patterns, in canonical bound order.
 ALPHA_SIGNS: tuple[tuple[int, int, int, int], ...] = (
     (1, 1, 1, -1),
@@ -49,26 +47,24 @@ BETA_SIGNS: tuple[tuple[int, int, int, int], ...] = tuple(
 
 @dataclass(frozen=True)
 class JointStats:
-    """The four context product distributions p_i^+ / p_i^-."""
+    """The four context product distributions: p_i^+ is stored (as floats)
+    and p_i^- = 1 - p_i^+ derived from it."""
 
     p_plus: tuple[float, float, float, float]
-    p_minus: tuple[float, float, float, float]
 
-    @classmethod
-    def from_p_plus(cls, p_plus: Sequence[float]) -> "JointStats":
-        plus = tuple(float(p) for p in p_plus)
-        return cls(p_plus=plus, p_minus=tuple(1.0 - p for p in plus))  # type: ignore[arg-type]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p_plus", tuple(float(p) for p in self.p_plus))
+
+    @property
+    def p_minus(self) -> tuple[float, float, float, float]:
+        return tuple(1.0 - p for p in self.p_plus)  # type: ignore[return-value]
 
     def validate(self) -> None:
-        if len(self.p_plus) != 4 or len(self.p_minus) != 4:
+        if len(self.p_plus) != 4:
             raise ValueError("JointStats needs exactly four contexts")
-        for i, (plus, minus) in enumerate(zip(self.p_plus, self.p_minus)):
-            if not (0.0 <= plus <= 1.0 and 0.0 <= minus <= 1.0):
-                raise ValueError(f"context {i + 1} probabilities outside [0, 1]: {plus}, {minus}")
-            if abs(plus + minus - 1.0) > _COMPLEMENT_TOL:
-                raise ValueError(
-                    f"context {i + 1} probabilities do not sum to 1: {plus} + {minus}"
-                )
+        for i, plus in enumerate(self.p_plus):
+            if not 0.0 <= plus <= 1.0:
+                raise ValueError(f"context {i + 1} probabilities outside [0, 1]: {plus}, {1.0 - plus}")
 
 
 def bound_for_signs(stats: JointStats, signs: Sequence[int]) -> float:
@@ -86,14 +82,21 @@ class HardyBounds:
     ``x`` and ``y`` are the two absolute-difference groups; ``unified`` is
     max(0, x-1) + max(0, y-1) and ``bell_lhs`` is x + y + |x - y|, whose
     excess over 2 is exactly twice the unified bound whenever positive.
+    Both are derived from ``x`` and ``y``.
     """
 
     alpha: tuple[float, float, float, float]
     beta: tuple[float, float, float, float]
     x: float
     y: float
-    unified: float
-    bell_lhs: float
+
+    @property
+    def unified(self) -> float:
+        return max(0.0, self.x - 1.0) + max(0.0, self.y - 1.0)
+
+    @property
+    def bell_lhs(self) -> float:
+        return self.x + self.y + abs(self.x - self.y)
 
     def all_eight(self) -> tuple[float, ...]:
         return self.alpha + self.beta
@@ -111,22 +114,13 @@ def hardy_bounds(stats: JointStats) -> HardyBounds:
     p, m = stats.p_plus, stats.p_minus
     x = abs(p[0] - m[1]) + abs(p[2] - p[3])
     y = abs(p[0] - p[1]) + abs(p[2] - m[3])
-    unified = max(0.0, x - 1.0) + max(0.0, y - 1.0)
-    bell_lhs = x + y + abs(x - y)
-    return HardyBounds(
-        alpha=alpha,  # type: ignore[arg-type]
-        beta=beta,  # type: ignore[arg-type]
-        x=x,
-        y=y,
-        unified=unified,
-        bell_lhs=bell_lhs,
-    )
+    return HardyBounds(alpha=alpha, beta=beta, x=x, y=y)  # type: ignore[arg-type]
 
 
 def quantum_stats(quadruple: AngleQuadruple) -> JointStats:
     """Analytic singlet statistics: p_i^- = (1 + cos theta_i)/2."""
     thetas = quadruple.context_thetas()
-    return JointStats.from_p_plus(tuple(0.5 * (1.0 - np.cos(t)) for t in thetas))
+    return JointStats(tuple(0.5 * (1.0 - np.cos(t)) for t in thetas))
 
 
 def stats_from_model(
@@ -135,7 +129,7 @@ def stats_from_model(
     """Measured product statistics of a model: the p_i^+ rows of the pattern
     sweep :func:`transition.full_report` reads, taken as they come."""
     values, _ = _pattern_sweep(model, dist, quadruple, scheme)
-    return JointStats.from_p_plus(tuple(float(v) for v in values[P_PLUS_ROWS]))
+    return JointStats(values[P_PLUS_ROWS])
 
 
 class ChshResult(NamedTuple):
@@ -190,17 +184,24 @@ class ContradictionTrace:
     """The full deduction chain and its verdict.
 
     ``consistent`` is True when the re-derived A(a,b) agrees with the
-    premise.  On contradiction, ``failing_step`` names the final check and
-    ``escape_options`` lists the sets whose single membership would restore
-    consistency (any one of the four: each flips the propagation parity).
-    ``escapes_used`` collects the sets the hypothesis already flipped on.
+    premise.  ``escapes_used`` collects the sets the hypothesis already
+    flipped on.  Derived from ``consistent``: on contradiction,
+    ``failing_step`` names the final check and ``escape_options`` lists the
+    sets whose single membership would restore consistency (any one of the
+    four: each flips the propagation parity).
     """
 
     steps: tuple[TraceStep, ...]
     consistent: bool
-    failing_step: str | None
-    escape_options: tuple[TransitionSetId, ...]
     escapes_used: tuple[TransitionSetId, ...]
+
+    @property
+    def failing_step(self) -> str | None:
+        return None if self.consistent else _CHAIN_OBSERVABLES[0]
+
+    @property
+    def escape_options(self) -> tuple[TransitionSetId, ...]:
+        return () if self.consistent else CANONICAL_SETS
 
     def render(self) -> str:
         lines = []
@@ -298,11 +299,6 @@ def contradiction_trace(
                 escaped=flips,
             )
         )
-    consistent = value == premise
     return ContradictionTrace(
-        steps=tuple(steps),
-        consistent=consistent,
-        failing_step=None if consistent else _CHAIN_OBSERVABLES[0],
-        escape_options=() if consistent else tuple(CANONICAL_SETS),
-        escapes_used=tuple(escapes_used),
+        steps=tuple(steps), consistent=value == premise, escapes_used=tuple(escapes_used)
     )

@@ -13,7 +13,7 @@ density changes only at u = 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,7 +94,8 @@ def local_coin_model() -> HvModel:
 
 
 def singlet_model() -> HvModel:
-    """A deterministic pair reproducing the singlet statistics at equilibrium.
+    """A deterministic pair reproducing the singlet statistics at equilibrium:
+    :func:`sequential_singlet_model` measured A first, renamed "singlet".
 
     A(a, b, (u, v)) = +1 iff u < 1/2, ignoring both settings.  B copies A
     and flips it exactly when v < (1 + cos theta_ab)/2, so the product is
@@ -102,24 +103,7 @@ def singlet_model() -> HvModel:
     All dependence on the remote setting sits on the B side; the A-side
     transition sets are empty by construction.
     """
-
-    def outcome_a(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
-        return _coin(coords, 0)
-
-    def outcome_b(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.float64)
-        threshold = anticorrelation_threshold(theta_between(a, b))
-        return _flip_below(_coin(coords, 0), coords[..., 1], threshold)
-
-    return HvModel(
-        name="singlet",
-        space=SPACE_2D,
-        outcome_a=outcome_a,
-        outcome_b=outcome_b,
-        equilibrium=uniform_distribution(SPACE_2D),
-        locality_tag="nonlocal",
-        breakpoints=_singlet_breakpoints,
-    )
+    return replace(as_simultaneous(sequential_singlet_model(), "A"), name="singlet")
 
 
 def biased_distribution(model: HvModel, q: float) -> Distribution:
@@ -195,7 +179,8 @@ def sequential_singlet_model() -> SequentialModel:
     exactly when v < (1 + cos theta)/2 with theta between the two settings.
     Both orderings reproduce the singlet statistics at equilibrium, but the
     outcome of a fixed wing depends on whether it went first or second on
-    the set {v < threshold}, which has measure (1 + cos theta)/2.
+    the set {v < threshold}, which has measure (1 + cos theta)/2.  Measured
+    A first, it is :func:`singlet_model`.
     """
 
     def first_outcome(wing: str, own: Angle, coords: np.ndarray) -> np.ndarray:

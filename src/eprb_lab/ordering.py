@@ -201,7 +201,7 @@ def moc_demo(model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme) 
 
     induced = induce_noncontextual(model)
     report = full_report(induced, induced.equilibrium, quadruple, scheme)
-    induced_stats = JointStats.from_p_plus(report.p_plus)
+    induced_stats = JointStats(report.p_plus)
     return MocReport(
         pair=f"{wing}@{own_name} (companion {other_name} first)",
         wing=wing,

@@ -131,18 +131,24 @@ class CommSummary:
 
     ``stats`` conditions on the realized settings (context i gets the runs
     that happened to play context i); ``context_counts`` are the run counts
-    behind each context.  ``sigma_minus_bound`` is the unified lower bound
-    evaluated on the empirical statistics: the cost certified by the game's
-    own data, to compare against ``average_bits``.
+    behind each context, and ``n_runs`` is their sum.  ``sigma_minus_bound``
+    is the unified lower bound evaluated on ``stats``: the cost certified by
+    the game's own data, to compare against ``average_bits``.
     """
 
-    n_runs: int
     seed: int
     average_bits: float
     bits_std_error: float
     stats: JointStats
     context_counts: tuple[int, int, int, int]
-    sigma_minus_bound: float
+
+    @property
+    def n_runs(self) -> int:
+        return sum(self.context_counts)
+
+    @property
+    def sigma_minus_bound(self) -> float:
+        return hardy_bounds(self.stats).unified
 
 
 def _play_block(
@@ -208,21 +214,15 @@ def simulate_game(
 
     bits_sum = int(histogram @ BITS_BY_KEY)
     bits_squares = int(histogram @ (BITS_BY_KEY * BITS_BY_KEY))
-    if n_runs > 1:
-        # The sums are exact integers, so the variance is rounded only once.
-        variance = (n_runs * bits_squares - bits_sum * bits_sum) / (n_runs * (n_runs - 1))
-        bits_std_error = math.sqrt(variance) / math.sqrt(n_runs)
-    else:
-        bits_std_error = 0.0
-    stats = JointStats.from_p_plus(tuple(p / count for p, count in zip(plus, counts)))
+    # Every context was played, so n_runs >= 4.  The sums are exact integers,
+    # so the variance is rounded only once.
+    variance = (n_runs * bits_squares - bits_sum * bits_sum) / (n_runs * (n_runs - 1))
     summary = CommSummary(
-        n_runs=n_runs,
         seed=seed,
         average_bits=bits_sum / n_runs,
-        bits_std_error=bits_std_error,
-        stats=stats,
+        bits_std_error=math.sqrt(variance) / math.sqrt(n_runs),
+        stats=JointStats(tuple(p / count for p, count in zip(plus, counts))),
         context_counts=tuple(counts),  # type: ignore[arg-type]
-        sigma_minus_bound=hardy_bounds(stats).unified,
     )
     stream = (
         _play_block(model, dist, quadruple, n_runs, seed, block_index)

@@ -278,8 +278,6 @@ class TransitionReport:
     p_i^+ of the same sweep, canonical context order.
     """
 
-    quadruple: AngleQuadruple
-    scheme: Scheme
     set_measures: Mapping[TransitionSetId, MeasureEstimate]
     partition_measures: Mapping[TransitionSetId, tuple[MeasureEstimate, MeasureEstimate]]
     region_measures: Mapping[str, MeasureEstimate]
@@ -335,8 +333,6 @@ def full_report(
     sigma_minus = next(estimates)
     p_plus = tuple(next(estimates).value for _ in range(4))
     return TransitionReport(
-        quadruple=quadruple,
-        scheme=scheme,
         set_measures=set_measures,
         partition_measures=partitions,
         region_measures=region_measures,

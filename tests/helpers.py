@@ -14,7 +14,7 @@ from eprb_lab.transition import LABELS_BY_MASK, TransitionSetId
 
 def random_joint_stats(rng: np.random.Generator) -> JointStats:
     """One uniform draw from the full statistics polytope."""
-    return JointStats.from_p_plus(tuple(float(v) for v in rng.random(4)))
+    return JointStats(tuple(float(v) for v in rng.random(4)))
 
 
 def assignment_from_contexts(

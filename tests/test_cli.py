@@ -23,6 +23,7 @@ import pytest
 from eprb_lab import __version__, cli
 from eprb_lab.cli import _subparsers, _write_log, build_parser, main
 from eprb_lab.core import AngleQuadruple, NumericalInvariantError
+from eprb_lab.models import MODEL_NAMES, resolve_model
 from eprb_lab.protocols import N_KEYS, CommBlock
 from helpers import reference_write_log
 
@@ -328,10 +329,26 @@ def test_biased_stats_bytes_are_pinned(capsys):
                 "out.csv.manifest.json": "bb7070ef7c4a0f7e38fe38ab22f8cb370a2947eb1621a3480f47255b93c0169c",
             },
         ),
+        (
+            ["transition", "--angles", "0.1,0.9,1.7,2.2", "--mc", "200000", "--seed", "9"],
+            {
+                "out.csv": "af96895e85b6314499542b535c1fd60a68740af5ade3d8e9636834d027ee5ecd",
+                "out.csv.manifest.json": "3c55cb94dbe549f64a7c3db33d81c5ea46095dcab80da8aa1e2bbcd15a4007bc",
+            },
+        ),
+        (
+            # one theta: the plot's x range is a single value
+            ["sweep", "--theta-min", "1", "--theta-max", "1", "--steps", "2", "--svg", "out.svg"],
+            {
+                "out.csv": "f8ca158b6bef9a686bbcfff5adeec8210d7ca73beef68d88d9974f60f1791752",
+                "out.csv.manifest.json": "a651b01ca0188e51e4e8fc2f72f31c1325b6d56be0c25705beb78ffccbb83457",
+                "out.svg": "5236972e51cd24f1e31a2f488868befff3c1a1b38a8eee2bbe88afe1f82811b2",
+            },
+        ),
     ],
     ids=[
         "stats-analytic", "stats-mc", "transition", "sweep-analytic-svg", "sweep-grid", "comm-log",
-        "signal", "moc",
+        "signal", "moc", "transition-angles-mc", "sweep-one-theta-svg",
     ],
 )
 def test_every_subcommand_writes_pinned_files(argv, digests, tmp_path, monkeypatch, capsys):
@@ -857,6 +874,18 @@ def test_readme_lists_each_subcommands_flags():
     assert documented == parsed
 
 
+def test_readme_model_names_resolve():
+    # every name of the README's Models table, and its bias example, is a --model value
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    section = lines[lines.index("### Models") : lines.index("### Conventions")]
+    table = [re.match(r"\| `([^`]+)` \|", line)[1] for line in section if line.startswith("| `")]
+    examples = re.findall(r"`([a-z-]+\+bias:q=[0-9.]+)`", "\n".join(section))
+    assert set(table) == {name for name in MODEL_NAMES if "<" not in name}
+    assert examples
+    for name in table + examples:
+        assert resolve_model(name).name == name
+
+
 def test_usage_error_messages(capsys):
     hidden = "provides analytic statistics only; this command needs a hidden-variable model"
     ordered = "does not resolve measurement order; this command needs an order-resolved model"
@@ -869,6 +898,15 @@ def test_usage_error_messages(capsys):
     ):
         code, out, err = run_cli([subcommand, "--model", model], capsys)
         assert (code, out, err) == (2, "", f"eprb-lab: error: model {model!r} {message}\n")
+    # the analytic model refuses the scheme flags a hidden-variable model refuses
+    for argv, message in (
+        (["stats", "--grid", "0"], "grid resolution must be a positive integer, got 0"),
+        (["sweep", "--mc", "-5", "--steps", "2"], "sample count must be a positive integer, got -5"),
+        (["stats", "--mc", "0", "--seed", "-3"], "sample count must be a positive integer, got 0"),
+    ):
+        for model in ("quantum", "singlet"):
+            code, out, err = run_cli([*argv, "--model", model], capsys)
+            assert (code, out, err) == (2, "", f"eprb-lab: error: {message}\n")
 
 
 def test_invariant_failure_exits_three(monkeypatch, capsys):

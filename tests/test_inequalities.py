@@ -33,7 +33,7 @@ from helpers import assignment_from_contexts, random_joint_stats
 CHAIN = AngleQuadruple.chain(math.pi / 4)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-stats_strategy = st.tuples(unit, unit, unit, unit).map(JointStats.from_p_plus)
+stats_strategy = st.tuples(unit, unit, unit, unit).map(JointStats)
 
 
 def g_shape(theta: float) -> float:
@@ -90,7 +90,7 @@ def test_unified_curve_mirrored():
 
 
 def test_all_half_stats():
-    bounds = hardy_bounds(JointStats.from_p_plus((0.5, 0.5, 0.5, 0.5)))
+    bounds = hardy_bounds(JointStats((0.5, 0.5, 0.5, 0.5)))
     assert bounds.all_eight() == (-1.0,) * 8
     assert bounds.unified == 0.0 and bounds.bell_lhs == 0.0
     assert not bounds.violated
@@ -98,11 +98,9 @@ def test_all_half_stats():
 
 def test_validate_rejects_bad_stats():
     with pytest.raises(ValueError, match="outside"):
-        hardy_bounds(JointStats.from_p_plus((1.2, 0.5, 0.5, 0.5)))
-    with pytest.raises(ValueError, match="sum to 1"):
-        hardy_bounds(JointStats(p_plus=(0.5,) * 4, p_minus=(0.4, 0.5, 0.5, 0.5)))
+        hardy_bounds(JointStats((1.2, 0.5, 0.5, 0.5)))
     with pytest.raises(ValueError, match="four"):
-        hardy_bounds(JointStats(p_plus=(0.5, 0.5), p_minus=(0.5, 0.5)))
+        hardy_bounds(JointStats((0.5, 0.5)))
 
 
 def test_stats_from_model_matches_quantum():
