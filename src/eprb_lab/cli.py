@@ -15,8 +15,9 @@ then the manifest, a new or regular file renamed into place once all are
 written.
 
 Exit codes: 0 success, 2 usage error (unknown model or one of the wrong
-kind, malformed angles, --grid with --mc, outputs that name the same file,
-a manifest that is not valid JSON), 3 numerical-invariant failure.
+kind, malformed angles, --grid with --mc, a seed outside [0, 2**64), outputs
+that name the same file, a manifest that is not valid JSON), 3
+numerical-invariant failure.
 """
 
 from __future__ import annotations
@@ -43,17 +44,11 @@ from .core import (
     MonteCarloScheme,
     NumericalInvariantError,
     Scheme,
+    check_seed,
     default_grid_resolution,
     make_angle,
 )
-from .inequalities import (
-    BETA_SIGNS,
-    JointStats,
-    bound_for_signs,
-    hardy_bounds,
-    quantum_stats,
-    stats_from_model,
-)
+from .inequalities import JointStats, hardy_bounds, quantum_stats, stats_from_model
 from .models import ModelChoice, biased_distribution, resolve_model
 from .ordering import moc_demo
 from .protocols import N_KEYS, CommBlock, average_bits_identity, marginal_shift, simulate_game
@@ -101,7 +96,8 @@ def _merge_config(
     parser: argparse.ArgumentParser, args: argparse.Namespace, argv: Sequence[str]
 ) -> argparse.Namespace:
     """Make the config file's entries the subcommand's defaults and parse
-    ``argv`` again, so flags win; refuse --grid with --mc from either source."""
+    ``argv`` again, so flags win; refuse --grid with --mc, or a bad --seed,
+    from either source."""
     grid, mc = getattr(args, "grid", None), getattr(args, "mc", None)
     if args.config:
         subparser = _subparsers(parser)[args.subcommand]
@@ -128,6 +124,8 @@ def _merge_config(
         args = parser.parse_args(argv)
     if getattr(args, "grid", None) is not None and getattr(args, "mc", None) is not None:
         raise ValueError("--grid and --mc are mutually exclusive")
+    if getattr(args, "mc", None) is None:  # with --mc the scheme checks the count, then the seed
+        check_seed(args.seed)
     return args
 
 
@@ -407,8 +405,7 @@ def _sweep_row(choice: ModelChoice, theta: float, scheme: Scheme | None) -> list
         sigma_minus = report.sigma_minus.value
         avg_bits, _ = average_bits_identity(report)
     bounds = hardy_bounds(stats)
-    hardy_bound = max(0.0, bound_for_signs(stats, BETA_SIGNS[0]))
-    return [theta, hardy_bound, bounds.unified, bounds.bell_lhs, sigma_minus, avg_bits]
+    return [theta, max(0.0, bounds.beta[0]), bounds.unified, bounds.bell_lhs, sigma_minus, avg_bits]
 
 
 def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:

@@ -291,7 +291,7 @@ class MonteCarloScheme:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n <= 0:
             raise ValueError(f"sample count must be a positive integer, got {self.n!r}")
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
     @property
     def label(self) -> str:
@@ -327,7 +327,7 @@ class MeasureEstimate:
         return self.scheme.seed
 
 
-def _check_seed(seed: int) -> None:
+def check_seed(seed: int) -> None:
     if not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
@@ -339,7 +339,7 @@ def derived_stream(seed: int, domain: int, block_index: int) -> np.random.Genera
     counter word, so the streams of different blocks can never overlap and
     the result of a partitioned sweep does not depend on the partitioning.
     """
-    _check_seed(seed)
+    check_seed(seed)
     key = np.array([seed, domain], dtype=np.uint64)
     counter = np.zeros(4, dtype=np.uint64)
     counter[3] = block_index

@@ -9,8 +9,8 @@ two groups of four combine into a single unified lower bound on
 P(sigma_minus), and the same quantities rearrange into a single Bell-type
 inequality whose violation is exactly twice the unified bound.
 
-Measured statistics (:func:`stats_from_model`) are the p_i^+ rows of the
-outcome-pattern sweep in :mod:`transition`; this module makes no sweep of its
+Measured statistics (:func:`stats_from_model`) are a view of
+:func:`transition.full_report`, its p_i^+; this module makes no sweep of its
 own.
 """
 
@@ -23,13 +23,7 @@ import numpy as np
 
 from .core import CONTEXT_LABELS, AngleQuadruple, Distribution, HvModel, Scheme
 from .core import sweep_statistics  # noqa: F401  (bench/tracer.py rebinds it here)
-from .transition import (
-    CANONICAL_SETS,
-    P_PLUS_ROWS,
-    MembershipVector,
-    TransitionSetId,
-    _pattern_sweep,
-)
+from .transition import CANONICAL_SETS, MembershipVector, TransitionSetId, full_report
 
 #: The four all-but-one-plus sign patterns, in canonical bound order.
 ALPHA_SIGNS: tuple[tuple[int, int, int, int], ...] = (
@@ -126,10 +120,9 @@ def quantum_stats(quadruple: AngleQuadruple) -> JointStats:
 def stats_from_model(
     model: HvModel, dist: Distribution, quadruple: AngleQuadruple, scheme: Scheme
 ) -> JointStats:
-    """Measured product statistics of a model: the p_i^+ rows of the pattern
-    sweep :func:`transition.full_report` reads, taken as they come."""
-    values, _ = _pattern_sweep(model, dist, quadruple, scheme)
-    return JointStats(values[P_PLUS_ROWS])
+    """Measured product statistics of a model: a view of
+    :func:`transition.full_report`, its p_i^+, kept as a named entry point."""
+    return JointStats(full_report(model, dist, quadruple, scheme).p_plus)
 
 
 class ChshResult(NamedTuple):

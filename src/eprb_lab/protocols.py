@@ -38,9 +38,9 @@ from .core import (
     MeasureEstimate,
     NumericalInvariantError,
     Scheme,
-    _check_seed,
     _checked_outcomes,
     _in_unit_cube,
+    check_seed,
     context_outcomes,
     declared_cuts,
     derived_stream,
@@ -192,7 +192,7 @@ def simulate_game(
     """
     if not isinstance(n_runs, int) or n_runs < 1:
         raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
-    _check_seed(seed)
+    check_seed(seed)
     if dist.sampler is None:
         raise ValueError(f"distribution {dist.label!r} has no sampler; the game needs one")
     if dist.space != model.space:

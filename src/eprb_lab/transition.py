@@ -25,9 +25,9 @@ patterns in lexicographic index-pair order, F for all four, "none" for zero.
 Every measure of a quadruple is a view over one histogram: a sweep bins each
 lambda by its 8 outcome bits (256 patterns), and each set, partition, region,
 sigma_minus and context statistic p_i^+ is a fixed selection of those bins.
-:func:`full_report` reads all of them, :func:`partition_measures` two, and
-:func:`inequalities.stats_from_model` the four p_i^+, all from the same
-private sweep, which is the only pattern sweep of the package.
+:func:`full_report` is the package's one reader of that histogram;
+:func:`partition_measures` and :func:`inequalities.stats_from_model` are
+views of its report.
 """
 
 from __future__ import annotations
@@ -199,8 +199,8 @@ if not np.array_equal(_ODD, np.prod(_SIGNS, axis=0) == -1):
 P_PLUS_SELECTION = _SIGNS == 1
 
 # Pattern selection of every statistic of the pattern sweep, in the order
-# full_report reads them: 4 sets, then (+,-) and (-,+) of each set, 16 regions
-# by mask, sigma_minus, and the 4 context p_i^+.
+# full_report, their only reader, takes them: 4 sets, then (+,-) and (-,+) of
+# each set, 16 regions by mask, sigma_minus, and the 4 context p_i^+.
 _REPORT_SELECTION = np.concatenate(
     [
         _MEMBERS,
@@ -211,12 +211,6 @@ _REPORT_SELECTION = np.concatenate(
     ]
 )
 
-# Row of each set's (+,-) statistic; its (-,+) statistic is the next row.
-_PARTITION_ROW = {sid: 4 + 2 * i for i, sid in enumerate(CANONICAL_SETS)}
-
-#: Rows of the context statistics p_i^+ in the pattern sweep's results.
-P_PLUS_ROWS = slice(len(_REPORT_SELECTION) - 4, len(_REPORT_SELECTION))
-
 
 def classify_lambda(model: HvModel, quadruple: AngleQuadruple, lam: object) -> MembershipVector:
     """Evaluate all four contexts at one lambda and fill the vector."""
@@ -225,45 +219,6 @@ def classify_lambda(model: HvModel, quadruple: AngleQuadruple, lam: object) -> M
     return MembershipVector(
         in_set=tuple(bool(m) for m in _MEMBERS[:, pattern]),  # type: ignore[arg-type]
         sign_pattern=tuple(int(s) for s in _SIGNS[:, pattern]),  # type: ignore[arg-type]
-    )
-
-
-def _pattern_sweep(
-    model: HvModel, dist: Distribution, quadruple: AngleQuadruple, scheme: Scheme
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values and standard errors of every statistic of the quadruple, in the
-    row order of ``_REPORT_SELECTION``, from one sweep over the outcome
-    patterns.  This is the package's only pattern sweep: the full report,
-    the partitions and the context statistics all read its rows."""
-    return sweep_statistics(
-        dist,
-        scheme,
-        pattern_classifier(model, quadruple),
-        N_PATTERNS,
-        _REPORT_SELECTION,
-        cuts=declared_cuts(model, dist, quadruple.named_angles().values()),
-    )
-
-
-def partition_measures(
-    model: HvModel,
-    dist: Distribution,
-    quadruple: AngleQuadruple,
-    which: TransitionSetId,
-    scheme: Scheme,
-) -> tuple[MeasureEstimate, MeasureEstimate]:
-    """(P(+,-), P(-,+)): the set split by flip direction.
-
-    (+,-) collects the lambdas whose outcome is +1 at the unprimed swap
-    setting and flips to -1 at the primed one; (-,+) is the reverse.  Both
-    are rows of the pattern sweep :func:`full_report` reads, so they add up
-    to the set measure exactly.
-    """
-    values, errors = _pattern_sweep(model, dist, quadruple, scheme)
-    row = _PARTITION_ROW[which]
-    return (
-        MeasureEstimate(float(values[row]), float(errors[row]), scheme),
-        MeasureEstimate(float(values[row + 1]), float(errors[row + 1]), scheme),
     )
 
 
@@ -318,12 +273,19 @@ def full_report(
 ) -> TransitionReport:
     """Classify every lambda once and report every measure from that sweep.
 
-    The sweep fills one histogram over the 256 outcome patterns and every
-    statistic is a selection of its bins, so additivity identities
-    (partitions summing to set measures, regions summing to sigma_minus)
-    hold exactly rather than approximately.
+    The sweep, the package's only pattern sweep, fills one histogram over
+    the 256 outcome patterns and every statistic is a selection of its bins,
+    so additivity identities (partitions summing to set measures, regions
+    summing to sigma_minus) hold exactly rather than approximately.
     """
-    values, errors = _pattern_sweep(model, dist, quadruple, scheme)
+    values, errors = sweep_statistics(
+        dist,
+        scheme,
+        pattern_classifier(model, quadruple),
+        N_PATTERNS,
+        _REPORT_SELECTION,
+        cuts=declared_cuts(model, dist, quadruple.named_angles().values()),
+    )
     estimates = iter(
         MeasureEstimate(float(value), float(error), scheme) for value, error in zip(values, errors)
     )
@@ -339,3 +301,20 @@ def full_report(
         sigma_minus=sigma_minus,
         p_plus=p_plus,  # type: ignore[arg-type]
     )
+
+
+def partition_measures(
+    model: HvModel,
+    dist: Distribution,
+    quadruple: AngleQuadruple,
+    which: TransitionSetId,
+    scheme: Scheme,
+) -> tuple[MeasureEstimate, MeasureEstimate]:
+    """(P(+,-), P(-,+)): the set split by flip direction.
+
+    (+,-) collects the lambdas whose outcome is +1 at the unprimed swap
+    setting and flips to -1 at the primed one; (-,+) is the reverse.  A view
+    of :func:`full_report`, kept as a named entry point, so the two add up to
+    the set measure exactly.
+    """
+    return full_report(model, dist, quadruple, scheme).partition_measures[which]

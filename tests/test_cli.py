@@ -81,6 +81,10 @@ def test_transition_singlet_chain(capsys):
     assert float(table["sum_t_minus_sigma"]["value"]) == 0.0
     assert table["sigma_minus"]["scheme"] == "grid(1024)"
     assert table["sigma_minus"]["seed"] == ""
+    # a single Monte Carlo sample has no spread to estimate
+    code, out, _ = run_cli(["transition", "--mc", "1", "--seed", "3"], capsys)
+    assert code == 0
+    assert {float(row["std_error"]) for row in rows_of(out)} == {0.0}
 
 
 def test_sweep_quantum_default_curve(capsys):
@@ -345,10 +349,19 @@ def test_biased_stats_bytes_are_pinned(capsys):
                 "out.svg": "5236972e51cd24f1e31a2f488868befff3c1a1b38a8eee2bbe88afe1f82811b2",
             },
         ),
+        (
+            # every column is 0: the plot's y range is a single value
+            ["sweep", "--model", "local-coin", "--steps", "3", "--grid", "16", "--svg", "out.svg"],
+            {
+                "out.csv": "816aec0daea8f51e847f226eb8b32ce808cb4696796f1779d891210164c0e714",
+                "out.csv.manifest.json": "1293ff505401abb1b593f2b0da39c6413dc1e1e1f6b0dcddf09aad1f6e10f079",
+                "out.svg": "05e67f67036c702d4c8e22be4aeb3632e00a3d663093e179aefff897465f5346",
+            },
+        ),
     ],
     ids=[
         "stats-analytic", "stats-mc", "transition", "sweep-analytic-svg", "sweep-grid", "comm-log",
-        "signal", "moc", "transition-angles-mc", "sweep-one-theta-svg",
+        "signal", "moc", "transition-angles-mc", "sweep-one-theta-svg", "sweep-flat-svg",
     ],
 )
 def test_every_subcommand_writes_pinned_files(argv, digests, tmp_path, monkeypatch, capsys):
@@ -799,6 +812,12 @@ def test_config_errors(tmp_path, capsys):
     code, _, err = run_cli(["sweep", "--config", str(bad_value)], capsys)
     assert code == 2 and "malformed" in err
 
+    bad_seed = tmp_path / "seed.conf"
+    bad_seed.write_text("seed = -1\n")
+    code, out, err = run_cli(["transition", "--grid", "8", "--config", str(bad_seed)], capsys)
+    message = "eprb-lab: error: seed must be an integer in [0, 2**64), got -1\n"
+    assert (code, out, err) == (2, "", message)
+
     code, _, _ = run_cli(["stats", "--config", str(tmp_path / "absent.conf")], capsys)
     assert code == 2
 
@@ -907,6 +926,19 @@ def test_usage_error_messages(capsys):
         for model in ("quantum", "singlet"):
             code, out, err = run_cli([*argv, "--model", model], capsys)
             assert (code, out, err) == (2, "", f"eprb-lab: error: {message}\n")
+    # every subcommand refuses a bad seed, whether or not it reads one
+    for argv, seed in (
+        (["transition", "--grid", "64", "--seed", "-1"], "-1"),
+        (["stats", "--model", "quantum", "--seed", "-1"], "-1"),
+        (["sweep", "--steps", "2", "--seed", "-1"], "-1"),
+        (["moc", "--grid", "8", "--seed", "-1"], "-1"),
+        (["signal", "--grid", "8", "--seed", str(2**64)], str(2**64)),
+        (["transition", "--mc", "10", "--seed", "-1"], "-1"),
+        (["comm", "--runs", "10", "--seed", "-1"], "-1"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        message = f"seed must be an integer in [0, 2**64), got {seed}"
+        assert (code, out, err) == (2, "", f"eprb-lab: error: {message}\n")
 
 
 def test_invariant_failure_exits_three(monkeypatch, capsys):

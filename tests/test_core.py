@@ -264,6 +264,9 @@ def test_bad_density_and_masks_rejected():
     )
     with pytest.raises(ValueError, match="negative"):
         estimate_measure(bad, half_space, GridScheme(8))
+    long = Distribution(space=SPACE, density=lambda c: np.ones(c.shape[0] + 1), label="long")
+    with pytest.raises(ValueError, match=r"shape \(65,\) for a block of shape \(64, 2\)"):
+        estimate_measure(long, half_space, GridScheme(8))
 
     # sweep statistics insist on one integer bin in [0, n_stats) per point
     inside = np.array([[False, True]])

@@ -9,6 +9,7 @@ import eprb_lab
 
 PACKAGE = Path(eprb_lab.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def _imported(tree: ast.Module) -> list[ast.alias]:
@@ -47,3 +48,32 @@ def test_all_lists_exactly_what_the_package_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     names = [_bound_name(alias) for alias in _imported(tree)]
     assert sorted(eprb_lab.__all__) == sorted([*names, "__version__"])
+
+
+def _tracer_rebinds() -> dict[str, set[str]]:
+    """module -> names that the benchmark tracer's ``_rebind([...], "name", ...)``
+    calls point at a wrapper in that module."""
+    rebinds: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(TRACER.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_rebind":
+            modules, name = node.args[0], node.args[1]
+            for module in modules.elts:  # type: ignore[attr-defined]
+                rebinds.setdefault(module.id, set()).add(name.value)  # type: ignore[attr-defined]
+    return rebinds
+
+
+def test_every_unused_import_is_a_tracer_shim():
+    # a `# noqa: F401` import exists only so the tracer can rebind the name in
+    # that module; once the tracer stops rebinding it, the shim is stale
+    rebinds = _tracer_rebinds()
+    assert rebinds
+    stale = []
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for alias in _imported(ast.parse(text)):
+            if "# noqa: F401" not in lines[alias.lineno - 1]:
+                continue
+            if _bound_name(alias) not in rebinds.get(path.stem, set()):
+                stale.append(f"{path.name}:{alias.lineno}: {_bound_name(alias)}")
+    assert stale == []
