@@ -693,6 +693,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalInvariantError as exc:
         print(f"{TOOL_NAME}: numerical invariant violated: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader of an output pipe went away: stop quietly, as a killed
+        # writer would, and send whatever stdout still buffers to the void
+        # so that interpreter shutdown does not fail on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2

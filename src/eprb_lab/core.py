@@ -29,8 +29,10 @@ Batch convention
 ----------------
 Outcome functions, densities and indicators accept a numpy array whose last
 axis holds the coordinates of one lambda (shape ``(..., d)``) and return an
-array of the leading shape.  The engine always calls them with 2-D blocks of
-at most ``2**20`` points.
+array of the leading shape.  The engine always calls them with 2-D chunks of
+at most ``CHUNK_SIZE`` = ``2**16`` points (up to 16 axes with declared cuts).
+A sweep runs in blocks of ``BLOCK_SIZE`` = ``2**20`` points, which fix every
+random stream and every per-bin sum, and fills each block a chunk at a time.
 
 Bin contract
 ------------
@@ -49,6 +51,7 @@ indicator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol, Sequence, Union
@@ -62,6 +65,11 @@ TAU = 2.0 * math.pi
 #: every block gets its own counter-derived stream; it is a constant so that
 #: runs are bit-identical.
 BLOCK_SIZE = 1 << 20
+
+#: Points per chunk.  A block is drawn (or laid out), weighed and classified
+#: one chunk at a time, so only one chunk's coordinates and outcome
+#: temporaries are alive at once; the results are those of whole blocks.
+CHUNK_SIZE = 1 << 16
 
 _MAX_GRID_CELLS = 1 << 26
 
@@ -197,7 +205,10 @@ class Distribution:
     total mass 1 over the hypercube.  ``sampler``, when present, draws exact
     samples ``(rng, n) -> array (n, d)``; it is required only by consumers
     that need realized lambdas (the communication game) rather than
-    integrals, which are always density-weighted uniform sweeps.
+    integrals, which are always density-weighted uniform sweeps.  It is
+    called repeatedly on one stream, a chunk at a time, and consecutive
+    calls must return what one call for their total would; both built-in
+    samplers do, since they transform ``rng.random((n, d))`` row by row.
 
     ``breakpoints``, when present, holds one tuple of cut positions per axis
     such that the density is constant on each open cell between the cuts
@@ -406,19 +417,30 @@ def _axis_runs(
     return midpoints[firsts], midpoints[lasts], lasts - firsts + 1
 
 
+#: The chunks of one block of a sweep, each ``(coords, sizes)`` as
+#: :func:`_grid_blocks` describes.
+Chunks = Iterator[tuple[np.ndarray, np.ndarray | None]]
+
+
+def _spans(start: int, stop: int, size: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` of the consecutive pieces of at most ``size`` that tile ``[start, stop)``."""
+    return [(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
+
+
 def _grid_blocks(
     dimension: int, resolution: int, cuts: Cuts | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Blocks of run boxes as ``(coords, sizes)``.
+) -> Iterator[tuple[int, Chunks]]:
+    """Blocks of run boxes as ``(n_boxes, chunks)``, each chunk ``(coords, sizes)``.
 
     A box is one run per axis (:func:`_axis_runs`), in row-major order; it
     holds ``sizes[j]`` midpoints.  ``coords`` stacks the box corners: the
     first or last midpoint of the box's run on every axis whose runs are not
     all single midpoints.  Its first ``len(sizes)`` rows are the all-first
     corners, the boxes' representatives; each further group of that many
-    rows is another corner of the same boxes.  When every box is a single
-    midpoint (always without cuts) ``sizes`` is None and the blocks are the
-    full grid in blocks of ``BLOCK_SIZE``.
+    rows is another corner of the same boxes.  A block holds up to
+    ``BLOCK_SIZE`` corners and a chunk up to ``CHUNK_SIZE``.  When every box
+    is a single midpoint (always without cuts) ``sizes`` is None and the
+    blocks are the full grid in blocks of ``BLOCK_SIZE``.
     """
     total = resolution**dimension
     if total > _MAX_GRID_CELLS:
@@ -430,9 +452,8 @@ def _grid_blocks(
     wide = [axis for axis, (_, _, lengths) in enumerate(runs) if np.any(lengths > 1)]
     n_corners = 1 << len(wide)
     n_boxes = math.prod(len(lengths) for _, _, lengths in runs)
-    step = max(1, BLOCK_SIZE // n_corners)
-    for start in range(0, n_boxes, step):
-        stop = min(start + step, n_boxes)
+
+    def boxes(start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
         flat = np.arange(start, stop, dtype=np.int64)
         coords = np.empty((n_corners, stop - start, dimension), dtype=np.float64)
         sizes = np.ones(stop - start, dtype=np.int64) if wide else None
@@ -444,14 +465,21 @@ def _grid_blocks(
                 sizes *= lengths[run]
                 bit = 1 << wide.index(axis)
                 coords[[c for c in range(n_corners) if c & bit], :, axis] = lasts[run]
-        yield coords.reshape(-1, dimension), None if sizes is None else sizes.astype(np.float64)
+        return coords.reshape(-1, dimension), None if sizes is None else sizes.astype(np.float64)
+
+    step, chunk = (max(1, size // n_corners) for size in (BLOCK_SIZE, CHUNK_SIZE))
+    for start, stop in _spans(0, n_boxes, step):
+        yield stop - start, itertools.starmap(boxes, _spans(start, stop, chunk))
 
 
-def _mc_blocks(dimension: int, n: int, seed: int, domain: int) -> Iterator[np.ndarray]:
-    for block_index, start in enumerate(range(0, n, BLOCK_SIZE)):
-        m = min(BLOCK_SIZE, n - start)
-        rng = derived_stream(seed, domain, block_index)
-        yield rng.random((m, dimension))
+def _mc_blocks(dimension: int, n: int, seed: int, domain: int) -> Iterator[tuple[int, Chunks]]:
+    """``n`` uniform samples in blocks as ``(n_points, chunks)``: each block
+    from its own counter-derived stream, drawn a chunk at a time as
+    ``(coords, None)``."""
+    for block_index, (start, stop) in enumerate(_spans(0, n, BLOCK_SIZE)):
+        draw = derived_stream(seed, domain, block_index).random
+        shapes = [(hi - lo, dimension) for lo, hi in _spans(start, stop, CHUNK_SIZE)]
+        yield stop - start, zip(map(draw, shapes), itertools.repeat(None))
 
 
 ClassifierFn = Callable[[np.ndarray], np.ndarray]
@@ -479,7 +507,9 @@ def sweep_statistics(
     Each bin total of a block is exactly numpy's pairwise
     ``weights[codes == bin].sum()``: it is summed over that bin's slice of
     the block sorted stably by bin.  A statistic is the sum of its selected
-    bin totals.
+    bin totals.  The classifier and the density see one chunk of a block at
+    a time (see ``CHUNK_SIZE``); their results fill block-length arrays, so
+    the totals are those of whole blocks, whatever the chunk size.
 
     Grid scheme: values are selected sums of density divided by the cell
     count once at the end, so uniform-density measures are exact ratios of
@@ -496,29 +526,45 @@ def sweep_statistics(
     if isinstance(scheme, GridScheme):
         blocks = _grid_blocks(dimension, scheme.resolution, None if cuts is None else cuts.axes)
     elif isinstance(scheme, MonteCarloScheme):
-        blocks = ((coords, None) for coords in _mc_blocks(dimension, scheme.n, scheme.seed, 0))
+        blocks = _mc_blocks(dimension, scheme.n, scheme.seed, 0)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     sums = np.zeros(n_stats, dtype=np.float64)
     squares = np.zeros(n_stats, dtype=np.float64)
-    for coords, sizes in blocks:
-        weights = _density_values(dist, coords)
-        codes = _bin_codes(masks_fn, coords, n_stats)
-        if sizes is not None:
-            codes, weights = _box_values(coords, codes, weights, len(sizes), cuts, dist)
-            weights = weights * sizes
+
+    def add_block(length: int, chunks: Chunks) -> None:
+        # the block's arrays are locals of this call, freed before the next block is filled
+        weights = np.empty(length, dtype=np.float64)
+        codes = None
+        lo = 0
+        for coords, sizes in chunks:
+            chunk_weights = _density_values(dist, coords)
+            chunk_codes = _bin_codes(masks_fn, coords, n_stats)
+            if sizes is not None:
+                chunk_codes, chunk_weights = _box_values(
+                    coords, chunk_codes, chunk_weights, sizes, cuts, dist
+                )
+            if codes is None:  # the classifier's own dtype keeps the stable argsort a radix sort
+                codes = np.empty(length, dtype=chunk_codes.dtype)
+            hi = lo + len(chunk_codes)
+            weights[lo:hi] = chunk_weights
+            np.copyto(codes[lo:hi], chunk_codes, casting="safe")
+            lo = hi
         counts = np.bincount(codes, minlength=n_stats)
         if np.all(weights == 1.0):
             # every bin total is an exact count, whatever the summation order
-            sums += counts
-            squares += counts
-            continue
+            sums[:] += counts
+            squares[:] += counts
+            return
         ordered = weights[np.argsort(codes, kind="stable")]
         stops = np.cumsum(counts)
         for k in np.flatnonzero(counts):
             part = ordered[stops[k] - counts[k] : stops[k]]
             sums[k] += part.sum()
             squares[k] += (part * part).sum()
+
+    for length, chunks in blocks:
+        add_block(length, chunks)
 
     def selected(totals: np.ndarray) -> np.ndarray:
         return np.where(selection, totals, 0.0).sum(axis=1)
@@ -542,15 +588,15 @@ def _box_values(
     coords: np.ndarray,
     codes: np.ndarray,
     weights: np.ndarray,
-    n_boxes: int,
+    sizes: np.ndarray,
     cuts: GridCuts | None,
     dist: Distribution,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The bin and density of each box's representative, once every corner
-    of the box agrees with it on both."""
+    """The bin of each box's representative and its density times the box
+    size, once every corner of the box agrees with it on bin and density."""
     assert cuts is not None  # boxes larger than one midpoint come from cuts
-    codes = codes.reshape(-1, n_boxes)
-    weights = weights.reshape(-1, n_boxes)
+    codes = codes.reshape(-1, len(sizes))
+    weights = weights.reshape(-1, len(sizes))
     for values, culprit in (
         (codes, f"the outcomes of model {cuts.model!r} change"),
         (weights, f"density {dist.label!r} changes"),
@@ -562,7 +608,7 @@ def _box_values(
                 f"{culprit} inside the grid cell of lambda = {coords[box].tolist()} "
                 "between its declared breakpoints"
             )
-    return codes[0], weights[0]
+    return codes[0], weights[0] * sizes
 
 
 def _density_values(dist: Distribution, coords: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ import numpy as np
 from . import core
 from .core import (
     BLOCK_SIZE,
+    CHUNK_SIZE,
     Angle,
     AngleQuadruple,
     Distribution,
@@ -40,6 +41,7 @@ from .core import (
     Scheme,
     _checked_outcomes,
     _in_unit_cube,
+    _spans,
     check_seed,
     context_outcomes,
     declared_cuts,
@@ -103,7 +105,7 @@ def _by_key(table: np.ndarray) -> property:
 
 @dataclass(frozen=True, eq=False)
 class CommBlock:
-    """The runs of one sampling block.
+    """The runs of one chunk of a sampling block.
 
     Row j is run ``start + j``: the shared lambda ``lam[j]`` and the run key
     ``key[j] = (2 * alice + bob) * 256 + pattern``, where a choice is 0 for
@@ -158,18 +160,23 @@ def _play_block(
     n_runs: int,
     seed: int,
     block_index: int,
-) -> CommBlock:
-    """Play the runs of one sampling block from its own counter-based streams."""
+) -> Iterator[CommBlock]:
+    """Play the runs of one sampling block from its own counter-based
+    streams, one ``CHUNK_SIZE`` chunk of runs at a time."""
     start = block_index * BLOCK_SIZE
-    m = min(BLOCK_SIZE, n_runs - start)
-    lam = dist.sampler(derived_stream(seed, _DOMAIN_LAMBDA, block_index), m)
-    if not _in_unit_cube(lam):
-        raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
-    key = 2 * derived_stream(seed, _DOMAIN_ALICE, block_index).integers(0, 2, m)
-    key += derived_stream(seed, _DOMAIN_BOB, block_index).integers(0, 2, m)
-    key *= N_PATTERNS
-    key += pattern_code(context_outcomes(model, quadruple, lam))
-    return CommBlock(start=start, lam=lam, key=key)
+    lam_rng, alice_rng, bob_rng = (
+        derived_stream(seed, domain, block_index)
+        for domain in (_DOMAIN_LAMBDA, _DOMAIN_ALICE, _DOMAIN_BOB)
+    )
+    for lo, hi in _spans(start, min(start + BLOCK_SIZE, n_runs), CHUNK_SIZE):
+        lam = dist.sampler(lam_rng, hi - lo)
+        if not _in_unit_cube(lam):
+            raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
+        key = 2 * alice_rng.integers(0, 2, hi - lo)
+        key += bob_rng.integers(0, 2, hi - lo)
+        key *= N_PATTERNS
+        key += pattern_code(context_outcomes(model, quadruple, lam))
+        yield CommBlock(start=lo, lam=lam, key=key)
 
 
 def simulate_game(
@@ -179,16 +186,17 @@ def simulate_game(
     n_runs: int,
     seed: int,
 ) -> tuple[CommSummary, Iterator[CommBlock]]:
-    """Play the game for n_runs and return the summary plus a lazy block stream.
+    """Play the game for n_runs and return the summary plus a lazy run stream.
 
     Lambdas come from ``dist.sampler`` and the two setting coins from
     domain-separated streams of the same seed, one stream triple per
     ``BLOCK_SIZE`` runs, so a (seed, n_runs) pair fixes every run exactly.
-    The summary's counts, ``p_plus`` and bit sums are exact integer sums
-    over one ``N_KEYS``-bin histogram of the run keys, filled one block at a
-    time, so memory stays at one block whatever ``n_runs`` is.  The returned
-    iterator regenerates the blocks on demand and yields one
-    :class:`CommBlock` per block; consuming it is optional.
+    Each block is played ``CHUNK_SIZE`` runs at a time.  The summary's
+    counts, ``p_plus`` and bit sums are exact integer sums over one
+    ``N_KEYS``-bin histogram of the run keys, filled one chunk at a time, so
+    memory stays at one chunk whatever ``n_runs`` is.  The returned iterator
+    plays the runs again on demand and yields one :class:`CommBlock` per
+    chunk; consuming it is optional.
     """
     if not isinstance(n_runs, int) or n_runs < 1:
         raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
@@ -198,12 +206,13 @@ def simulate_game(
     if dist.space != model.space:
         raise ValueError("distribution and model live on different spaces")
 
-    n_blocks = -(-n_runs // BLOCK_SIZE)
+    def play() -> Iterator[CommBlock]:
+        for block_index in range(-(-n_runs // BLOCK_SIZE)):
+            yield from _play_block(model, dist, quadruple, n_runs, seed, block_index)
+
     histogram = np.zeros(N_KEYS, dtype=np.int64)
-    for block_index in range(n_blocks):
-        histogram += np.bincount(
-            _play_block(model, dist, quadruple, n_runs, seed, block_index).key, minlength=N_KEYS
-        )
+    for chunk in play():
+        histogram += np.bincount(chunk.key, minlength=N_KEYS)
 
     in_context = CONTEXT_BY_KEY[:, None] == np.arange(4)
     counts = (histogram @ in_context).tolist()
@@ -224,11 +233,7 @@ def simulate_game(
         stats=JointStats(tuple(p / count for p, count in zip(plus, counts))),
         context_counts=tuple(counts),  # type: ignore[arg-type]
     )
-    stream = (
-        _play_block(model, dist, quadruple, n_runs, seed, block_index)
-        for block_index in range(n_blocks)
-    )
-    return summary, stream
+    return summary, play()
 
 
 def average_bits_identity(report: TransitionReport) -> tuple[float, float]:

@@ -159,8 +159,21 @@ def test_comm_log_and_summary_bytes_are_pinned(tmp_path, capsys):
             "d754dfd22df149062ca06c5fc4d6d2a39046258c0c49b23faecce8877e8ef70f",
             "d6de1128b60d5bb2f525870bf640fd81ea46edafaf8b8589613b96bb3b7eaf62",
         ),
+        # more runs than one 65,536-run chunk of a block
+        (
+            ["--runs", "200000", "--seed", "5"],
+            "bb84f8c0679f5b84095cd0405809aef10d527d8ad72929363ffe7c84852bd1ee",
+            "0fd70e59cb767b787a0627c4227164a08c0a4abc8d076dede18e36e866abc2e0",
+        ),
+        # the same summary: the bias moves only the coin that orders the wings,
+        # and neither a product A*B nor a bit cost depends on that order
+        (
+            ["--model", "singlet+bias:q=0.7", "--runs", "200000", "--seed", "5"],
+            "648abc8257de81ed880e8476da30085b0023410c03d84e0ed763b134e647e3a3",
+            "0fd70e59cb767b787a0627c4227164a08c0a4abc8d076dede18e36e866abc2e0",
+        ),
     ],
-    ids=["biased", "local-coin"],
+    ids=["biased", "local-coin", "chunks", "biased-chunks"],
 )
 def test_comm_log_bytes_on_biased_and_local_paths_are_pinned(
     argv, log_digest, out_digest, tmp_path, capsys
@@ -170,6 +183,14 @@ def test_comm_log_bytes_on_biased_and_local_paths_are_pinned(
     assert code == 0
     assert hashlib.sha256(log.read_bytes()).hexdigest() == log_digest
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == out_digest
+
+
+def test_two_block_comm_summary_is_pinned(capsys):
+    code, out, _ = run_cli(["comm", "--runs", "1048713", "--seed", "5"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "de1575a4b4e49cc4f85fd3dc9c8b73b9cd719893774f930f1a6bf76f6374284a"
+    )
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -747,6 +768,28 @@ def test_an_existing_fifo_is_written_in_place(tmp_path, monkeypatch, capsys):
     assert json.loads(Path("a.csv.manifest.json").read_text())["outputs"] == ["a.csv", "fifo"]
     code, _, _ = run_cli([*argv, "x.csv"], capsys)
     assert code == 0 and received == [Path("x.csv").read_bytes()]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_a_closed_output_pipe_exits_141_quietly(tmp_path):
+    # like `... --log /dev/stdout | head -1`: the reader leaves long before the
+    # log's 200,000 rows are written
+    import eprb_lab
+
+    source = os.path.dirname(os.path.dirname(eprb_lab.__file__))
+    argv = ["comm", "--runs", "200000", "--seed", "3", "--out", "c.csv", "--log", "/dev/stdout"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "eprb_lab", *argv],
+        cwd=tmp_path,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": source},
+    )
+    assert child.stdout.readline().startswith(b"run,lambda_0,")
+    child.stdout.close()
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == b""
+    child.stderr.close()
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from eprb_lab.core import (
     theta_between,
     uniform_distribution,
 )
-from eprb_lab.models import local_coin_model, singlet_model
+from eprb_lab.models import biased_distribution, local_coin_model, singlet_model
 
 SPACE = LambdaSpace(2)
 UNIFORM = uniform_distribution(SPACE)
@@ -252,6 +252,31 @@ def test_derived_stream_separation():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# Sweeps and the game draw each block's stream a chunk at a time; these
+# sizes are not multiples of the four 64-bit words of one Philox counter.
+CHUNKS = [5, 1, 4098, 3, 7, 65537]
+
+STREAM_DRAWS = {
+    "random-d1": lambda rng, m: rng.random((m, 1)),
+    "random-d2": lambda rng, m: rng.random((m, 2)),
+    "random-d3": lambda rng, m: rng.random((m, 3)),
+    "coins": lambda rng, m: rng.integers(0, 2, m),
+    "uniform-sampler": UNIFORM.sampler,
+    **{
+        f"biased-sampler-q{q}": biased_distribution(singlet_model(), q).sampler
+        for q in (0.0, 0.3, 1.0)
+    },
+}
+
+
+@pytest.mark.parametrize("draw", STREAM_DRAWS.values(), ids=STREAM_DRAWS.keys())
+def test_chunked_draws_equal_one_draw(draw):
+    chunked = derived_stream(7, 11, 2)
+    pieces = [draw(chunked, m) for m in CHUNKS]
+    whole = draw(derived_stream(7, 11, 2), sum(CHUNKS))
+    assert np.array_equal(np.concatenate(pieces), whole)
 
 
 def test_bad_density_and_masks_rejected():

@@ -17,9 +17,8 @@ from eprb_lab.core import (
     AngleQuadruple,
     GridScheme,
     MonteCarloScheme,
-    _grid_blocks,
-    _mc_blocks,
     context_outcomes,
+    derived_stream,
 )
 from eprb_lab.inequalities import stats_from_model
 from eprb_lab.models import as_simultaneous, resolve_model, sequential_singlet_model
@@ -38,12 +37,24 @@ TWO_BLOCKS = BLOCK_SIZE + 137
 BIASED_RTOL = 1e-13
 
 
+def reference_blocks(dimension, scheme):
+    """The sweep's blocks of points, each laid out or drawn in one piece:
+    the full midpoint grid in row-major order, or one draw per block from
+    the block's own stream."""
+    if isinstance(scheme, GridScheme):
+        mids = (np.arange(scheme.resolution) + 0.5) / scheme.resolution
+        grid = np.stack(np.meshgrid(*[mids] * dimension, indexing="ij"), axis=-1)
+        grid = grid.reshape(-1, dimension)
+        return [grid[start : start + BLOCK_SIZE] for start in range(0, len(grid), BLOCK_SIZE)]
+    return [
+        derived_stream(scheme.seed, 0, index).random((min(BLOCK_SIZE, scheme.n - start), dimension))
+        for index, start in enumerate(range(0, scheme.n, BLOCK_SIZE))
+    ]
+
+
 def reference_sweep(dist, scheme, masks_fn):
     """Statistic k is the density summed over ``masks[k]``, block by block."""
-    if isinstance(scheme, GridScheme):
-        blocks = (coords for coords, _ in _grid_blocks(dist.space.dimension, scheme.resolution))
-    else:
-        blocks = _mc_blocks(dist.space.dimension, scheme.n, scheme.seed, 0)
+    blocks = reference_blocks(dist.space.dimension, scheme)
     sums = squares = None
     for coords in blocks:
         weights = np.asarray(dist.density(coords), dtype=np.float64)
@@ -151,7 +162,7 @@ def test_views_match_boolean_mask_sums(name, scheme):
 def test_biased_case_has_non_trivial_weights_and_patterns():
     # the tolerance case must exercise the sorted-bin path on several bins
     model, dist = _models()["biased"]
-    coords, _ = next(_grid_blocks(2, 256))
+    (coords,) = reference_blocks(2, GridScheme(256))
     assert len(np.unique(dist.density(coords))) == 2
     values, _ = report_arrays(full_report(model, dist, QUADRUPLE, GridScheme(256)))
     assert np.count_nonzero(values[12:28]) >= 2

@@ -165,7 +165,8 @@ def test_game_multi_block_run_count():
         context = np.array([[0, 3], [1, 2]])[block.alice_choice, block.bob_choice]
         counts += np.bincount(context, minlength=4)
         plus += np.bincount(context[block.outcome_a == block.outcome_b], minlength=4)
-    assert sizes == [BLOCK_SIZE, 137]
+    # one chunk of 65,536 runs at a time, each starting where the last ended
+    assert sizes == [65536] * 16 + [137]
     assert tuple(counts.tolist()) == summary.context_counts
     assert tuple((plus / counts).tolist()) == summary.stats.p_plus
 
@@ -181,7 +182,9 @@ def test_game_memory_is_one_block():
         finally:
             tracemalloc.stop()
 
+    # a block is played a chunk at a time: the peak is a few chunks' worth
     one, three = peak(BLOCK_SIZE), peak(3 * BLOCK_SIZE)
+    assert one < 8 << 20
     assert three <= 1.5 * one
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eprb_lab.core import (
+    BLOCK_SIZE,
     TAU,
     AngleQuadruple,
     GridScheme,
@@ -16,7 +18,7 @@ from eprb_lab.core import (
     make_angle,
     theta_between,
 )
-from eprb_lab.models import local_coin_model, singlet_model
+from eprb_lab.models import local_coin_model, resolve_model, singlet_model
 from eprb_lab.transition import (
     ALL_REGION_LABELS,
     CANONICAL_SETS,
@@ -217,6 +219,24 @@ def test_full_report_monte_carlo():
     target = math.sqrt(2) / 2
     assert abs(report.sigma_minus.value - target) < 4 * report.sigma_minus.std_error
     assert report.seed == 4
+
+
+def test_monte_carlo_report_memory_is_one_block():
+    # a biased density takes the sorted-bin path, the largest per-block arrays;
+    # a finished block's arrays are freed before the next block is filled
+    choice = resolve_model("singlet+bias:q=0.8")
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            full_report(choice.hv, choice.distribution, CHAIN, MonteCarloScheme(n, seed=4))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(BLOCK_SIZE), peak(3 * BLOCK_SIZE)
+    assert abs(three - one) <= 1 << 20
+    assert three < 32 << 20
 
 
 def test_report_rows_and_json():
