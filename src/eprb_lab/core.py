@@ -46,7 +46,9 @@ of histogram: the 256 outcome patterns of a quadruple (every transition-set
 measure and context statistic, see :mod:`transition`), the four outcome
 pairs behind a signal-locality check, and the 256 ordering-set codes of a
 sequential model; :func:`estimate_measure` is the two-bin case for a bare
-indicator.
+indicator.  Per block, each bin counts its weights of exactly 1 and keeps
+the others, in block order, in an array grown chunk by chunk; no other array
+is a block long.
 """
 
 from __future__ import annotations
@@ -429,8 +431,8 @@ def _spans(start: int, stop: int, size: int) -> list[tuple[int, int]]:
 
 def _grid_blocks(
     dimension: int, resolution: int, cuts: Cuts | None = None
-) -> Iterator[tuple[int, Chunks]]:
-    """Blocks of run boxes as ``(n_boxes, chunks)``, each chunk ``(coords, sizes)``.
+) -> Iterator[Chunks]:
+    """Blocks of run boxes, each an iterator of chunks ``(coords, sizes)``.
 
     A box is one run per axis (:func:`_axis_runs`), in row-major order; it
     holds ``sizes[j]`` midpoints.  ``coords`` stacks the box corners: the
@@ -469,17 +471,17 @@ def _grid_blocks(
 
     step, chunk = (max(1, size // n_corners) for size in (BLOCK_SIZE, CHUNK_SIZE))
     for start, stop in _spans(0, n_boxes, step):
-        yield stop - start, itertools.starmap(boxes, _spans(start, stop, chunk))
+        yield itertools.starmap(boxes, _spans(start, stop, chunk))
 
 
-def _mc_blocks(dimension: int, n: int, seed: int, domain: int) -> Iterator[tuple[int, Chunks]]:
-    """``n`` uniform samples in blocks as ``(n_points, chunks)``: each block
+def _mc_blocks(dimension: int, n: int, seed: int, domain: int) -> Iterator[Chunks]:
+    """``n`` uniform samples in blocks of chunks: each block
     from its own counter-derived stream, drawn a chunk at a time as
     ``(coords, None)``."""
     for block_index, (start, stop) in enumerate(_spans(0, n, BLOCK_SIZE)):
         draw = derived_stream(seed, domain, block_index).random
         shapes = [(hi - lo, dimension) for lo, hi in _spans(start, stop, CHUNK_SIZE)]
-        yield stop - start, zip(map(draw, shapes), itertools.repeat(None))
+        yield zip(map(draw, shapes), itertools.repeat(None))
 
 
 ClassifierFn = Callable[[np.ndarray], np.ndarray]
@@ -505,11 +507,12 @@ def sweep_statistics(
     ``(values, std_errors)``, one entry per row.
 
     Each bin total of a block is exactly numpy's pairwise
-    ``weights[codes == bin].sum()``: it is summed over that bin's slice of
-    the block sorted stably by bin.  A statistic is the sum of its selected
-    bin totals.  The classifier and the density see one chunk of a block at
-    a time (see ``CHUNK_SIZE``); their results fill block-length arrays, so
-    the totals are those of whole blocks, whatever the chunk size.
+    ``weights[codes == bin].sum()`` over the whole block, whatever the chunk
+    size (see ``CHUNK_SIZE``).  A chunk of weights all 1 only adds to the bin
+    counts; any other is sorted stably by bin, and appends each bin's slice,
+    after the ones counted since, to that bin's array.  So the array ends as
+    the bin's slice of the block sorted stably by bin.  A bin that met only
+    ones adds its count, which is exact.  A statistic sums its selected bins.
 
     Grid scheme: values are selected sums of density divided by the cell
     count once at the end, so uniform-density measures are exact ratios of
@@ -532,39 +535,37 @@ def sweep_statistics(
     sums = np.zeros(n_stats, dtype=np.float64)
     squares = np.zeros(n_stats, dtype=np.float64)
 
-    def add_block(length: int, chunks: Chunks) -> None:
-        # the block's arrays are locals of this call, freed before the next block is filled
-        weights = np.empty(length, dtype=np.float64)
-        codes = None
-        lo = 0
+    def add_block(chunks: Chunks) -> None:
+        # per bin: the weights of 1 not yet in ``kept``, and the weights in block order
+        ones = np.zeros(n_stats, dtype=np.int64)
+        kept: dict[int, np.ndarray] = {}
         for coords, sizes in chunks:
-            chunk_weights = _density_values(dist, coords)
-            chunk_codes = _bin_codes(masks_fn, coords, n_stats)
+            weights = _density_values(dist, coords)
+            codes = _bin_codes(masks_fn, coords, n_stats)
             if sizes is not None:
-                chunk_codes, chunk_weights = _box_values(
-                    coords, chunk_codes, chunk_weights, sizes, cuts, dist
-                )
-            if codes is None:  # the classifier's own dtype keeps the stable argsort a radix sort
-                codes = np.empty(length, dtype=chunk_codes.dtype)
-            hi = lo + len(chunk_codes)
-            weights[lo:hi] = chunk_weights
-            np.copyto(codes[lo:hi], chunk_codes, casting="safe")
-            lo = hi
-        counts = np.bincount(codes, minlength=n_stats)
-        if np.all(weights == 1.0):
-            # every bin total is an exact count, whatever the summation order
-            sums[:] += counts
-            squares[:] += counts
-            return
-        ordered = weights[np.argsort(codes, kind="stable")]
-        stops = np.cumsum(counts)
-        for k in np.flatnonzero(counts):
-            part = ordered[stops[k] - counts[k] : stops[k]]
+                codes, weights = _box_values(coords, codes, weights, sizes, cuts, dist)
+            counts = np.bincount(codes, minlength=n_stats)
+            if np.all(weights == 1.0):
+                ones += counts
+                continue
+            # the classifier's own dtype keeps the stable argsort a radix sort
+            ordered = weights[np.argsort(codes, kind="stable")]
+            stops = np.cumsum(counts)
+            for k in np.flatnonzero(counts).tolist():
+                kept[k] = _extended(kept.get(k), ones[k], ordered[stops[k] - counts[k] : stops[k]])
+                ones[k] = 0
+        for k, part in kept.items():
+            if ones[k]:
+                part = _extended(part, ones[k], np.empty(0))
+                ones[k] = 0
             sums[k] += part.sum()
-            squares[k] += (part * part).sum()
+            squares[k] += np.multiply(part, part, out=part).sum()
+        # the bins that met only ones: exact counts, whatever the summation order
+        sums[:] += ones
+        squares[:] += ones
 
-    for length, chunks in blocks:
-        add_block(length, chunks)
+    for chunks in blocks:
+        add_block(chunks)
 
     def selected(totals: np.ndarray) -> np.ndarray:
         return np.where(selection, totals, 0.0).sum(axis=1)
@@ -582,6 +583,17 @@ def sweep_statistics(
     else:
         std_errors = np.zeros(len(values), dtype=np.float64)
     return np.clip(values, 0.0, 1.0), std_errors
+
+
+def _extended(kept: np.ndarray | None, n_ones: int, piece: np.ndarray) -> np.ndarray:
+    """``kept`` (None: empty), then ``n_ones`` ones, then ``piece``: ``kept``
+    grows by a reallocation, never beside a copy, so no view of it may exist."""
+    kept = np.empty(0) if kept is None else kept
+    start = len(kept)
+    kept.resize(start + n_ones + len(piece), refcheck=False)
+    kept[start : start + n_ones] = 1.0
+    kept[start + n_ones :] = piece
+    return kept
 
 
 def _box_values(
@@ -619,6 +631,8 @@ def _density_values(dist: Distribution, coords: np.ndarray) -> np.ndarray:
         )
     if np.any(weights < 0.0):
         raise ValueError(f"density of {dist.label!r} is negative somewhere")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"density of {dist.label!r} is not finite somewhere")
     return weights
 
 

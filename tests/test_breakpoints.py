@@ -207,14 +207,13 @@ def test_undeclared_model_sums_every_midpoint_pairwise():
 
 
 def test_undeclared_blocks_stay_within_block_size():
-    blocks = [(length, list(chunks)) for length, chunks in _grid_blocks(1, BLOCK_SIZE + 5)]
-    assert [length for length, _ in blocks] == [BLOCK_SIZE, 5]
-    assert [[len(coords) for coords, _ in chunks] for _, chunks in blocks] == [
+    blocks = [list(chunks) for chunks in _grid_blocks(1, BLOCK_SIZE + 5)]
+    assert [[len(coords) for coords, _ in chunks] for chunks in blocks] == [
         [CHUNK_SIZE] * (BLOCK_SIZE // CHUNK_SIZE),
         [5],
     ]
-    assert all(sizes is None for _, chunks in blocks for _, sizes in chunks)
-    first = np.concatenate([coords for coords, _ in blocks[0][1]])
+    assert all(sizes is None for chunks in blocks for _, sizes in chunks)
+    first = np.concatenate([coords for coords, _ in blocks[0]])
     assert np.array_equal(first[:, 0], (np.arange(BLOCK_SIZE) + 0.5) / (BLOCK_SIZE + 5))
 
 

@@ -289,6 +289,13 @@ def test_bad_density_and_masks_rejected():
     )
     with pytest.raises(ValueError, match="negative"):
         estimate_measure(bad, half_space, GridScheme(8))
+    for value in (math.nan, math.inf):
+        spiked = Distribution(
+            space=SPACE, density=lambda c, v=value: np.where(c[:, 0] > 0.8, v, 1.0), label="spiked"
+        )
+        for scheme in (GridScheme(8), MonteCarloScheme(1000, seed=1)):
+            with pytest.raises(ValueError, match="density of 'spiked' is not finite somewhere"):
+                estimate_measure(spiked, half_space, scheme)
     long = Distribution(space=SPACE, density=lambda c: np.ones(c.shape[0] + 1), label="long")
     with pytest.raises(ValueError, match=r"shape \(65,\) for a block of shape \(64, 2\)"):
         estimate_measure(long, half_space, GridScheme(8))

@@ -4,7 +4,8 @@ The reference below is the kernel the histogram replaced: one boolean mask
 per statistic and ``weights[mask].sum()`` per block.  With uniform density
 every sum is an exact count, so the two must agree to the bit.  With a
 biased density each histogram statistic adds at most 128 pairwise-accurate
-bin totals, which bounds the difference far below 1e-13 relative.
+bin totals, which bounds the difference far below 1e-13 relative.  With
+one mask per bin the kernel's bin totals are the reference's, to the bit.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ import pytest
 from eprb_lab.core import (
     BLOCK_SIZE,
     AngleQuadruple,
+    Distribution,
     GridScheme,
+    LambdaSpace,
     MonteCarloScheme,
     context_outcomes,
     derived_stream,
+    sweep_statistics,
 )
 from eprb_lab.inequalities import stats_from_model
 from eprb_lab.models import as_simultaneous, resolve_model, sequential_singlet_model
@@ -53,17 +57,15 @@ def reference_blocks(dimension, scheme):
 
 
 def reference_sweep(dist, scheme, masks_fn):
-    """Statistic k is the density summed over ``masks[k]``, block by block."""
-    blocks = reference_blocks(dist.space.dimension, scheme)
-    sums = squares = None
-    for coords in blocks:
+    """Statistic k is the density summed over ``masks[k]``, block by block;
+    ``masks_fn`` may return its masks one at a time, as any iterable."""
+    sums = squares = 0.0
+    for coords in reference_blocks(dist.space.dimension, scheme):
         weights = np.asarray(dist.density(coords), dtype=np.float64)
-        masks = masks_fn(coords)
-        if sums is None:
-            sums, squares = np.zeros(len(masks)), np.zeros(len(masks))
-        for k, mask in enumerate(masks):
-            sums[k] += weights[mask].sum()
-            squares[k] += (weights * weights)[mask].sum()
+        block = np.array(
+            [(weights[mask].sum(), (weights * weights)[mask].sum()) for mask in masks_fn(coords)]
+        )
+        sums, squares = sums + block[:, 0], squares + block[:, 1]
     if isinstance(scheme, GridScheme):
         values = sums / float(scheme.resolution) ** dist.space.dimension
         values = np.where((values > 1.0) & (values <= 1.0 + 1e-9), 1.0, values)
@@ -179,3 +181,52 @@ def test_pattern_table_matches_set_definitions():
         assert MASK_BY_PATTERN[pattern] == vector.mask
         assert vector.parity_consistent()
     assert set(MASK_BY_PATTERN.tolist()) == set(range(16))
+
+
+def bin_masks(classify):
+    """The masks of the bins of ``classify``, one at a time."""
+
+    def masks_fn(coords):
+        codes = classify(coords)
+        return (codes == k for k in range(256))
+
+    return masks_fn
+
+
+IDENTITY = np.eye(256, dtype=bool)
+
+
+@pytest.mark.parametrize("ones_first", [True, False])
+def test_bins_mixing_unit_and_weighted_chunks_sum_to_the_same_bits(ones_first):
+    # one block of the undeclared grid(1024), laid out row-major: the chunks
+    # of one half of u have density exactly 1.0, those of the other do not,
+    # and bins 0..199 take points from both halves; the other weights are
+    # not dyadic, so a different summation order would round differently
+    def density(c):
+        unit = c[:, 0] < 0.5 if ones_first else c[:, 0] >= 0.5
+        return np.where(unit, 1.0, 1.5 * np.sqrt(c[:, 1]))
+
+    def classify(c):
+        return np.where(c[:, 0] < 0.25, 250 + c[:, 1] * 6, c[:, 1] * 200).astype(np.uint8)
+
+    dist = Distribution(space=LambdaSpace(2), density=density, label="half-unit")
+    scheme = GridScheme(1024)
+    values, _ = sweep_statistics(dist, scheme, classify, 256, IDENTITY)
+    assert np.array_equal(values, reference_sweep(dist, scheme, bin_masks(classify))[0])
+
+
+def test_many_bins_of_a_biased_density_sum_to_the_same_bits():
+    # an int64 classifier (a stable argsort that is not a radix sort) over
+    # many bins, so each chunk adds a piece to most bins; three blocks, the
+    # last one short
+    dist = _models()["biased"][1]
+    scheme = MonteCarloScheme(2 * BLOCK_SIZE + 5, 3)
+
+    def classify(c):
+        return (c[:, 0] * c[:, 1] * 256).astype(np.int64)
+
+    values, errors = sweep_statistics(dist, scheme, classify, 256, IDENTITY)
+    ref_values, ref_errors = reference_sweep(dist, scheme, bin_masks(classify))
+    assert np.count_nonzero(ref_values) >= 200
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(errors, ref_errors)

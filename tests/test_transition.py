@@ -19,6 +19,8 @@ from eprb_lab.core import (
     theta_between,
 )
 from eprb_lab.models import local_coin_model, resolve_model, singlet_model
+from eprb_lab.ordering import ordering_measures
+from eprb_lab.protocols import marginal_shift
 from eprb_lab.transition import (
     ALL_REGION_LABELS,
     CANONICAL_SETS,
@@ -222,8 +224,8 @@ def test_full_report_monte_carlo():
 
 
 def test_monte_carlo_report_memory_is_one_block():
-    # a biased density takes the sorted-bin path, the largest per-block arrays;
-    # a finished block's arrays are freed before the next block is filled
+    # a biased density keeps a block's weights, sorted by bin, until the block
+    # ends; a finished block's arrays are freed before the next block is filled
     choice = resolve_model("singlet+bias:q=0.8")
 
     def peak(n):
@@ -237,6 +239,34 @@ def test_monte_carlo_report_memory_is_one_block():
     one, three = peak(BLOCK_SIZE), peak(3 * BLOCK_SIZE)
     assert abs(three - one) <= 1 << 20
     assert three < 32 << 20
+
+
+UNIFORM = resolve_model("singlet")
+BIASED = resolve_model("singlet+bias:q=0.8")
+SEQUENTIAL = resolve_model("sequential-singlet").sequential
+# the tracemalloc peak (MiB) each sweep must stay under, over three blocks
+SWEEP_PEAKS = {
+    "uniform-full_report": (4, lambda s: full_report(UNIFORM.hv, UNIFORM.distribution, CHAIN, s)),
+    "ordering_measures": (4, lambda s: ordering_measures(SEQUENTIAL, CHAIN, s)),
+    "biased-full_report": (16, lambda s: full_report(BIASED.hv, BIASED.distribution, CHAIN, s)),
+    "biased-marginal_shift": (
+        16,
+        lambda s: marginal_shift(BIASED.hv, BIASED.distribution, CHAIN.b, CHAIN.a, CHAIN.a_prime, s),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_PEAKS)
+def test_monte_carlo_sweep_peak_memory(name):
+    # a density of exactly 1 keeps only per-bin counts; any other density
+    # keeps one block of weights (8 MiB), never block-long codes or a permutation
+    bound, sweep = SWEEP_PEAKS[name]
+    tracemalloc.start()
+    try:
+        sweep(MonteCarloScheme(3 * BLOCK_SIZE, seed=4))
+        assert tracemalloc.get_traced_memory()[1] < bound << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_report_rows_and_json():
