@@ -25,8 +25,8 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import html
-import itertools
 import json
 import math
 import os
@@ -438,18 +438,122 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
     )
 
 
-# Rows per formatting call of the run log: large enough to amortize the
-# call, small enough that the per-row Python objects stay a few hundred kB.
-_LOG_CHUNK_ROWS = 1024
+# Rows per piece of the run log.  A piece of a 2-D model's log is a 0.3 MB
+# buffer of 68-byte rows, and a few copies of it are alive while it is written.
+_LOG_PIECE_ROWS = 4096
+
+# The ``,%.12g`` text of one lambda, at most 20 bytes, fills a slot of five
+# 4-byte words; the bytes it leaves are NUL.  A proven slot is the comma and
+# "0", the point and lead zeros, then three words of digits.
+_SLOT_WORDS = 5
+_COMMA_ZERO = np.frombuffer(b",\0\0" b"0", np.uint32)[0]
+# The decade k of a lambda v in [1e-4, 1) is the number of these thresholds
+# at or below v.  Each is the least double above its power of ten, so
+# k = 3 - lead exactly, where v lies in [10**-(lead + 1), 10**-lead).
+_DECADES = (1e-3, 1e-2, 1e-1)
+# By decade: the scale 10**(12 + lead), exact in a double, and the point and
+# lead zeros, NUL-padded to one word.
+_SCALE_BY_DECADE = np.array([1e15, 1e14, 1e13, 1e12])
+_POINT_BY_DECADE = np.frombuffer(b".000" b".00\0" b".0\0\0" b".\0\0\0", np.uint32)
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of each of 0..9999 as one word, and the same
+    with its trailing zeros NUL (0 is all NUL); built on the first log."""
+    group = np.arange(10_000, dtype=np.int16)
+    places = np.array([1000, 100, 10, 1], dtype=np.int16)
+    full = (group[:, None] // places % 10 + ord("0")).astype(np.uint8)
+    trimmed = full.copy()
+    for place in range(4):
+        trimmed[group % 10 ** (4 - place) == 0, place] = 0
+    return full.view(np.uint32).ravel(), trimmed.view(np.uint32).ravel()
+
+
+def _run_words(start: int, n: int) -> np.ndarray:
+    """Run numbers ``start .. start + n - 1`` as rows of right-aligned
+    decimal digits, four to a word, with their leading zeros NUL."""
+    full, _ = _digit_words()
+    width = -(-len(str(start + n - 1)) // 4)
+    words = np.empty((n, width), dtype=np.uint32)
+    runs = np.arange(start, start + n, dtype=np.int64)
+    for column in range(width - 1, 0, -1):
+        high = runs // 10_000
+        words[:, column] = full[runs - 10_000 * high]
+        runs = high
+    words[:, 0] = full[runs]
+    text = words.view(np.uint8)
+    for place in range(4 * width - 1):
+        # the runs below 10**(digits after this place) come first, and have a
+        # leading zero here
+        below = 10 ** (4 * width - 1 - place) - start
+        if below <= 0:
+            break
+        text[:below, place] = 0
+    return words
+
+
+def _lambda_slots(values: np.ndarray) -> np.ndarray:
+    """``"," + "%.12g" % v`` of each value, one NUL-padded slot per row.
+
+    For v in [1e-4, 1) the text is "0.", ``lead`` zeros and the 12
+    significant digits less their trailing zeros.  ``s = v * 10**(12 +
+    lead)`` is one correctly rounded product by an exact power of ten, and
+    ``s < 2**40``, so it is within 2**-14 of the exact product: ``rint(s)``
+    holds those digits unless s lies within 1e-3 of a half-integer.  Every
+    value this does not prove is written by Python's ``%``: values outside
+    [1e-4, 1) (0.0, subnormals, NaN), near-ties, and digits whose last four
+    are zeros.  Those are rare, would need two words trimmed, and include
+    the digits that round up to 10**12.
+    """
+    full, trimmed = _digit_words()
+    inside = (values >= 1e-4) & (values < 1.0)
+    v = np.where(inside, values, 0.5)  # keeps the arithmetic below finite
+    decade = (v >= _DECADES[0]).astype(np.intp)
+    decade += v >= _DECADES[1]
+    decade += v >= _DECADES[2]
+    scaled = v * _SCALE_BY_DECADE[decade]
+    rounded = np.rint(scaled)
+    proven = inside & (np.abs(scaled - rounded) < 0.499)
+    low = rounded.astype(np.int64)  # the digits, as three words of four
+    middle = low // 10_000
+    low -= 10_000 * middle
+    top = middle // 10_000
+    middle -= 10_000 * top
+    proven &= low != 0
+    slots = np.empty((len(values), _SLOT_WORDS), dtype=np.uint32)
+    slots[:, 0] = _COMMA_ZERO
+    slots[:, 1] = _POINT_BY_DECADE[decade]
+    slots[:, 2] = full.take(top, mode="clip")  # top is 10**4 only for 10**12
+    slots[:, 3] = full[middle]
+    slots[:, 4] = trimmed[low]
+    unproven = np.flatnonzero(~proven)
+    texts = (",%.12g" % value for value in values[unproven].tolist())
+    padded = b"".join(text.encode("ascii").ljust(4 * _SLOT_WORDS, b"\0") for text in texts)
+    slots[unproven] = np.frombuffer(padded, np.uint32).reshape(-1, _SLOT_WORDS)
+    return slots
+
+
+def _log_rows(start: int, lam: np.ndarray, key: np.ndarray, tail_words: np.ndarray) -> np.ndarray:
+    """Rows ``start ..`` of the run log as NUL-padded words: the run numbers,
+    one slot per lambda axis and the tails of the keys."""
+    columns = [_run_words(start, len(key))]
+    columns += [_lambda_slots(lam[:, axis]) for axis in range(lam.shape[1])]
+    columns.append(tail_words.take(key, axis=0))
+    return np.concatenate(columns, axis=1)
 
 
 def _write_log(handle: TextIO, dimension: int, blocks: Iterable[CommBlock]) -> None:
     """Write the run log: its header, then one row per run, block by block.
 
     A row is the run number, the ``dimension`` lambda columns and a tail
-    ``alice,bob,region,bits,A,B\n`` looked up by the run's key, in one
-    ``%``-template.  That gives the bytes ``_emit``'s CSV writer would:
-    integers in decimal, floats as ``%.12g``, and no field that needs quoting.
+    ``alice,bob,region,bits,A,B\n`` looked up by the run's key.  Each piece
+    of ``_LOG_PIECE_ROWS`` rows is built column by column in word arrays:
+    the run numbers, one slot per lambda axis and the tails gathered by key,
+    each NUL-padded.  The rows are joined, the NULs dropped and the piece
+    written as one string.  That gives the bytes ``_emit``'s CSV writer
+    would: integers in decimal, floats as ``%.12g``, no field that needs
+    quoting.
     """
     header = (
         ["run"]
@@ -457,21 +561,26 @@ def _write_log(handle: TextIO, dimension: int, blocks: Iterable[CommBlock]) -> N
         + ["alice_setting", "bob_setting", "region", "bits", "outcome_a", "outcome_b"]
     )
     handle.write(",".join(header) + "\n")
-    row = "%d," + "%.12g," * dimension + "%s"
     every = CommBlock(start=0, lam=np.empty((N_KEYS, 0)), key=np.arange(N_KEYS))
     fields = ("alice_choice", "bob_choice", "mask_code", "bits", "outcome_a", "outcome_b")
-    tails = np.empty(N_KEYS, dtype=object)
-    tails[:] = [
-        "%s,%s,%s,%d,%d,%d\n" % (("a", "a'")[a], ("b", "b'")[b], LABELS_BY_MASK[mask], *rest)
+    tails = [
+        ",%s,%s,%s,%d,%d,%d\n" % (("a", "a'")[a], ("b", "b'")[b], LABELS_BY_MASK[mask], *rest)
         for a, b, mask, *rest in zip(*(getattr(every, name).tolist() for name in fields))
     ]
+    width = -(-max(map(len, tails)) // 4) * 4
+    tail_words = np.frombuffer(
+        b"".join(tail.encode("ascii").ljust(width, b"\0") for tail in tails), np.uint32
+    ).reshape(N_KEYS, -1)
     for block in blocks:
-        for lo in range(0, len(block.key), _LOG_CHUNK_ROWS):
-            hi = min(lo + _LOG_CHUNK_ROWS, len(block.key))
-            columns = [range(block.start + lo, block.start + hi)]
-            columns += [block.lam[lo:hi, axis].tolist() for axis in range(dimension)]
-            columns.append(tails[block.key[lo:hi]].tolist())
-            handle.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*columns))))
+        for lo in range(0, len(block.key), _LOG_PIECE_ROWS):
+            hi = min(lo + _LOG_PIECE_ROWS, len(block.key))
+            # one expression: each copy of the piece is freed once the next is made
+            handle.write(
+                _log_rows(block.start + lo, block.lam[lo:hi], block.key[lo:hi], tail_words)
+                .tobytes()
+                .translate(None, b"\0")
+                .decode("ascii")
+            )
         del block  # free it before the stream plays the next one
 
 

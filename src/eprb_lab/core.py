@@ -151,6 +151,8 @@ class AngleQuadruple:
     @classmethod
     def chain(cls, theta: float) -> "AngleQuadruple":
         """Quadruple with a-b = b-a' = a'-b' = theta, hence a-b' = 3*theta."""
+        if not math.isfinite(3.0 * theta):
+            raise ValueError(f"theta must be finite, and so must 3*theta, got {theta!r}")
         return cls(
             a=make_angle(3.0 * theta),
             a_prime=make_angle(theta),

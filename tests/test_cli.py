@@ -15,14 +15,15 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eprb_lab import __version__, cli
-from eprb_lab.cli import _subparsers, _write_log, build_parser, main
-from eprb_lab.core import AngleQuadruple, NumericalInvariantError
+from eprb_lab.cli import _LOG_PIECE_ROWS, _subparsers, _write_log, build_parser, main
+from eprb_lab.core import BLOCK_SIZE, CHUNK_SIZE, AngleQuadruple, NumericalInvariantError
 from eprb_lab.models import MODEL_NAMES, resolve_model
 from eprb_lab.protocols import N_KEYS, CommBlock
 from helpers import reference_write_log
@@ -198,18 +199,76 @@ def test_write_log_matches_the_reference_in_any_dimension(dimension):
     # every built-in model is 2-D, so only these blocks reach other widths,
     # and only these reach every run key
     rng = np.random.default_rng(dimension)
-    n = N_KEYS + 3000  # every run key, and more than one formatting chunk
+    n = _LOG_PIECE_ROWS + N_KEYS + 5  # every run key, and a short last piece
     lam = rng.random((n, dimension))
     lam[:7] = np.array([0.0, 5e-324, 1e-5, 0.1, 0.5, 1 / 3, 1 - 2.0**-53])[:, None]
     key = np.concatenate([np.arange(N_KEYS), rng.integers(0, N_KEYS, n - N_KEYS)])
     blocks = [
-        CommBlock(start=0, lam=lam, key=key),
+        CommBlock(start=0, lam=lam, key=key),  # run numbers cross 9 -> 10 and 999 -> 1000
         CommBlock(start=n, lam=rng.random((1, dimension)), key=np.array([N_KEYS - 1])),
     ]
+    # run numbers that cross 9,999 -> 10,000 (a fifth digit), 99,999 -> 100,000,
+    # a block boundary 2**20 and 99,999,999 -> 100,000,000 (a ninth digit)
+    for start in (9_990, 99_990, BLOCK_SIZE - 10, 10**8 - 10):
+        blocks.append(
+            CommBlock(start=start, lam=rng.random((20, dimension)), key=rng.integers(0, N_KEYS, 20))
+        )
     written, expected = io.StringIO(), io.StringIO()
     _write_log(written, dimension, blocks)
     reference_write_log(expected, dimension, blocks)
     assert written.getvalue() == expected.getvalue()
+
+
+@pytest.fixture(scope="module")
+def lambda_cases():
+    """Doubles where a %.12g formatter can go wrong, then bulk random ones,
+    each with its %.12g text."""
+    edges = [
+        np.nextafter(edge, toward) for edge in (1e-4, 1e-3, 1e-2, 0.1) for toward in (0.0, edge, 1.0)
+    ]
+    special = [0.0, 5e-324, 1e-310, 2.0**-1022, 1e-5, 0.5, 4097 / 8192, 1 - 2.0**-53, *edges]
+    rng = np.random.Generator(np.random.Philox(14))
+    near_ties = (rng.integers(0, 10**12, 300_000) + 0.5) / 1e12
+    values = np.concatenate([special, near_ties, rng.random(1_000_000), rng.random(200_000) ** 8])
+    return values, ["%.12g" % v for v in values.tolist()]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_log_lambdas_are_exactly_percent_12g(dimension, lambda_cases):
+    values, texts = lambda_cases
+    rows = len(values) // dimension
+    written = io.StringIO()
+    lam = values[: rows * dimension].reshape(rows, dimension)
+    _write_log(written, dimension, [CommBlock(start=0, lam=lam, key=np.zeros(rows, dtype=np.int64))])
+    # header and rows alike have the run, the lambdas and six tail fields
+    fields = written.getvalue().replace("\n", ",").split(",")
+    stride = 7 + dimension
+    for axis in range(dimension):
+        assert fields[stride + 1 + axis :: stride] == texts[axis : rows * dimension : dimension]
+
+
+def test_log_memory_is_one_piece():
+    rng = np.random.default_rng(3)
+    chunks = [
+        CommBlock(start=lo, lam=rng.random((CHUNK_SIZE, 2)), key=rng.integers(0, N_KEYS, CHUNK_SIZE))
+        for lo in range(0, 3 * CHUNK_SIZE, CHUNK_SIZE)
+    ]
+
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w", encoding="utf-8") as sink:
+                _write_log(sink, 2, blocks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the rows are built and written a piece at a time: a few copies of one
+    # piece's 68-byte rows, whatever the length of the stream
+    peak([CommBlock(start=0, lam=chunks[0].lam[:1], key=chunks[0].key[:1])])  # builds the tables
+    one, three = peak(chunks[:1]), peak(chunks)
+    assert one < 4 * 68 * _LOG_PIECE_ROWS
+    assert three <= 1.5 * one
 
 
 def test_sweep_and_transition_bytes_are_pinned(tmp_path, capsys):
@@ -982,6 +1041,23 @@ def test_usage_error_messages(capsys):
         code, out, err = run_cli(argv, capsys)
         message = f"seed must be an integer in [0, 2**64), got {seed}"
         assert (code, out, err) == (2, "", f"eprb-lab: error: {message}\n")
+    # a chain whose a = 3*theta overflows names the theta given, not 3*theta
+    for argv, theta in (
+        (["moc", "--mc", "10", "--theta", "1e308"], "1e+308"),
+        (["comm", "--theta", "1e308"], "1e+308"),
+        (["transition", "--theta=-1e308"], "-1e+308"),
+        (["stats", "--theta", "inf"], "inf"),
+        (["sweep", "--theta-max", "1e308", "--steps", "2"], "1e+308"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        message = f"theta must be finite, and so must 3*theta, got {theta}"
+        assert (code, out, err) == (2, "", f"eprb-lab: error: {message}\n")
+    # a theta just small enough keeps the bytes it had before the check
+    code, out, _ = run_cli(["stats", "--theta", "5e307"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "a38e851119371a5c06eb2d879369e14ee86db4f8f5d26a6ff83596192b4433c5"
+    )
 
 
 def test_invariant_failure_exits_three(monkeypatch, capsys):
