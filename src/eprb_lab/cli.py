@@ -34,6 +34,15 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
+# The package does no linear algebra (the matrix products in
+# protocols.simulate_game are integer ones, which numpy runs without BLAS),
+# yet OpenBLAS starts its worker threads when numpy loads, and on a busy
+# small host their spin adds tens of milliseconds to each command.  So a
+# command starts OpenBLAS with one thread, unless the user has chosen a
+# count.  This must run before the first import of numpy, which is why the
+# package's exports are lazy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -413,6 +422,10 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
     theta_min, theta_max, steps = args.theta_min, args.theta_max, args.steps
     if steps < 2:
         raise ValueError(f"--steps must be at least 2, got {steps}")
+    if not math.isfinite(theta_max - theta_min):  # else the thetas below would hold inf or nan
+        raise ValueError(
+            f"theta range must have a finite width, got {theta_min!r} to {theta_max!r}"
+        )
     scheme = _resolve_scheme(args, choice)
     thetas = [theta_min + i * (theta_max - theta_min) / (steps - 1) for i in range(steps)]
     rows = [_sweep_row(choice, theta, scheme) for theta in thetas]
@@ -468,6 +481,22 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     for place in range(4):
         trimmed[group % 10 ** (4 - place) == 0, place] = 0
     return full.view(np.uint32).ravel(), trimmed.view(np.uint32).ravel()
+
+
+@functools.cache
+def _tail_words() -> np.ndarray:
+    """The row tail ``,alice,bob,region,bits,A,B\n`` of each key, NUL-padded
+    to whole words, one row per key; built on the first log."""
+    every = CommBlock(start=0, lam=np.empty((N_KEYS, 0)), key=np.arange(N_KEYS))
+    fields = ("alice_choice", "bob_choice", "mask_code", "bits", "outcome_a", "outcome_b")
+    tails = [
+        ",%s,%s,%s,%d,%d,%d\n" % (("a", "a'")[a], ("b", "b'")[b], LABELS_BY_MASK[mask], *rest)
+        for a, b, mask, *rest in zip(*(getattr(every, name).tolist() for name in fields))
+    ]
+    width = -(-max(map(len, tails)) // 4) * 4
+    return np.frombuffer(
+        b"".join(tail.encode("ascii").ljust(width, b"\0") for tail in tails), np.uint32
+    ).reshape(N_KEYS, -1)
 
 
 def _run_words(start: int, n: int) -> np.ndarray:
@@ -534,12 +563,12 @@ def _lambda_slots(values: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _log_rows(start: int, lam: np.ndarray, key: np.ndarray, tail_words: np.ndarray) -> np.ndarray:
+def _log_rows(start: int, lam: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Rows ``start ..`` of the run log as NUL-padded words: the run numbers,
     one slot per lambda axis and the tails of the keys."""
     columns = [_run_words(start, len(key))]
     columns += [_lambda_slots(lam[:, axis]) for axis in range(lam.shape[1])]
-    columns.append(tail_words.take(key, axis=0))
+    columns.append(_tail_words().take(key, axis=0))
     return np.concatenate(columns, axis=1)
 
 
@@ -561,22 +590,12 @@ def _write_log(handle: TextIO, dimension: int, blocks: Iterable[CommBlock]) -> N
         + ["alice_setting", "bob_setting", "region", "bits", "outcome_a", "outcome_b"]
     )
     handle.write(",".join(header) + "\n")
-    every = CommBlock(start=0, lam=np.empty((N_KEYS, 0)), key=np.arange(N_KEYS))
-    fields = ("alice_choice", "bob_choice", "mask_code", "bits", "outcome_a", "outcome_b")
-    tails = [
-        ",%s,%s,%s,%d,%d,%d\n" % (("a", "a'")[a], ("b", "b'")[b], LABELS_BY_MASK[mask], *rest)
-        for a, b, mask, *rest in zip(*(getattr(every, name).tolist() for name in fields))
-    ]
-    width = -(-max(map(len, tails)) // 4) * 4
-    tail_words = np.frombuffer(
-        b"".join(tail.encode("ascii").ljust(width, b"\0") for tail in tails), np.uint32
-    ).reshape(N_KEYS, -1)
     for block in blocks:
         for lo in range(0, len(block.key), _LOG_PIECE_ROWS):
             hi = min(lo + _LOG_PIECE_ROWS, len(block.key))
             # one expression: each copy of the piece is freed once the next is made
             handle.write(
-                _log_rows(block.start + lo, block.lam[lo:hi], block.key[lo:hi], tail_words)
+                _log_rows(block.start + lo, block.lam[lo:hi], block.key[lo:hi])
                 .tobytes()
                 .translate(None, b"\0")
                 .decode("ascii")

@@ -594,6 +594,53 @@ def test_version_skips_heavy_imports():
     assert not imported & {"xml.sax", "urllib.request", "numpy.random"}
 
 
+def _fresh_python(code: str, **env: str) -> str:
+    """The stdout of ``code`` run by a new interpreter with ``env`` in place
+    of any OPENBLAS_NUM_THREADS the tests were started with."""
+    import eprb_lab
+
+    environment = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environment["PYTHONPATH"] = os.path.dirname(os.path.dirname(eprb_lab.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**environment, **env},
+        check=True,
+    )
+    return result.stdout
+
+
+def test_package_import_loads_no_numpy():
+    code = "import sys, eprb_lab; print('numpy' in sys.modules, eprb_lab.full_report.__module__)"
+    assert _fresh_python(code).split() == ["False", "eprb_lab.transition"]
+
+
+def test_cli_starts_openblas_with_one_thread():
+    code = (
+        "import os, eprb_lab.cli, numpy\n"
+        "tasks = '/proc/self/task'\n"
+        "count = len(os.listdir(tasks)) if os.path.isdir(tasks) else 'unknown'\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], count)\n"
+    )
+    threads, count = _fresh_python(code).split()
+    assert threads == "1"
+    if count != "unknown":  # no /proc off Linux
+        assert count == "1"
+
+
+def test_cli_keeps_the_users_openblas_thread_count():
+    code = "import os, eprb_lab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
+
+
+def test_unknown_package_attribute_raises():
+    import eprb_lab
+
+    with pytest.raises(AttributeError, match="no attribute 'full_reports'"):
+        getattr(eprb_lab, "full_reports")
+
+
 def test_stdout_mode_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(["stats", "--model", "quantum"], capsys)
@@ -1051,6 +1098,14 @@ def test_usage_error_messages(capsys):
     ):
         code, out, err = run_cli(argv, capsys)
         message = f"theta must be finite, and so must 3*theta, got {theta}"
+        assert (code, out, err) == (2, "", f"eprb-lab: error: {message}\n")
+    # a sweep whose width overflows names the range given, not the nan it makes
+    for ends, given in (
+        (["--theta-min=-1e308", "--theta-max", "1e308"], "-1e+308 to 1e+308"),
+        (["--theta-max", "inf"], "0.0 to inf"),
+    ):
+        code, out, err = run_cli(["sweep", "--model", "quantum", "--steps", "2", *ends], capsys)
+        message = f"theta range must have a finite width, got {given}"
         assert (code, out, err) == (2, "", f"eprb-lab: error: {message}\n")
     # a theta just small enough keeps the bytes it had before the check
     code, out, _ = run_cli(["stats", "--theta", "5e307"], capsys)

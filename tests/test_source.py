@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import eprb_lab
@@ -45,9 +46,12 @@ def test_every_import_is_used():
 
 
 def test_all_lists_exactly_what_the_package_imports():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    names = [_bound_name(alias) for alias in _imported(tree)]
-    assert sorted(eprb_lab.__all__) == sorted([*names, "__version__"])
+    table = eprb_lab._EXPORTS
+    assert eprb_lab.__all__ == ["__version__", *table]
+    for name, module in table.items():
+        defining = importlib.import_module(f"eprb_lab.{module}")
+        assert getattr(eprb_lab, name) is getattr(defining, name), name
+    assert set(eprb_lab.__all__) <= set(dir(eprb_lab))
 
 
 def _tracer_rebinds() -> dict[str, set[str]]:
