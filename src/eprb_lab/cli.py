@@ -30,7 +30,9 @@ import html
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -81,8 +83,12 @@ def _read_config(path: str, known: set[str]) -> dict[str, str]:
 
     Every key must be one of ``known``, the subcommand's flag names.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: the config file is not valid UTF-8: {exc}") from None
     table: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -271,7 +277,12 @@ def _emit(
         text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
         files.append((manifest_path, lambda handle: handle.write(text)))
     if args.out is None:
-        write_csv(sys.stdout)
+        # stdout gets the CSV once it is whole, so a command failing while it makes
+        # its rows writes nothing there; a spool file keeps memory flat as rows grow
+        with tempfile.TemporaryFile("w+", newline="", encoding="utf-8") as spool:
+            write_csv(spool)
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
     staged = {
         target: target.with_name(f"{target.name}.{os.getpid()}.tmp")
         for target, path in targets.items()
@@ -427,8 +438,15 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
             f"theta range must have a finite width, got {theta_min!r} to {theta_max!r}"
         )
     scheme = _resolve_scheme(args, choice)
-    thetas = [theta_min + i * (theta_max - theta_min) / (steps - 1) for i in range(steps)]
-    rows = [_sweep_row(choice, theta, scheme) for theta in thetas]
+
+    def theta_at(i: int) -> float:
+        return theta_min + i * (theta_max - theta_min) / (steps - 1)
+
+    for i in (0, steps - 1):  # a theta whose 3*theta overflows fails before any row
+        AngleQuadruple.chain(theta_at(i))
+    rows: Iterable[list[object]] = (_sweep_row(choice, theta_at(i), scheme) for i in range(steps))
+    if args.svg is not None:  # the plot reads every row; the CSV alone streams them
+        rows = list(rows)
     header = ["theta", "hardy_bound", "unified", "bell_lhs", "sigma_minus", "avg_bits"]
 
     def write_svg(handle: TextIO) -> None:

@@ -39,16 +39,16 @@ Bin contract
 :func:`sweep_statistics` is a histogram kernel.  Its classifier maps a block
 of points to one integer bin per point, in ``[0, n_stats)``; the kernel adds
 up the density that falls in each bin (and, for Monte Carlo, the squared
-density).  A statistic is a fixed boolean selection of bins, and its value
-and standard error come from the selected bin totals, so every statistic of
-one sweep is a view over the same histogram.  The package fills three kinds
-of histogram: the 256 outcome patterns of a quadruple (every transition-set
-measure and context statistic, see :mod:`transition`), the four outcome
-pairs behind a signal-locality check, and the 256 ordering-set codes of a
-sequential model; :func:`estimate_measure` is the two-bin case for a bare
-indicator.  Per block, each bin counts its weights of exactly 1 and keeps
-the others, in block order, in an array grown chunk by chunk; no other array
-is a block long.
+density) and returns the totals as a :class:`Histogram`.  A statistic is a
+boolean mask over the bins, which :meth:`Histogram.measure` turns into a
+:class:`MeasureEstimate`, so every statistic is a view of one histogram.
+The package fills three kinds: the 256 outcome patterns of a quadruple
+(every transition-set measure and context statistic, see :mod:`transition`),
+the four outcome pairs behind a signal-locality check, and the 256
+ordering-set codes of a sequential model; :func:`estimate_measure` is the
+two-bin case for a bare indicator.  Per block, each bin counts its weights
+of exactly 1 and keeps the others, in block order, in an array grown chunk
+by chunk; no other array is a block long.
 """
 
 from __future__ import annotations
@@ -426,9 +426,9 @@ def _axis_runs(
 Chunks = Iterator[tuple[np.ndarray, np.ndarray | None]]
 
 
-def _spans(start: int, stop: int, size: int) -> list[tuple[int, int]]:
-    """``[lo, hi)`` of the consecutive pieces of at most ``size`` that tile ``[start, stop)``."""
-    return [(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
+def _spans(start: int, stop: int, size: int) -> Iterator[tuple[int, int]]:
+    """The ``[lo, hi)`` pieces of at most ``size`` that tile ``[start, stop)``, made lazily."""
+    return ((lo, min(lo + size, stop)) for lo in range(start, stop, size))
 
 
 def _grid_blocks(
@@ -482,11 +482,41 @@ def _mc_blocks(dimension: int, n: int, seed: int, domain: int) -> Iterator[Chunk
     ``(coords, None)``."""
     for block_index, (start, stop) in enumerate(_spans(0, n, BLOCK_SIZE)):
         draw = derived_stream(seed, domain, block_index).random
-        shapes = [(hi - lo, dimension) for lo, hi in _spans(start, stop, CHUNK_SIZE)]
+        shapes = ((hi - lo, dimension) for lo, hi in _spans(start, stop, CHUNK_SIZE))
         yield zip(map(draw, shapes), itertools.repeat(None))
 
 
 ClassifierFn = Callable[[np.ndarray], np.ndarray]
+
+
+class Histogram:
+    """The per-bin density totals of one sweep, and for Monte Carlo the
+    per-bin totals of the squared density; every statistic is a view."""
+
+    def __init__(self, sums: np.ndarray, squares: np.ndarray, scheme: Scheme, dimension: int):
+        self.sums, self.squares, self.scheme, self.dimension = sums, squares, scheme, dimension
+
+    def measure(self, bins: np.ndarray) -> MeasureEstimate:
+        """The measure of the union of the bins that the boolean mask ``bins``
+        selects: on a grid the selected sum over the cell count, snapped to 1
+        within ``_UNIT_SNAP`` above it, error 0; under Monte Carlo the sample
+        mean clipped to [0, 1], with the ddof=1 error of the unclipped mean."""
+        scheme = self.scheme
+        # np.add.reduce is ndarray.sum, the same pairwise sum, without the cost
+        # of its wrapper, which a report pays once per statistic
+        total = np.add.reduce(np.where(bins, self.sums, 0.0))
+        if isinstance(scheme, GridScheme):
+            value = total / float(scheme.resolution) ** self.dimension
+            value, error = (1.0 if 1.0 < value <= 1.0 + _UNIT_SNAP else value), 0.0
+        else:
+            n = scheme.n
+            value = total / n
+            error = 0.0
+            if n > 1:
+                squares = np.add.reduce(np.where(bins, self.squares, 0.0))
+                error = math.sqrt(max(squares - n * value * value, 0.0) / (n - 1) / n)
+            value = min(max(value, 0.0), 1.0)
+        return MeasureEstimate(float(value), float(error), scheme)
 
 
 def sweep_statistics(
@@ -494,19 +524,19 @@ def sweep_statistics(
     scheme: Scheme,
     masks_fn: ClassifierFn,
     n_stats: int,
-    selection: np.ndarray,
     *,
     cuts: GridCuts | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate several set measures from one density-weighted histogram.
+) -> Histogram:
+    """The density-weighted histogram of one sweep over ``n_stats`` bins.
 
     ``masks_fn(coords)`` classifies a block of points with shape (m, d): it
     returns an integer array of shape (m,) holding one bin in
     ``[0, n_stats)`` per point.  The sweep adds up, per bin, the density of
-    the points that land in it, and for Monte Carlo the squared density too.
-    ``selection`` is a boolean array of shape (k, n_stats); statistic j is
-    the integral of the density over the bins that row j selects.  Returns
-    ``(values, std_errors)``, one entry per row.
+    the points that land in it, and for Monte Carlo the squared density too;
+    :meth:`Histogram.measure` reads any union of bins off the result.  The
+    kernel and its parameters keep their names, ``masks_fn`` and ``n_stats``
+    among them, because the benchmark's tracer (``bench/tracer.py``) binds
+    them by name.
 
     Each bin total of a block is exactly numpy's pairwise
     ``weights[codes == bin].sum()`` over the whole block, whatever the chunk
@@ -514,18 +544,14 @@ def sweep_statistics(
     counts; any other is sorted stably by bin, and appends each bin's slice,
     after the ones counted since, to that bin's array.  So the array ends as
     the bin's slice of the block sorted stably by bin.  A bin that met only
-    ones adds its count, which is exact.  A statistic sums its selected bins.
+    ones adds its count, which is exact.
 
-    Grid scheme: values are selected sums of density divided by the cell
-    count once at the end, so uniform-density measures are exact ratios of
-    integers; std_errors are 0.  With ``cuts`` (see :func:`declared_cuts`
-    and the breakpoint contract in the module docstring) the grid classifies
-    one point per box of runs, weighted by density times box size, and
-    raises :class:`NumericalInvariantError` when the corners of a box
-    disagree in bin or density; the values are those of the full grid, the
-    same bits on a uniform density.  Monte Carlo ignores ``cuts``: values
-    are density-weighted sample means clipped to [0, 1], std_errors the
-    sample standard deviation (ddof=1) over sqrt(n).
+    With a grid and ``cuts`` (see :func:`declared_cuts` and the breakpoint
+    contract in the module docstring) the sweep classifies one point per box
+    of runs, weighted by density times box size, and raises
+    :class:`NumericalInvariantError` when the corners of a box disagree in
+    bin or density; the totals are those of the full grid, the same bits on
+    a uniform density.  Monte Carlo ignores ``cuts``.
     """
     dimension = dist.space.dimension
     if isinstance(scheme, GridScheme):
@@ -568,23 +594,7 @@ def sweep_statistics(
 
     for chunks in blocks:
         add_block(chunks)
-
-    def selected(totals: np.ndarray) -> np.ndarray:
-        return np.where(selection, totals, 0.0).sum(axis=1)
-
-    if isinstance(scheme, GridScheme):
-        total_cells = float(scheme.resolution) ** dimension
-        values = selected(sums) / total_cells
-        values = np.where((values > 1.0) & (values <= 1.0 + _UNIT_SNAP), 1.0, values)
-        return values, np.zeros(len(values), dtype=np.float64)
-    n = scheme.n
-    values = selected(sums) / n
-    if n > 1:
-        variances = np.maximum(selected(squares) - n * values * values, 0.0) / (n - 1)
-        std_errors = np.sqrt(variances / n)
-    else:
-        std_errors = np.zeros(len(values), dtype=np.float64)
-    return np.clip(values, 0.0, 1.0), std_errors
+    return Histogram(sums, squares, scheme, dimension)
 
 
 def _extended(kept: np.ndarray | None, n_ones: int, piece: np.ndarray) -> np.ndarray:
@@ -656,23 +666,14 @@ def _bin_codes(masks_fn: ClassifierFn, coords: np.ndarray, n_stats: int) -> np.n
 
 IndicatorFn = Callable[[np.ndarray], np.ndarray]
 
-# Bin 1 holds the points inside the indicator's set.
-_INSIDE = np.array([[False, True]])
-
 
 def estimate_measure(dist: Distribution, indicator: IndicatorFn, scheme: Scheme) -> MeasureEstimate:
-    """Measure of ``{lambda : indicator(lambda)}`` under ``dist``."""
+    """Measure of ``{lambda : indicator(lambda)}`` under ``dist``: bin 1 of two."""
 
     def masks_fn(coords: np.ndarray) -> np.ndarray:
         return np.asarray(indicator(coords), dtype=bool).astype(np.uint8)
 
-    values, std_errors = sweep_statistics(dist, scheme, masks_fn, 2, _INSIDE)
-    return MeasureEstimate(float(values[0]), float(std_errors[0]), scheme)
-
-
-def check_normalization(dist: Distribution, scheme: Scheme) -> MeasureEstimate:
-    """Total mass of the density; should be 1 within the scheme tolerance."""
-    return estimate_measure(dist, lambda coords: np.ones(coords.shape[0], dtype=bool), scheme)
+    return sweep_statistics(dist, scheme, masks_fn, 2).measure(np.array([False, True]))
 
 
 def _in_unit_cube(points: np.ndarray) -> bool:

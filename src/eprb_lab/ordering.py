@@ -135,14 +135,11 @@ def ordering_measures(
         return code
 
     n_bins = 1 << len(ORDERING_SETS)
-    selection = (np.arange(n_bins) >> np.arange(len(ORDERING_SETS))[:, None]) & 1 == 1
     dist = model.equilibrium
     cuts = declared_cuts(model, dist, named.values())
-    values, errors = core.sweep_statistics(dist, scheme, classify, n_bins, selection, cuts=cuts)
-    return {
-        triple: MeasureEstimate(float(value), float(error), scheme)
-        for triple, value, error in zip(ORDERING_SETS, values, errors)
-    }
+    histogram = core.sweep_statistics(dist, scheme, classify, n_bins, cuts=cuts)
+    codes = np.arange(n_bins)
+    return {triple: histogram.measure(codes >> k & 1 == 1) for k, triple in enumerate(ORDERING_SETS)}
 
 
 def induce_noncontextual(model: SequentialModel) -> HvModel:

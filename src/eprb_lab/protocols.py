@@ -36,7 +36,6 @@ from .core import (
     AngleQuadruple,
     Distribution,
     HvModel,
-    MeasureEstimate,
     NumericalInvariantError,
     Scheme,
     _checked_outcomes,
@@ -259,20 +258,6 @@ def average_bits_identity(report: TransitionReport) -> tuple[float, float]:
     return b_regions, lower_bound
 
 
-# Marginal-shift bins: bit 0 set when B(a1, b) = -1, bit 1 when B(a2, b) = -1.
-# Rows 0 and 1 select the bins where B is +1 at a1 and at a2; rows 2 and 3
-# the single bins (+,-) and (-,+) of the bob@b set of the quadruple
-# (a1, a2, b, b), where B flips from +1 to -1 and from -1 to +1 as a1 -> a2.
-_SIGNAL_SELECTION = np.array(
-    [
-        [True, False, True, False],
-        [True, True, False, False],
-        [False, False, True, False],
-        [False, True, False, False],
-    ]
-)
-
-
 def marginal_shift(
     model: HvModel,
     dist: Distribution,
@@ -287,7 +272,7 @@ def marginal_shift(
     |P(+,-) - P(-,+)| of the bob@b set of the quadruple (a1, a2, b, b), the
     :func:`detailed_balance` of that set.  Both are the same difference of
     sets read two ways, so one sweep bins each lambda by B's two outcomes
-    and each probability is a selection of its four bins.
+    and each probability is the measure of a union of its four bins.
     """
 
     def classify(coords: np.ndarray) -> np.ndarray:
@@ -296,10 +281,13 @@ def marginal_shift(
         return down_1.astype(np.uint8) | (down_2.astype(np.uint8) << 1)
 
     cuts = declared_cuts(model, dist, (a1, a2, b_setting))
-    values, errors = core.sweep_statistics(dist, scheme, classify, 4, _SIGNAL_SELECTION, cuts=cuts)
-    # MeasureEstimate rejects a value outside [0, 1], e.g. from an unnormalized density
+    histogram = core.sweep_statistics(dist, scheme, classify, 4, cuts=cuts)
+    # B is +1 at a1 off bit 0 and at a2 off bit 1; bin 2 is the (+,-) half of
+    # the bob@b set of the quadruple (a1, a2, b, b), bin 1 its (-,+) half
+    bins = np.arange(4)
     up_1, up_2, plus_minus, minus_plus = (
-        MeasureEstimate(float(v), float(e), scheme).value for v, e in zip(values, errors)
+        histogram.measure(selected).value
+        for selected in (bins & 1 == 0, bins & 2 == 0, bins == 2, bins == 1)
     )
     return abs(up_1 - up_2), abs(plus_minus - minus_plus)
 

@@ -24,8 +24,8 @@ patterns in lexicographic index-pair order, F for all four, "none" for zero.
 
 Every measure of a quadruple is a view over one histogram: a sweep bins each
 lambda by its 8 outcome bits (256 patterns), and each set, partition, region,
-sigma_minus and context statistic p_i^+ is a fixed selection of those bins.
-:func:`full_report` is the package's one reader of that histogram;
+sigma_minus and context statistic p_i^+ is the measure of a fixed union of
+those bins.  :func:`full_report` is the package's one reader of that histogram;
 :func:`partition_measures` and :func:`inequalities.stats_from_model` are
 views of its report.
 """
@@ -198,19 +198,6 @@ if not np.array_equal(_ODD, np.prod(_SIGNS, axis=0) == -1):
 #: Pattern selection of the context statistics p_i^+, canonical order.
 P_PLUS_SELECTION = _SIGNS == 1
 
-# Pattern selection of every statistic of the pattern sweep, in the order
-# full_report, their only reader, takes them: 4 sets, then (+,-) and (-,+) of
-# each set, 16 regions by mask, sigma_minus, and the 4 context p_i^+.
-_REPORT_SELECTION = np.concatenate(
-    [
-        _MEMBERS,
-        [_MEMBERS[i] & (_PRE_VALUES[i] == sign) for i in range(4) for sign in (1, -1)],
-        MASK_BY_PATTERN[None, :] == np.arange(16)[:, None],
-        _ODD[None, :],
-        P_PLUS_SELECTION,
-    ]
-)
-
 
 def classify_lambda(model: HvModel, quadruple: AngleQuadruple, lam: object) -> MembershipVector:
     """Evaluate all four contexts at one lambda and fill the vector."""
@@ -274,32 +261,28 @@ def full_report(
     """Classify every lambda once and report every measure from that sweep.
 
     The sweep, the package's only pattern sweep, fills one histogram over
-    the 256 outcome patterns and every statistic is a selection of its bins,
+    the 256 outcome patterns and every statistic is a union of its bins,
     so additivity identities (partitions summing to set measures, regions
     summing to sigma_minus) hold exactly rather than approximately.
     """
-    values, errors = sweep_statistics(
+    measure = sweep_statistics(
         dist,
         scheme,
         pattern_classifier(model, quadruple),
         N_PATTERNS,
-        _REPORT_SELECTION,
         cuts=declared_cuts(model, dist, quadruple.named_angles().values()),
-    )
-    estimates = iter(
-        MeasureEstimate(float(value), float(error), scheme) for value, error in zip(values, errors)
-    )
-    set_measures = {sid: next(estimates) for sid in CANONICAL_SETS}
-    partitions = {sid: (next(estimates), next(estimates)) for sid in CANONICAL_SETS}
-    region_measures = {LABELS_BY_MASK[code]: next(estimates) for code in range(16)}
-    sigma_minus = next(estimates)
-    p_plus = tuple(next(estimates).value for _ in range(4))
+    ).measure
     return TransitionReport(
-        set_measures=set_measures,
-        partition_measures=partitions,
-        region_measures=region_measures,
-        sigma_minus=sigma_minus,
-        p_plus=p_plus,  # type: ignore[arg-type]
+        set_measures={sid: measure(_MEMBERS[i]) for i, sid in enumerate(CANONICAL_SETS)},
+        partition_measures={
+            sid: tuple(measure(_MEMBERS[i] & (_PRE_VALUES[i] == sign)) for sign in (1, -1))
+            for i, sid in enumerate(CANONICAL_SETS)
+        },
+        region_measures={
+            label: measure(MASK_BY_PATTERN == code) for code, label in enumerate(LABELS_BY_MASK)
+        },
+        sigma_minus=measure(_ODD),
+        p_plus=tuple(measure(bins).value for bins in P_PLUS_SELECTION),  # type: ignore[arg-type]
     )
 
 

@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from eprb_lab import core
-from eprb_lab.core import MeasureEstimate, declared_cuts
+from eprb_lab.core import GridScheme, declared_cuts
 from eprb_lab.inequalities import JointStats
 from eprb_lab.transition import LABELS_BY_MASK, TransitionSetId
 
@@ -33,10 +33,6 @@ _SET_CONTEXTS = {
     TransitionSetId.ALICE_AT_A: ("A", 0, 3),
 }
 
-# Partition bins: 0 outside the set, 1 for (+,-), 2 for (-,+).
-_PARTITION_SELECTION = np.array([[False, True, False], [False, False, True]])
-
-
 def reference_partition_measures(model, dist, quadruple, which, scheme):
     """(P(+,-), P(-,+)) of one set from its own three-bin sweep: the
     classifier the package used before the partitions became rows of the
@@ -50,9 +46,41 @@ def reference_partition_measures(model, dist, quadruple, which, scheme):
         post = np.asarray(fn(*contexts[post_index], coords))
         return (pre != post) * np.where(pre == 1, 1, 2)
 
+    # bins: 0 outside the set, 1 for (+,-), 2 for (-,+)
     cuts = declared_cuts(model, dist, quadruple.named_angles().values())
-    values, errors = core.sweep_statistics(dist, scheme, masks_fn, 3, _PARTITION_SELECTION, cuts=cuts)
-    return tuple(MeasureEstimate(float(v), float(e), scheme) for v, e in zip(values, errors))
+    histogram = core.sweep_statistics(dist, scheme, masks_fn, 3, cuts=cuts)
+    return tuple(histogram.measure(np.arange(3) == half) for half in (1, 2))
+
+
+def reference_statistics(histogram, selection):
+    """``(values, std_errors)``, one entry per row of the boolean
+    ``(k, n_bins)`` array ``selection``, from a sweep's histogram: the
+    readout the kernel made itself while it took selection matrices, kept
+    as the reference for ``Histogram.measure``."""
+
+    def selected(totals):
+        return np.where(selection, totals, 0.0).sum(axis=1)
+
+    scheme = histogram.scheme
+    if isinstance(scheme, GridScheme):
+        values = selected(histogram.sums) / float(scheme.resolution) ** histogram.dimension
+        values = np.where((values > 1.0) & (values <= 1.0 + 1e-9), 1.0, values)
+        return values, np.zeros(len(values), dtype=np.float64)
+    n = scheme.n
+    values = selected(histogram.sums) / n
+    if n > 1:
+        variances = np.maximum(selected(histogram.squares) - n * values * values, 0.0) / (n - 1)
+        std_errors = np.sqrt(variances / n)
+    else:
+        std_errors = np.zeros(len(values), dtype=np.float64)
+    return np.clip(values, 0.0, 1.0), std_errors
+
+
+def total_mass(dist, scheme):
+    """The measure of the whole space under ``dist``: the one bin of a
+    one-bin sweep; 1 within the scheme's tolerance for a density."""
+    histogram = core.sweep_statistics(dist, scheme, lambda c: np.zeros(len(c), np.uint8), 1)
+    return histogram.measure(np.array([True]))
 
 
 def reference_write_log(handle, dimension, blocks):

@@ -271,6 +271,23 @@ def test_log_memory_is_one_piece():
     assert three <= 1.5 * one
 
 
+def test_sweep_memory_does_not_grow_with_steps(monkeypatch):
+    # the rows go to stdout through a spool file, one at a time; only --svg,
+    # which plots them all, keeps them
+    def peak(steps):
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--model", "quantum", "--steps", str(steps)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(2_000)  # makes what the first command of a process makes and keeps
+    assert peak(20_000) <= 1.5 * peak(2_000)
+
+
 def test_sweep_and_transition_bytes_are_pinned(tmp_path, capsys):
     # digests of the output of the two-sweep-per-row kernel this one replaced
     svg = tmp_path / "sweep.svg"
@@ -969,6 +986,13 @@ def test_config_errors(tmp_path, capsys):
 
     code, _, _ = run_cli(["stats", "--config", str(tmp_path / "absent.conf")], capsys)
     assert code == 2
+
+    not_utf8 = tmp_path / "bom.conf"
+    not_utf8.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(["stats", "--config", str(not_utf8)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"eprb-lab: error: {not_utf8}: the config file is not valid UTF-8: ")
+    assert err.count("\n") == 1
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from eprb_lab.core import (
     BLOCK_SIZE,
+    CHUNK_SIZE,
     TAU,
     Angle,
     AngleQuadruple,
@@ -19,8 +21,8 @@ from eprb_lab.core import (
     LambdaSpace,
     MeasureEstimate,
     MonteCarloScheme,
+    _mc_blocks,
     as_lambda_point,
-    check_normalization,
     context_outcomes,
     default_grid_resolution,
     derived_stream,
@@ -33,6 +35,7 @@ from eprb_lab.core import (
     uniform_distribution,
 )
 from eprb_lab.models import biased_distribution, local_coin_model, singlet_model
+from helpers import total_mass
 
 SPACE = LambdaSpace(2)
 UNIFORM = uniform_distribution(SPACE)
@@ -195,7 +198,7 @@ def test_grid_complement_rule():
 
 
 def test_grid_normalization_exact():
-    assert check_normalization(UNIFORM, GridScheme(512)).value == 1.0
+    assert total_mass(UNIFORM, GridScheme(512)).value == 1.0
 
 
 def test_grid_rectangle_quadrature():
@@ -279,6 +282,21 @@ def test_chunked_draws_equal_one_draw(draw):
     assert np.array_equal(np.concatenate(pieces), whole)
 
 
+def test_monte_carlo_blocks_start_at_once_for_any_n():
+    # the spans of the blocks and their chunks are made one at a time, so the
+    # first chunk of 10**12 samples (953,675 blocks) costs what it costs in a
+    # short sweep
+    tracemalloc.start()
+    try:
+        coords, sizes = next(next(_mc_blocks(2, 10**12, 1, 0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert sizes is None
+    assert np.array_equal(coords, derived_stream(1, 0, 0).random((CHUNK_SIZE, 2)))
+
+
 def test_bad_density_and_masks_rejected():
     from eprb_lab.core import Distribution, sweep_statistics
 
@@ -301,7 +319,6 @@ def test_bad_density_and_masks_rejected():
         estimate_measure(long, half_space, GridScheme(8))
 
     # sweep statistics insist on one integer bin in [0, n_stats) per point
-    inside = np.array([[False, True]])
     bad_classifiers = [
         ("integer bin codes", lambda c: c[:, 0]),
         ("integer bin codes", lambda c: np.ones(c.shape[0], dtype=bool)),
@@ -312,7 +329,7 @@ def test_bad_density_and_masks_rejected():
     ]
     for message, classify in bad_classifiers:
         with pytest.raises(ValueError, match=message):
-            sweep_statistics(UNIFORM, GridScheme(8), classify, 2, inside)
+            sweep_statistics(UNIFORM, GridScheme(8), classify, 2)
 
 
 # ---------------------------------------------------------------------------

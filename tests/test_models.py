@@ -13,7 +13,6 @@ from eprb_lab.core import (
     AngleQuadruple,
     GridScheme,
     MonteCarloScheme,
-    check_normalization,
     derived_stream,
     estimate_measure,
     make_angle,
@@ -29,6 +28,7 @@ from eprb_lab.models import (
     sequential_singlet_model,
     singlet_model,
 )
+from helpers import total_mass
 
 GRID = GridScheme(1024)
 
@@ -99,7 +99,7 @@ def test_biased_distribution_validation():
 def test_biased_distribution_marginal_exact_on_grid(q):
     model = singlet_model()
     dist = biased_distribution(model, q)
-    mass = check_normalization(dist, GridScheme(256)).value
+    mass = total_mass(dist, GridScheme(256)).value
     assert mass == pytest.approx(1.0, abs=1e-12)
     below = estimate_measure(dist, lambda c: c[..., 0] < 0.5, GridScheme(256)).value
     assert below == pytest.approx(q, abs=1e-12)
@@ -108,7 +108,7 @@ def test_biased_distribution_marginal_exact_on_grid(q):
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_biased_distribution_normalized(q):
     dist = biased_distribution(singlet_model(), q)
-    assert check_normalization(dist, GridScheme(32)).value == pytest.approx(1.0, abs=1e-12)
+    assert total_mass(dist, GridScheme(32)).value == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])

@@ -10,9 +10,12 @@ one mask per bin the kernel's bin totals are the reference's, to the bit.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from eprb_lab import core, transition
 from eprb_lab.core import (
     BLOCK_SIZE,
     AngleQuadruple,
@@ -25,7 +28,14 @@ from eprb_lab.core import (
     sweep_statistics,
 )
 from eprb_lab.inequalities import stats_from_model
-from eprb_lab.models import as_simultaneous, resolve_model, sequential_singlet_model
+from eprb_lab.models import (
+    as_simultaneous,
+    biased_distribution,
+    resolve_model,
+    sequential_singlet_model,
+)
+from eprb_lab.ordering import ordering_measures
+from eprb_lab.protocols import marginal_shift
 from eprb_lab.transition import (
     CANONICAL_SETS,
     LABELS_BY_MASK,
@@ -35,6 +45,7 @@ from eprb_lab.transition import (
     full_report,
     partition_measures,
 )
+from helpers import reference_statistics
 
 QUADRUPLE = AngleQuadruple.chain(0.7)
 TWO_BLOCKS = BLOCK_SIZE + 137
@@ -211,7 +222,7 @@ def test_bins_mixing_unit_and_weighted_chunks_sum_to_the_same_bits(ones_first):
 
     dist = Distribution(space=LambdaSpace(2), density=density, label="half-unit")
     scheme = GridScheme(1024)
-    values, _ = sweep_statistics(dist, scheme, classify, 256, IDENTITY)
+    values, _ = reference_statistics(sweep_statistics(dist, scheme, classify, 256), IDENTITY)
     assert np.array_equal(values, reference_sweep(dist, scheme, bin_masks(classify))[0])
 
 
@@ -225,8 +236,85 @@ def test_many_bins_of_a_biased_density_sum_to_the_same_bits():
     def classify(c):
         return (c[:, 0] * c[:, 1] * 256).astype(np.int64)
 
-    values, errors = sweep_statistics(dist, scheme, classify, 256, IDENTITY)
+    values, errors = reference_statistics(sweep_statistics(dist, scheme, classify, 256), IDENTITY)
     ref_values, ref_errors = reference_sweep(dist, scheme, bin_masks(classify))
     assert np.count_nonzero(ref_values) >= 200
     assert np.array_equal(values, ref_values)
     assert np.array_equal(errors, ref_errors)
+
+
+def _histogram_of(sweep, monkeypatch):
+    """The histogram that the package's one sweep inside ``sweep()`` returns."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    original = core.sweep_statistics
+    for module in (core, transition):
+        monkeypatch.setattr(module, "sweep_statistics", recording)
+    sweep()
+    (histogram,) = made
+    return histogram
+
+
+def _heavier(dist):
+    """``dist`` with a total mass of 1 + 2**-40, which the grid snaps to 1."""
+    return dataclasses.replace(dist, density=lambda coords: dist.density(coords) * (1 + 2**-40))
+
+
+DENSITIES = {
+    "uniform": lambda model: biased_distribution(model, 0.5),
+    "q0.8": lambda model: biased_distribution(model, 0.8),
+    "q0.8-heavier": lambda model: _heavier(biased_distribution(model, 0.8)),
+}
+
+
+def _sweeps(density, scheme):
+    """The pattern, signal and ordering sweeps under ``density``."""
+    singlet = resolve_model("singlet").hv
+    sequential = sequential_singlet_model()
+    sequential = dataclasses.replace(sequential, equilibrium=density(sequential))
+    dist = density(singlet)
+    a, a_prime, b = QUADRUPLE.a, QUADRUPLE.a_prime, QUADRUPLE.b
+    return {
+        "pattern": lambda: full_report(singlet, dist, QUADRUPLE, scheme),
+        "signal": lambda: marginal_shift(singlet, dist, b, a, a_prime, scheme),
+        "ordering": lambda: ordering_measures(sequential, QUADRUPLE, scheme),
+    }
+
+
+VIEW_CASES = [
+    (kind, density, scheme)
+    for kind in ("pattern", "signal", "ordering")
+    for density in DENSITIES
+    for scheme in (GridScheme(256), MonteCarloScheme(TWO_BLOCKS, 3))
+]
+
+
+@pytest.mark.parametrize(
+    "kind, density, scheme", VIEW_CASES, ids=[f"{k}-{d}-{s.label}" for k, d, s in VIEW_CASES]
+)
+def test_measure_is_the_selection_readout_bit_for_bit(kind, density, scheme, monkeypatch):
+    # Histogram.measure reads one union of bins as the kernel read each row of
+    # a selection matrix: random unions, and none and all bins, where the grid
+    # snaps a total mass just above 1 to 1 and Monte Carlo clips it to [0, 1]
+    histogram = _histogram_of(_sweeps(DENSITIES[density], scheme)[kind], monkeypatch)
+    n_bins = len(histogram.sums)
+    rng = np.random.default_rng(11)
+    selection = np.concatenate(
+        [
+            rng.random((200, n_bins)) < rng.random((200, 1)),
+            np.zeros((1, n_bins), dtype=bool),
+            np.ones((1, n_bins), dtype=bool),
+        ]
+    )
+    ref_values, ref_errors = reference_statistics(histogram, selection)
+    estimates = [histogram.measure(bins) for bins in selection]
+    assert all(est.scheme == scheme for est in estimates)
+    values = np.array([est.value for est in estimates])
+    errors = np.array([est.std_error for est in estimates])
+    assert values.tobytes() == ref_values.tobytes()
+    assert errors.tobytes() == ref_errors.tobytes()
+    assert np.count_nonzero(histogram.sums) >= 2

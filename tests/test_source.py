@@ -81,3 +81,36 @@ def test_every_unused_import_is_a_tracer_shim():
             if _bound_name(alias) not in rebinds.get(path.stem, set()):
                 stale.append(f"{path.name}:{alias.lineno}: {_bound_name(alias)}")
     assert stale == []
+
+
+def _calls(node: ast.AST, scope: str = "") -> list[tuple[str, ast.Call]]:
+    """Every call under ``node`` with the dotted name of the class or
+    function it sits in."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif isinstance(child, ast.Call):
+            found.append((scope, child))
+        found += _calls(child, inner)
+    return found
+
+
+def _callee(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def test_every_statistic_is_a_view_of_a_histogram():
+    # Histogram.measure is the one place a MeasureEstimate is made, and the
+    # kernel is never handed a fifth positional argument (a selection of bins)
+    makers, sweeps = [], []
+    for path in SOURCES:
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if _callee(call) == "MeasureEstimate":
+                makers.append(f"{path.stem}.{scope}")
+            elif _callee(call) == "sweep_statistics":
+                sweeps.append((f"{path.stem}.{scope}", len(call.args)))
+    assert makers == ["core.Histogram.measure"]
+    assert len(sweeps) >= 4
+    assert [(where, n) for where, n in sweeps if n > 4] == []
