@@ -44,11 +44,11 @@ boolean mask over the bins, which :meth:`Histogram.measure` turns into a
 :class:`MeasureEstimate`, so every statistic is a view of one histogram.
 The package fills three kinds: the 256 outcome patterns of a quadruple
 (every transition-set measure and context statistic, see :mod:`transition`),
-the four outcome pairs behind a signal-locality check, and the 256
-ordering-set codes of a sequential model; :func:`estimate_measure` is the
-two-bin case for a bare indicator.  Per block, each bin counts its weights
-of exactly 1 and keeps the others, in block order, in an array grown chunk
-by chunk; no other array is a block long.
+the four outcome pairs behind a signal-locality check, and the 4,096 codes
+of a sequential model's ordering sets and first answers (see :mod:`ordering`);
+:func:`estimate_measure` is the two-bin case for a bare indicator.  Per
+block, each bin counts its weights of exactly 1 and keeps the others, in
+block order, in an array grown chunk by chunk; no other array is a block long.
 """
 
 from __future__ import annotations
@@ -490,11 +490,12 @@ ClassifierFn = Callable[[np.ndarray], np.ndarray]
 
 
 class Histogram:
-    """The per-bin density totals of one sweep, and for Monte Carlo the
-    per-bin totals of the squared density; every statistic is a view."""
+    """Per-bin totals of one sweep, the rows of ``totals``: ``sums`` of the
+    density and, for Monte Carlo, ``squares`` of it; every statistic is a view."""
 
-    def __init__(self, sums: np.ndarray, squares: np.ndarray, scheme: Scheme, dimension: int):
-        self.sums, self.squares, self.scheme, self.dimension = sums, squares, scheme, dimension
+    def __init__(self, totals: np.ndarray, scheme: Scheme, dimension: int):
+        self.totals, self.scheme, self.dimension = totals, scheme, dimension
+        self.sums, self.squares = totals
 
     def measure(self, bins: np.ndarray) -> MeasureEstimate:
         """The measure of the union of the bins that the boolean mask ``bins``
@@ -502,18 +503,18 @@ class Histogram:
         within ``_UNIT_SNAP`` above it, error 0; under Monte Carlo the sample
         mean clipped to [0, 1], with the ddof=1 error of the unclipped mean."""
         scheme = self.scheme
-        # np.add.reduce is ndarray.sum, the same pairwise sum, without the cost
-        # of its wrapper, which a report pays once per statistic
-        total = np.add.reduce(np.where(bins, self.sums, 0.0))
+        # np.add.reduce is ndarray.sum, the same pairwise sum per contiguous row,
+        # without the cost of its wrapper, which a report pays once per statistic
         if isinstance(scheme, GridScheme):
+            total = np.add.reduce(np.where(bins, self.sums, 0.0))
             value = total / float(scheme.resolution) ** self.dimension
             value, error = (1.0 if 1.0 < value <= 1.0 + _UNIT_SNAP else value), 0.0
         else:
             n = scheme.n
+            total, squares = np.add.reduce(np.where(bins, self.totals, 0.0), axis=1)
             value = total / n
             error = 0.0
             if n > 1:
-                squares = np.add.reduce(np.where(bins, self.squares, 0.0))
                 error = math.sqrt(max(squares - n * value * value, 0.0) / (n - 1) / n)
             value = min(max(value, 0.0), 1.0)
         return MeasureEstimate(float(value), float(error), scheme)
@@ -560,8 +561,8 @@ def sweep_statistics(
         blocks = _mc_blocks(dimension, scheme.n, scheme.seed, 0)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    sums = np.zeros(n_stats, dtype=np.float64)
-    squares = np.zeros(n_stats, dtype=np.float64)
+    totals = np.zeros((2, n_stats), dtype=np.float64)
+    sums, squares = totals
 
     def add_block(chunks: Chunks) -> None:
         # per bin: the weights of 1 not yet in ``kept``, and the weights in block order
@@ -594,7 +595,7 @@ def sweep_statistics(
 
     for chunks in blocks:
         add_block(chunks)
-    return Histogram(sums, squares, scheme, dimension)
+    return Histogram(totals, scheme, dimension)
 
 
 def _extended(kept: np.ndarray | None, n_ones: int, piece: np.ndarray) -> np.ndarray:

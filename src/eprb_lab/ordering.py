@@ -11,10 +11,10 @@ P(sigma_minus) is zero.  Whenever the statistics demand a positive lower
 bound on P(sigma_minus), some ordering set must therefore be non-empty:
 reproducing those statistics forces ordering contextuality.
 
-:func:`moc_demo` measures all eight ordering sets in one sweep: each lambda
-gets an 8-bit code whose bit k is set when it lies in ordering set k, and
-set k is read off the histogram as the bins with bit k set.  The induced
-model's report is the only other sweep.
+:func:`moc_demo` reads every figure off one sweep.  Each lambda gets a
+12-bit code: bit k is set when it lies in ordering set k, and bits 8-11 hold
+the four first answers, which fix the induced model's outcome pattern, so
+the sets, its sigma_minus and its context statistics are all unions of bins.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .core import (
 from .inequalities import JointStats, hardy_bounds, quantum_stats
 from .inequalities import stats_from_model  # noqa: F401  (bench/tracer.py rebinds it here)
 from .models import SequentialModel, _check_wing
-from .transition import full_report
+from .transition import _ODD, P_PLUS_SELECTION, pattern_code
+from .transition import full_report  # noqa: F401  (bench/tracer.py rebinds it here)
 
 #: The eight ordering sets as (wing, own setting, companion setting) names,
 #: in the order :func:`moc_demo` searches them.
@@ -53,6 +54,9 @@ ORDERING_SETS: tuple[tuple[str, str, str], ...] = (
     ("B", "b'", "a"),
     ("B", "b'", "a'"),
 )
+
+#: The first answers as (wing, own setting): bit 8 + j of a moc code is set when answer j is -1.
+_FIRSTS: tuple[tuple[str, str], ...] = (("A", "a"), ("A", "a'"), ("B", "b"), ("B", "b'"))
 
 
 def _companion(wing: str) -> str:
@@ -104,23 +108,22 @@ def moc_transition_measure(
 def ordering_measures(
     model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme
 ) -> dict[tuple[str, str, str], MeasureEstimate]:
-    """The equilibrium measure of every ordering set, keyed as in
-    :data:`ORDERING_SETS`, from one sweep.
+    """The equilibrium measure of every ordering set, keyed as in :data:`ORDERING_SETS`."""
+    return _moc_sweep(model, quadruple, scheme)[0]
 
-    Each point's bin is an 8-bit code, bit k set when the point lies in
-    ordering set k, so set k is the bins with bit k set.  Each wing's first
-    answer at each of its settings is computed once per block and shared by
-    the sets that read it.
-    """
+
+def _moc_sweep(
+    model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme
+) -> tuple[dict[tuple[str, str, str], MeasureEstimate], core.Histogram]:
+    """The ordering-set measures of one sweep over the equilibrium, and its
+    histogram.  Each point's bin is a 12-bit code: bit k is set when the
+    point lies in ordering set k, and bit 8 + j when first answer j is -1.
+    Each first answer is computed once per chunk and shared by the sets."""
     named = quadruple.named_angles()
 
     def classify(coords: np.ndarray) -> np.ndarray:
-        firsts = {
-            (wing, name): _first(model, wing, named[name], coords)
-            for wing, names in (("A", ("a", "a'")), ("B", ("b", "b'")))
-            for name in names
-        }
-        code = np.zeros(coords.shape[0], dtype=np.uint8)
+        firsts = {(wing, own): _first(model, wing, named[own], coords) for wing, own in _FIRSTS}
+        code = np.zeros(coords.shape[0], dtype=np.uint16)
         for k, (wing, own, other) in enumerate(ORDERING_SETS):
             flip = _order_flip(
                 model,
@@ -131,15 +134,17 @@ def ordering_measures(
                 firsts[_companion(wing), other],
                 coords,
             )
-            code |= flip.astype(np.uint8) << k
+            code |= flip.astype(np.uint16) << k
+        for j, first in enumerate(firsts.values(), start=len(ORDERING_SETS)):
+            code |= (first < 0).astype(np.uint16) << j
         return code
 
-    n_bins = 1 << len(ORDERING_SETS)
+    codes = np.arange(1 << (len(ORDERING_SETS) + len(_FIRSTS)))
     dist = model.equilibrium
     cuts = declared_cuts(model, dist, named.values())
-    histogram = core.sweep_statistics(dist, scheme, classify, n_bins, cuts=cuts)
-    codes = np.arange(n_bins)
-    return {triple: histogram.measure(codes >> k & 1 == 1) for k, triple in enumerate(ORDERING_SETS)}
+    histogram = core.sweep_statistics(dist, scheme, classify, len(codes), cuts=cuts)
+    sets = {triple: histogram.measure(codes >> k & 1 == 1) for k, triple in enumerate(ORDERING_SETS)}
+    return sets, histogram
 
 
 def induce_noncontextual(model: SequentialModel) -> HvModel:
@@ -191,21 +196,22 @@ class MocReport:
 def moc_demo(model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme) -> MocReport:
     """Search all eight (wing, own, companion) triples and assemble the report."""
     named = quadruple.named_angles()
+    sets, histogram = _moc_sweep(model, quadruple, scheme)
     # max keeps the first of tied measures, in ORDERING_SETS order
-    (wing, own_name, other_name), moc_measure = max(
-        ordering_measures(model, quadruple, scheme).items(), key=lambda item: item[1].value
-    )
-
-    induced = induce_noncontextual(model)
-    report = full_report(induced, induced.equilibrium, quadruple, scheme)
-    induced_stats = JointStats(report.p_plus)
+    (wing, own_name, other_name), moc_measure = max(sets.items(), key=lambda item: item[1].value)
+    # the order-free model's outcome pattern at each combination of first answers, then each bin
+    answers = dict(zip(_FIRSTS, 1 - 2 * (np.arange(16) >> np.arange(4)[:, None] & 1)))
+    contexts = (("a", "b"), ("a'", "b"), ("a'", "b'"), ("a", "b'"))  # canonical order
+    patterns = pattern_code(tuple((answers["A", x], answers["B", y]) for x, y in contexts))
+    induced = patterns[np.arange(len(histogram.sums)) >> len(ORDERING_SETS)]
+    p_plus = tuple(histogram.measure(bins).value for bins in P_PLUS_SELECTION[:, induced])
     return MocReport(
         pair=f"{wing}@{own_name} (companion {other_name} first)",
         wing=wing,
         own=named[own_name],
         other=named[other_name],
         moc_measure=moc_measure,
-        induced_sigma_minus=report.sigma_minus,
-        induced_bell_lhs=hardy_bounds(induced_stats).bell_lhs,
+        induced_sigma_minus=histogram.measure(_ODD[induced]),
+        induced_bell_lhs=hardy_bounds(JointStats(p_plus)).bell_lhs,
         quantum_required=hardy_bounds(quantum_stats(quadruple)).unified,
     )

@@ -2,23 +2,33 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from eprb_lab import ordering
 from eprb_lab.core import (
     BLOCK_SIZE,
     AngleQuadruple,
     GridScheme,
     LambdaSpace,
     MonteCarloScheme,
+    NumericalInvariantError,
+    make_angle,
     probe_locality,
     theta_between,
     uniform_distribution,
 )
 from eprb_lab.inequalities import hardy_bounds, stats_from_model
-from eprb_lab.models import SequentialModel, sequential_singlet_model
+from eprb_lab.models import (
+    SequentialModel,
+    biased_distribution,
+    sequential_singlet_model,
+    singlet_model,
+)
 from eprb_lab.ordering import (
     ORDERING_SETS,
     MocReport,
@@ -32,13 +42,14 @@ from eprb_lab.transition import full_report
 CHAIN = AngleQuadruple.chain(math.pi / 4)
 
 
-def order_blind_model() -> SequentialModel:
-    """A sequential coin whose second answer ignores the order entirely."""
+def order_blind_model(cut: float = 0.5) -> SequentialModel:
+    """A sequential coin, +1 below ``cut`` on the first axis, whose second
+    answer ignores the order entirely."""
     space = LambdaSpace(2)
 
     def first_outcome(wing, own, coords):
         coords = np.asarray(coords, dtype=np.float64)
-        return np.where(coords[..., 0] < 0.5, 1, -1).astype(np.int8)
+        return np.where(coords[..., 0] < cut, 1, -1).astype(np.int8)
 
     def second_outcome(wing, own, other, first_value, coords):
         return np.asarray(first_value)
@@ -160,16 +171,118 @@ def test_one_sweep_matches_each_ordering_set(model, quadruple, scheme):
     assert report.moc_measure == measure
 
 
-@pytest.mark.parametrize("scheme", [GridScheme(256), MonteCarloScheme(20_000, 4)])
-def test_moc_demo_induced_model_figures(scheme):
-    model = sequential_singlet_model()
-    report = moc_demo(model, CHAIN, scheme)
+def setting_dependent_model() -> SequentialModel:
+    """A sequential model whose first answer is the sign of cos(2 pi u - own)
+    for either wing, as in Bell's local model, and whose second answer flips
+    it where u + v < 1/2.  It declares no breakpoints."""
+    space = LambdaSpace(2)
+
+    def first_outcome(wing, own, coords):
+        coords = np.asarray(coords, dtype=np.float64)
+        return np.where(np.cos(2 * math.pi * coords[..., 0] - own.radians) >= 0, 1, -1)
+
+    def second_outcome(wing, own, other, first_value, coords):
+        coords = np.asarray(coords, dtype=np.float64)
+        return np.where(coords[..., 0] + coords[..., 1] < 0.5, -first_value, first_value)
+
+    return SequentialModel(
+        name="setting-dependent",
+        space=space,
+        equilibrium=uniform_distribution(space),
+        first_outcome=first_outcome,
+        second_outcome=second_outcome,
+    )
+
+
+def biased_sequential_singlet(q: float) -> SequentialModel:
+    """The sequential singlet with an equilibrium that puts ``q`` of the mass at u < 1/2."""
+    return dataclasses.replace(
+        sequential_singlet_model(), equilibrium=biased_distribution(singlet_model(), q)
+    )
+
+
+#: Four settings whose contexts all differ in angle, so that a context or a
+#: first answer read in the wrong place changes the induced statistics.
+SKEWED = AngleQuadruple(make_angle(0.0), make_angle(1.5), make_angle(0.4), make_angle(2.3))
+
+
+def _assert_induced_figures(model, quadruple, scheme, tolerance, monkeypatch):
+    # the one moc sweep against the two-sweep reference: the induced model's
+    # own report, and the largest ordering set measured alone.  The bounds
+    # are symmetric in the contexts, so the statistics they are given are
+    # compared too, context by context.
+    given = []
+    monkeypatch.setattr(ordering, "hardy_bounds", lambda s: given.append(s) or hardy_bounds(s))
+    report = moc_demo(model, quadruple, scheme)
+    p_plus = np.array(given[0].p_plus)
     induced = induce_noncontextual(model)
-    assert report.induced_sigma_minus == full_report(
-        induced, induced.equilibrium, CHAIN, scheme
-    ).sigma_minus
-    stats = stats_from_model(induced, induced.equilibrium, CHAIN, scheme)
-    assert report.induced_bell_lhs == hardy_bounds(stats).bell_lhs
+    sigma_minus = full_report(induced, induced.equilibrium, quadruple, scheme).sigma_minus
+    stats = stats_from_model(induced, induced.equilibrium, quadruple, scheme)
+    bell_lhs = hardy_bounds(stats).bell_lhs
+    moc_measure = moc_transition_measure(
+        model, model.equilibrium, report.own, report.other, report.wing, scheme
+    )
+    if tolerance == 0.0:
+        assert (report.induced_sigma_minus, report.moc_measure) == (sigma_minus, moc_measure)
+        assert (p_plus.tolist(), report.induced_bell_lhs) == (list(stats.p_plus), bell_lhs)
+        return
+    for got, want in ((report.induced_sigma_minus, sigma_minus), (report.moc_measure, moc_measure)):
+        assert got.scheme == want.scheme
+        assert abs(got.value - want.value) <= tolerance
+        assert abs(got.std_error - want.std_error) <= tolerance
+    assert np.max(np.abs(p_plus - stats.p_plus)) <= tolerance
+    assert abs(report.induced_bell_lhs - bell_lhs) <= tolerance
+
+
+@pytest.mark.parametrize("scheme", [GridScheme(256), MonteCarloScheme(20_000, 4)])
+def test_moc_demo_induced_model_figures(scheme, monkeypatch):
+    _assert_induced_figures(sequential_singlet_model(), CHAIN, scheme, 0.0, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "model, quadruple, scheme, tolerance",
+    [
+        (setting_dependent_model(), SKEWED, GridScheme(256), 0.0),
+        (setting_dependent_model(), SKEWED, MonteCarloScheme(20_000, 4), 0.0),
+        # a biased density makes every bin total a float sum, and the one
+        # sweep sums finer bins than the two-sweep reference
+        (biased_sequential_singlet(0.7), CHAIN, GridScheme(1024), 1e-15),
+        (biased_sequential_singlet(0.7), CHAIN, MonteCarloScheme(BLOCK_SIZE + 137, 6), 1e-15),
+    ],
+    ids=["grid-setting", "mc-setting", "grid-biased", "mc-biased"],
+)
+def test_moc_demo_induced_model_figures_of_other_models(
+    model, quadruple, scheme, tolerance, monkeypatch
+):
+    _assert_induced_figures(model, quadruple, scheme, tolerance, monkeypatch)
+
+
+def _u_half(angles):
+    return ((0.5,), ())
+
+
+@pytest.mark.parametrize(
+    "model, name",
+    [
+        # the v thresholds of the second answers left out
+        (
+            dataclasses.replace(sequential_singlet_model(), breakpoints=_u_half),
+            "sequential-singlet",
+        ),
+        # the first answer changes at u = 0.3, which no ordering set sees
+        (
+            dataclasses.replace(order_blind_model(0.3), name="blind-off-cut", breakpoints=_u_half),
+            "blind-off-cut",
+        ),
+    ],
+    ids=["dropped-v-cuts", "first-answer-off-cut"],
+)
+def test_moc_names_a_misdeclared_model(model, name):
+    # the one corner check covers every bit of the sweep, and names the model
+    # the user built, not the induced one
+    message = f"outcomes of model {re.escape(repr(name))} change"
+    with pytest.raises(NumericalInvariantError, match=message):
+        moc_demo(model, CHAIN, GridScheme(64))
 
 
 def _zeros(coords):

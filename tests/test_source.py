@@ -102,8 +102,9 @@ def _callee(call: ast.Call) -> str | None:
 
 
 def test_every_statistic_is_a_view_of_a_histogram():
-    # Histogram.measure is the one place a MeasureEstimate is made, and the
-    # kernel is never handed a fifth positional argument (a selection of bins)
+    # Histogram.measure is the one place a MeasureEstimate is made, the kernel
+    # is never handed a fifth positional argument (a selection of bins), and
+    # each of its call sites is one statistic family's only sweep
     makers, sweeps = [], []
     for path in SOURCES:
         for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
@@ -112,5 +113,10 @@ def test_every_statistic_is_a_view_of_a_histogram():
             elif _callee(call) == "sweep_statistics":
                 sweeps.append((f"{path.stem}.{scope}", len(call.args)))
     assert makers == ["core.Histogram.measure"]
-    assert len(sweeps) >= 4
+    assert sorted(where for where, _ in sweeps) == [
+        "core.estimate_measure",
+        "ordering._moc_sweep",
+        "protocols.marginal_shift",
+        "transition.full_report",
+    ]
     assert [(where, n) for where, n in sweeps if n > 4] == []
