@@ -23,7 +23,7 @@ _EXPORTS = {
         "core": (
             "Angle", "AngleQuadruple", "CONTEXT_LABELS", "Distribution", "GridScheme", "HvModel",
             "LambdaSpace", "MeasureEstimate", "MonteCarloScheme", "NumericalInvariantError",
-            "estimate_measure", "evaluate_pair", "make_angle", "theta_between",
+            "estimate_measure", "evaluate_pair", "make_angle", "probe_locality", "theta_between",
             "uniform_distribution",
         ),
         "models": (

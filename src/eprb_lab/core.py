@@ -245,17 +245,15 @@ def uniform_distribution(space: LambdaSpace) -> Distribution:
 
 OutcomeFn = Callable[[Angle, Angle, np.ndarray], np.ndarray]
 
-LOCALITY_TAGS = ("local", "nonlocal", "unknown")
-
 
 @dataclass(frozen=True)
 class HvModel:
     """A deterministic outcome-function pair over a hidden-variable space.
 
     ``outcome_a(a, b, coords)`` and ``outcome_b(a, b, coords)`` follow the
-    batch convention and must return +1/-1 integer arrays.  The locality tag
-    is metadata: "local" promises that outcome_a ignores b and outcome_b
-    ignores a, which :func:`probe_locality` spot-checks.
+    batch convention and must return +1/-1 integer arrays.  The model is
+    local when outcome_a ignores b and outcome_b ignores a, which
+    :func:`probe_locality` checks.
 
     ``breakpoints(angles)``, when present, returns one tuple of cut
     positions per axis such that both outcomes, at every setting pair drawn
@@ -268,12 +266,7 @@ class HvModel:
     outcome_a: OutcomeFn
     outcome_b: OutcomeFn
     equilibrium: Distribution
-    locality_tag: str = "unknown"
     breakpoints: BreakpointsFn | None = None
-
-    def __post_init__(self) -> None:
-        if self.locality_tag not in LOCALITY_TAGS:
-            raise ValueError(f"locality_tag must be one of {LOCALITY_TAGS}, got {self.locality_tag!r}")
 
 
 @dataclass(frozen=True)
@@ -741,7 +734,9 @@ def probe_locality(model: HvModel, n_probes: int = 1000, seed: int = 2024) -> bo
     """Check that each wing's outcome ignores the other wing's setting.
 
     Draws n random (a, a', b, b', lambda) tuples; True if outcome_a never
-    responds to the b swap and outcome_b never responds to the a swap.
+    responds to the b swap and outcome_b never responds to the a swap.  Each
+    outcome goes through :func:`evaluate_pair`, so one that is not +1/-1
+    raises ValueError naming the model.
     """
     rng = derived_stream(seed, 102, 0)
     for _ in range(n_probes):
@@ -750,9 +745,9 @@ def probe_locality(model: HvModel, n_probes: int = 1000, seed: int = 2024) -> bo
         b = make_angle(float(rng.random()) * TAU)
         b_alt = make_angle(float(rng.random()) * TAU)
         lam = rng.random(model.space.dimension)
-        point = as_lambda_point(lam, model.space).reshape(1, -1)
-        same_a = model.outcome_a(a, b, point) == model.outcome_a(a, b_alt, point)
-        same_b = model.outcome_b(a, b, point) == model.outcome_b(a_alt, b, point)
-        if not (bool(np.all(same_a)) and bool(np.all(same_b))):
+        value_a, value_b = evaluate_pair(model, a, b, lam)
+        same_a = evaluate_pair(model, a, b_alt, lam)[0] == value_a
+        same_b = evaluate_pair(model, a_alt, b, lam)[1] == value_b
+        if not (same_a and same_b):
             return False
     return True

@@ -41,24 +41,22 @@ BETA_SIGNS: tuple[tuple[int, int, int, int], ...] = tuple(
 
 @dataclass(frozen=True)
 class JointStats:
-    """The four context product distributions: p_i^+ is stored (as floats)
-    and p_i^- = 1 - p_i^+ derived from it."""
+    """The four context product distributions: p_i^+ is stored (as floats in
+    [0, 1], checked when made) and p_i^- = 1 - p_i^+ derived from it."""
 
     p_plus: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_plus", tuple(float(p) for p in self.p_plus))
-
-    @property
-    def p_minus(self) -> tuple[float, float, float, float]:
-        return tuple(1.0 - p for p in self.p_plus)  # type: ignore[return-value]
-
-    def validate(self) -> None:
         if len(self.p_plus) != 4:
             raise ValueError("JointStats needs exactly four contexts")
         for i, plus in enumerate(self.p_plus):
             if not 0.0 <= plus <= 1.0:
                 raise ValueError(f"context {i + 1} probabilities outside [0, 1]: {plus}, {1.0 - plus}")
+
+    @property
+    def p_minus(self) -> tuple[float, float, float, float]:
+        return tuple(1.0 - p for p in self.p_plus)  # type: ignore[return-value]
 
 
 def bound_for_signs(stats: JointStats, signs: Sequence[int]) -> float:
@@ -102,7 +100,6 @@ class HardyBounds:
 
 def hardy_bounds(stats: JointStats) -> HardyBounds:
     """Evaluate the eight pattern bounds and the unified inequality."""
-    stats.validate()
     alpha = tuple(bound_for_signs(stats, signs) for signs in ALPHA_SIGNS)
     beta = tuple(bound_for_signs(stats, signs) for signs in BETA_SIGNS)
     p, m = stats.p_plus, stats.p_minus
@@ -140,7 +137,6 @@ def chsh_correlations(stats: JointStats) -> ChshResult:
     lhs1 = |c1 + c4| + |c2 - c3| and lhs2 = |c1 - c4| + |c2 + c3|; their sum
     never exceeds 4, so at most one of them can exceed 2.
     """
-    stats.validate()
     c = tuple(plus - minus for plus, minus in zip(stats.p_plus, stats.p_minus))
     lhs1 = abs(c[0] + c[3]) + abs(c[1] - c[2])
     lhs2 = abs(c[0] - c[3]) + abs(c[1] + c[2])

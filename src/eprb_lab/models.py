@@ -88,7 +88,6 @@ def local_coin_model() -> HvModel:
         outcome_a=outcome_a,
         outcome_b=outcome_b,
         equilibrium=uniform_distribution(SPACE_2D),
-        locality_tag="local",
         breakpoints=_coin_breakpoints,
     )
 
@@ -214,8 +213,8 @@ def as_simultaneous(model: SequentialModel, first_wing: str = "A") -> HvModel:
     """Collapse a sequential model into an ordinary one at a fixed order.
 
     The wing named ``first_wing`` is measured first in every run; the other
-    wing's outcome function then legitimately depends on both settings, so
-    the result is tagged nonlocal.
+    wing's outcome function may then depend on both settings, and
+    :func:`core.probe_locality` measures whether it does.
     """
     _check_wing(first_wing)
     if first_wing == "A":
@@ -242,7 +241,6 @@ def as_simultaneous(model: SequentialModel, first_wing: str = "A") -> HvModel:
         outcome_a=outcome_a,
         outcome_b=outcome_b,
         equilibrium=model.equilibrium,
-        locality_tag="nonlocal",
         breakpoints=model.breakpoints,
     )
 

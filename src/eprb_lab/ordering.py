@@ -167,7 +167,6 @@ def induce_noncontextual(model: SequentialModel) -> HvModel:
         outcome_a=outcome_a,
         outcome_b=outcome_b,
         equilibrium=model.equilibrium,
-        locality_tag="local",
         breakpoints=model.breakpoints,
     )
 

@@ -24,6 +24,7 @@ from eprb_lab.core import (
     context_outcomes,
     derived_stream,
     make_angle,
+    probe_locality,
 )
 from eprb_lab.inequalities import (
     contradiction_trace,
@@ -207,7 +208,7 @@ def test_criterion_10_ordering_contextuality():
     assert abs(report.quantum_required - (SQRT2 - 1)) <= 1e-12
     assert report.quantum_required > 0.0
     induced = induce_noncontextual(sequential_singlet_model())
-    assert induced.locality_tag == "local"
+    assert probe_locality(induced)
     print(f"criterion 10: PASS - ordering-dependence measure {report.moc_measure.value:.6f} "
           "= (1+cos(pi/4))/2 within 1e-3 while the order-free model has "
           "P(sigma_minus) = 0 against a required sqrt(2)-1")

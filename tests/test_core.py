@@ -384,19 +384,23 @@ def test_outcome_contract_enforced():
         evaluate_pair(broken, make_angle(0), make_angle(0), (0.1, 0.2))
 
 
-def test_locality_tag_validation():
-    with pytest.raises(ValueError):
-        HvModel(
-            name="bad-tag",
-            space=SPACE,
-            outcome_a=lambda a, b, c: np.ones(c.shape[0], dtype=np.int8),
-            outcome_b=lambda a, b, c: np.ones(c.shape[0], dtype=np.int8),
-            equilibrium=UNIFORM,
-            locality_tag="sideways",
-        )
-
-
 def test_probes():
     assert probe_locality(local_coin_model(), n_probes=50)
     # B's outcome responds to the remote setting, so the probe must fail
     assert not probe_locality(singlet_model(), n_probes=200)
+
+
+def test_probe_locality_checks_every_outcome():
+    # outcomes of 0 ignore every setting, but they are not outcomes
+    def zeros(a, b, coords):
+        return np.zeros(coords.shape[0], dtype=np.int8)
+
+    silent = HvModel("silent", SPACE, zeros, zeros, UNIFORM)
+    with pytest.raises(ValueError, match="model 'silent' are not all"):
+        probe_locality(silent)
+
+
+def test_probe_locality_is_exported():
+    from eprb_lab import probe_locality as exported
+
+    assert exported is probe_locality

@@ -103,6 +103,15 @@ def test_validate_rejects_bad_stats():
         hardy_bounds(JointStats((0.5, 0.5)))
 
 
+def test_joint_stats_checks_its_range_when_made():
+    with pytest.raises(ValueError, match="outside"):
+        JointStats((1.2, 0.5, 0.5, 0.5))
+    with pytest.raises(ValueError, match="outside"):
+        JointStats((0.5, float("nan"), 0.5, 0.5))
+    with pytest.raises(ValueError, match="four"):
+        JointStats((0.5, 0.5))
+
+
 def test_stats_from_model_matches_quantum():
     model = singlet_model()
     stats = stats_from_model(model, model.equilibrium, CHAIN, GridScheme(1024))
@@ -115,7 +124,6 @@ def test_random_joint_stats_reproducible():
     a = random_joint_stats(derived_stream(5, 6, 0))
     b = random_joint_stats(derived_stream(5, 6, 0))
     assert a == b
-    a.validate()
 
 
 @settings(max_examples=300)

@@ -37,7 +37,6 @@ def test_local_coin_statistics_exact():
     model = local_coin_model()
     stats = stats_from_model(model, model.equilibrium, AngleQuadruple.chain(0.7), GridScheme(64))
     assert stats.p_plus == (0.5, 0.5, 0.5, 0.5)
-    assert model.locality_tag == "local"
     assert probe_locality(model, n_probes=100)
 
 
@@ -158,7 +157,8 @@ def test_as_simultaneous_names_and_tags():
     seq = sequential_singlet_model()
     collapsed = as_simultaneous(seq, "B")
     assert collapsed.name == "sequential-singlet[B first]"
-    assert collapsed.locality_tag == "nonlocal"
+    # measured second, A's outcome reads Bob's setting
+    assert not probe_locality(collapsed)
     with pytest.raises(ValueError):
         as_simultaneous(seq, "X")
 
@@ -173,7 +173,7 @@ def test_resolve_model_builtins():
 
     coin = resolve_model("local-coin")
     assert coin.sequential is None
-    assert coin.hv is not None and coin.hv.locality_tag == "local"
+    assert coin.hv is not None and probe_locality(coin.hv)
 
     singlet = resolve_model("singlet")
     assert singlet.distribution is singlet.hv.equilibrium

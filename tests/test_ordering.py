@@ -112,7 +112,6 @@ def test_induced_model_is_local_and_transition_free():
     model = sequential_singlet_model()
     induced = induce_noncontextual(model)
     assert induced.name == "sequential-singlet+order-free"
-    assert induced.locality_tag == "local"
     assert probe_locality(induced, seed=5)
     report = full_report(induced, induced.equilibrium, CHAIN, GridScheme(256))
     assert report.sigma_minus.value == 0.0
