@@ -27,8 +27,8 @@ _EXPORTS = {
             "uniform_distribution",
         ),
         "models": (
-            "SequentialModel", "as_simultaneous", "biased_distribution", "local_coin_model",
-            "resolve_model", "sequential_singlet_model", "singlet_model",
+            "SequentialModel", "as_simultaneous", "biased_distribution", "induce_noncontextual",
+            "local_coin_model", "resolve_model", "sequential_singlet_model", "singlet_model",
         ),
         "transition": (
             "MembershipVector", "TransitionReport", "TransitionSetId", "classify_lambda",
@@ -43,7 +43,7 @@ _EXPORTS = {
             "CommBlock", "CommSummary", "average_bits_identity", "bits_required",
             "detailed_balance", "marginal_shift", "simulate_game",
         ),
-        "ordering": ("MocReport", "induce_noncontextual", "moc_demo", "moc_transition_measure"),
+        "ordering": ("MocReport", "moc_demo", "moc_transition_measure"),
     }.items()
     for name in names
 }

@@ -111,8 +111,8 @@ def _merge_config(
     parser: argparse.ArgumentParser, args: argparse.Namespace, argv: Sequence[str]
 ) -> argparse.Namespace:
     """Make the config file's entries the subcommand's defaults and parse
-    ``argv`` again, so flags win; refuse --grid with --mc, or a bad --seed,
-    from either source."""
+    ``argv`` again, so flags win; refuse --grid with --mc, a bad --seed or
+    an empty output path, from either source."""
     grid, mc = getattr(args, "grid", None), getattr(args, "mc", None)
     if args.config:
         subparser = _subparsers(parser)[args.subcommand]
@@ -139,6 +139,10 @@ def _merge_config(
         args = parser.parse_args(argv)
     if getattr(args, "grid", None) is not None and getattr(args, "mc", None) is not None:
         raise ValueError("--grid and --mc are mutually exclusive")
+    for flag in ("out", "log", "svg"):
+        # an empty path would name the working directory
+        if getattr(args, flag, None) == "":
+            raise ValueError(f"--{flag} needs a file path")
     if getattr(args, "mc", None) is None:  # with --mc the scheme checks the count, then the seed
         check_seed(args.seed)
     return args

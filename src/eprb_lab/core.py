@@ -33,6 +33,10 @@ array of the leading shape.  The engine always calls them with 2-D chunks of
 at most ``CHUNK_SIZE`` = ``2**16`` points (up to 16 axes with declared cuts).
 A sweep runs in blocks of ``BLOCK_SIZE`` = ``2**20`` points, which fix every
 random stream and every per-bin sum, and fills each block a chunk at a time.
+Under Monte Carlo the blocks, their streams and their chunks come from one
+driver, :func:`monte_carlo_chunks`: the sweeps draw their uniform points from
+its domain 0, and the communication game (:mod:`protocols`) draws its
+lambdas and its two setting coins from its domains 11-13.
 
 Bin contract
 ------------
@@ -469,14 +473,24 @@ def _grid_blocks(
         yield itertools.starmap(boxes, _spans(start, stop, chunk))
 
 
-def _mc_blocks(dimension: int, n: int, seed: int, domain: int) -> Iterator[Chunks]:
-    """``n`` uniform samples in blocks of chunks: each block
-    from its own counter-derived stream, drawn a chunk at a time as
-    ``(coords, None)``."""
+def monte_carlo_chunks(
+    n: int, seed: int, domains: Sequence[int]
+) -> Iterator[tuple[tuple[np.random.Generator, ...], Iterator[tuple[int, int]]]]:
+    """The plan of every Monte Carlo consumer of ``n`` draws: per block of
+    ``BLOCK_SIZE`` draws, the block's :func:`derived_stream` for each of
+    ``domains`` and the block's ``[lo, hi)`` chunk spans of at most
+    ``CHUNK_SIZE``, both made lazily, so a (seed, n) pair fixes every draw."""
     for block_index, (start, stop) in enumerate(_spans(0, n, BLOCK_SIZE)):
-        draw = derived_stream(seed, domain, block_index).random
-        shapes = ((hi - lo, dimension) for lo, hi in _spans(start, stop, CHUNK_SIZE))
-        yield zip(map(draw, shapes), itertools.repeat(None))
+        streams = tuple(derived_stream(seed, domain, block_index) for domain in domains)
+        yield streams, _spans(start, stop, CHUNK_SIZE)
+
+
+def _mc_blocks(dimension: int, n: int, seed: int) -> Iterator[Chunks]:
+    """``n`` uniform samples in blocks of chunks, from domain 0 of
+    :func:`monte_carlo_chunks`, drawn a chunk at a time as ``(coords, None)``."""
+    for (stream,), spans in monte_carlo_chunks(n, seed, (0,)):
+        shapes = ((hi - lo, dimension) for lo, hi in spans)
+        yield zip(map(stream.random, shapes), itertools.repeat(None))
 
 
 ClassifierFn = Callable[[np.ndarray], np.ndarray]
@@ -551,7 +565,7 @@ def sweep_statistics(
     if isinstance(scheme, GridScheme):
         blocks = _grid_blocks(dimension, scheme.resolution, None if cuts is None else cuts.axes)
     elif isinstance(scheme, MonteCarloScheme):
-        blocks = _mc_blocks(dimension, scheme.n, scheme.seed, 0)
+        blocks = _mc_blocks(dimension, scheme.n, scheme.seed)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     totals = np.zeros((2, n_stats), dtype=np.float64)
@@ -735,8 +749,9 @@ def probe_locality(model: HvModel, n_probes: int = 1000, seed: int = 2024) -> bo
 
     Draws n random (a, a', b, b', lambda) tuples; True if outcome_a never
     responds to the b swap and outcome_b never responds to the a swap.  Each
-    outcome goes through :func:`evaluate_pair`, so one that is not +1/-1
-    raises ValueError naming the model.
+    probe is one :func:`evaluate_pair` at (a, b), then A at (a, b') and B at
+    (a', b) on the same point: four outcome calls, each checked, so one that
+    is not +1/-1 raises ValueError naming the model.
     """
     rng = derived_stream(seed, 102, 0)
     for _ in range(n_probes):
@@ -746,8 +761,9 @@ def probe_locality(model: HvModel, n_probes: int = 1000, seed: int = 2024) -> bo
         b_alt = make_angle(float(rng.random()) * TAU)
         lam = rng.random(model.space.dimension)
         value_a, value_b = evaluate_pair(model, a, b, lam)
-        same_a = evaluate_pair(model, a, b_alt, lam)[0] == value_a
-        same_b = evaluate_pair(model, a_alt, b, lam)[1] == value_b
-        if not (same_a and same_b):
+        block = lam.reshape(1, -1)
+        moved_a = _checked_outcomes(model.outcome_a, a, b_alt, block, model.name, "A")[0]
+        moved_b = _checked_outcomes(model.outcome_b, a_alt, b, block, model.name, "B")[0]
+        if moved_a != value_a or moved_b != value_b:
             return False
     return True

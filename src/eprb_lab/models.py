@@ -209,6 +209,37 @@ def _check_wing(wing: str) -> None:
         raise ValueError(f"wing must be one of {WINGS}, got {wing!r}")
 
 
+def _ordered(model: SequentialModel, first_wing: str | None, name: str) -> HvModel:
+    """``model`` answering under one measurement order.
+
+    The wing named ``first_wing`` answers with ``first_outcome``; the other
+    wing answers with ``second_outcome``, after the first wing's answer at
+    its own setting.  With no first wing (None) each wing answers with
+    ``first_outcome``.
+    """
+
+    def answer(wing: str, own: Angle, other: Angle, coords: np.ndarray) -> np.ndarray:
+        if first_wing is None or wing == first_wing:
+            return model.first_outcome(wing, own, coords)
+        first = model.first_outcome(first_wing, other, coords)
+        return model.second_outcome(wing, own, other, first, coords)
+
+    def outcome_a(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
+        return answer("A", a, b, coords)
+
+    def outcome_b(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
+        return answer("B", b, a, coords)
+
+    return HvModel(
+        name=name,
+        space=model.space,
+        outcome_a=outcome_a,
+        outcome_b=outcome_b,
+        equilibrium=model.equilibrium,
+        breakpoints=model.breakpoints,
+    )
+
+
 def as_simultaneous(model: SequentialModel, first_wing: str = "A") -> HvModel:
     """Collapse a sequential model into an ordinary one at a fixed order.
 
@@ -217,32 +248,17 @@ def as_simultaneous(model: SequentialModel, first_wing: str = "A") -> HvModel:
     :func:`core.probe_locality` measures whether it does.
     """
     _check_wing(first_wing)
-    if first_wing == "A":
+    return _ordered(model, first_wing, f"{model.name}[{first_wing} first]")
 
-        def outcome_a(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
-            return model.first_outcome("A", a, coords)
 
-        def outcome_b(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
-            first = model.first_outcome("A", a, coords)
-            return model.second_outcome("B", b, a, first, coords)
+def induce_noncontextual(model: SequentialModel) -> HvModel:
+    """The simultaneous model forced by ordering non-contextuality.
 
-    else:
-
-        def outcome_a(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
-            first = model.first_outcome("B", b, coords)
-            return model.second_outcome("A", a, b, first, coords)
-
-        def outcome_b(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
-            return model.first_outcome("B", b, coords)
-
-    return HvModel(
-        name=f"{model.name}[{first_wing} first]",
-        space=model.space,
-        outcome_a=outcome_a,
-        outcome_b=outcome_b,
-        equilibrium=model.equilibrium,
-        breakpoints=model.breakpoints,
-    )
+    If order never matters, each wing's outcome is its first-measurement
+    outcome, whose signature has no access to the companion's setting; the
+    result is local by construction.
+    """
+    return _ordered(model, None, f"{model.name}+order-free")
 
 
 @dataclass(frozen=True)

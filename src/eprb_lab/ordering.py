@@ -29,7 +29,6 @@ from .core import (
     Angle,
     AngleQuadruple,
     Distribution,
-    HvModel,
     MeasureEstimate,
     Scheme,
     _checked_values,
@@ -145,30 +144,6 @@ def _moc_sweep(
     histogram = core.sweep_statistics(dist, scheme, classify, len(codes), cuts=cuts)
     sets = {triple: histogram.measure(codes >> k & 1 == 1) for k, triple in enumerate(ORDERING_SETS)}
     return sets, histogram
-
-
-def induce_noncontextual(model: SequentialModel) -> HvModel:
-    """The simultaneous model forced by ordering non-contextuality.
-
-    If order never matters, each wing's outcome is its first-measurement
-    outcome, whose signature has no access to the companion's setting; the
-    result is local by construction.
-    """
-
-    def outcome_a(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
-        return model.first_outcome("A", a, coords)
-
-    def outcome_b(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
-        return model.first_outcome("B", b, coords)
-
-    return HvModel(
-        name=f"{model.name}+order-free",
-        space=model.space,
-        outcome_a=outcome_a,
-        outcome_b=outcome_b,
-        equilibrium=model.equilibrium,
-        breakpoints=model.breakpoints,
-    )
 
 
 @dataclass(frozen=True)

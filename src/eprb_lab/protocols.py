@@ -30,8 +30,6 @@ import numpy as np
 # the kernel is called as core.sweep_statistics so that rebinding it on core reaches this sweep
 from . import core
 from .core import (
-    BLOCK_SIZE,
-    CHUNK_SIZE,
     Angle,
     AngleQuadruple,
     Distribution,
@@ -40,11 +38,9 @@ from .core import (
     Scheme,
     _checked_outcomes,
     _in_unit_cube,
-    _spans,
     check_seed,
-    context_outcomes,
     declared_cuts,
-    derived_stream,
+    monte_carlo_chunks,
 )
 from .inequalities import JointStats, hardy_bounds
 from .transition import (
@@ -57,13 +53,12 @@ from .transition import (
     OUTCOMES_BY_PATTERN,
     TransitionSetId,
     partition_measures,
-    pattern_code,
+    pattern_classifier,
 )
 
-# Domain tags separating the game's random streams from measure sweeps.
-_DOMAIN_LAMBDA = 11
-_DOMAIN_ALICE = 12
-_DOMAIN_BOB = 13
+# Domain tags separating the game's random streams (lambda, Alice's coin,
+# Bob's coin) from measure sweeps.
+_DOMAINS = (11, 12, 13)
 
 #: Bits exchanged for each 4-bit membership mask (bit i = canonical set i):
 #: Alice's setting travels iff lambda sits in a B-side set (indices 0 or 2),
@@ -152,32 +147,6 @@ class CommSummary:
         return hardy_bounds(self.stats).unified
 
 
-def _play_block(
-    model: HvModel,
-    dist: Distribution,
-    quadruple: AngleQuadruple,
-    n_runs: int,
-    seed: int,
-    block_index: int,
-) -> Iterator[CommBlock]:
-    """Play the runs of one sampling block from its own counter-based
-    streams, one ``CHUNK_SIZE`` chunk of runs at a time."""
-    start = block_index * BLOCK_SIZE
-    lam_rng, alice_rng, bob_rng = (
-        derived_stream(seed, domain, block_index)
-        for domain in (_DOMAIN_LAMBDA, _DOMAIN_ALICE, _DOMAIN_BOB)
-    )
-    for lo, hi in _spans(start, min(start + BLOCK_SIZE, n_runs), CHUNK_SIZE):
-        lam = dist.sampler(lam_rng, hi - lo)
-        if not _in_unit_cube(lam):
-            raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
-        key = 2 * alice_rng.integers(0, 2, hi - lo)
-        key += bob_rng.integers(0, 2, hi - lo)
-        key *= N_PATTERNS
-        key += pattern_code(context_outcomes(model, quadruple, lam))
-        yield CommBlock(start=lo, lam=lam, key=key)
-
-
 def simulate_game(
     model: HvModel,
     dist: Distribution,
@@ -188,9 +157,11 @@ def simulate_game(
     """Play the game for n_runs and return the summary plus a lazy run stream.
 
     Lambdas come from ``dist.sampler`` and the two setting coins from
-    domain-separated streams of the same seed, one stream triple per
-    ``BLOCK_SIZE`` runs, so a (seed, n_runs) pair fixes every run exactly.
-    Each block is played ``CHUNK_SIZE`` runs at a time.  The summary's
+    domain-separated streams of the same seed, one stream triple per block
+    of :func:`core.monte_carlo_chunks`, the driver the Monte Carlo sweeps
+    use, so a (seed, n_runs) pair fixes every run exactly.  Each block is
+    played a chunk of runs at a time, and each chunk's lambdas are binned by
+    :func:`transition.pattern_classifier`.  The summary's
     counts, ``p_plus`` and bit sums are exact integer sums over one
     ``N_KEYS``-bin histogram of the run keys, filled one chunk at a time, so
     memory stays at one chunk whatever ``n_runs`` is.  The returned iterator
@@ -205,9 +176,19 @@ def simulate_game(
     if dist.space != model.space:
         raise ValueError("distribution and model live on different spaces")
 
+    classify = pattern_classifier(model, quadruple)
+
     def play() -> Iterator[CommBlock]:
-        for block_index in range(-(-n_runs // BLOCK_SIZE)):
-            yield from _play_block(model, dist, quadruple, n_runs, seed, block_index)
+        for (lam_rng, alice_rng, bob_rng), spans in monte_carlo_chunks(n_runs, seed, _DOMAINS):
+            for lo, hi in spans:
+                lam = dist.sampler(lam_rng, hi - lo)
+                if not _in_unit_cube(lam):
+                    raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
+                key = 2 * alice_rng.integers(0, 2, hi - lo)
+                key += bob_rng.integers(0, 2, hi - lo)
+                key *= N_PATTERNS
+                key += classify(lam)
+                yield CommBlock(start=lo, lam=lam, key=key)
 
     histogram = np.zeros(N_KEYS, dtype=np.int64)
     for chunk in play():

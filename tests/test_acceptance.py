@@ -35,11 +35,12 @@ from eprb_lab.inequalities import (
 )
 from eprb_lab.models import (
     biased_distribution,
+    induce_noncontextual,
     local_coin_model,
     sequential_singlet_model,
     singlet_model,
 )
-from eprb_lab.ordering import induce_noncontextual, moc_demo
+from eprb_lab.ordering import moc_demo
 from eprb_lab.protocols import average_bits_identity, detailed_balance, marginal_shift, simulate_game
 from eprb_lab.transition import CANONICAL_SETS, MembershipVector, classify_lambda, full_report
 from helpers import random_joint_stats

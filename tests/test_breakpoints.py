@@ -39,11 +39,12 @@ from eprb_lab.models import (
     anticorrelation_threshold,
     as_simultaneous,
     biased_distribution,
+    induce_noncontextual,
     local_coin_model,
     sequential_singlet_model,
     singlet_model,
 )
-from eprb_lab.ordering import induce_noncontextual, ordering_measures
+from eprb_lab.ordering import ordering_measures
 from eprb_lab.protocols import marginal_shift
 from eprb_lab.transition import (
     CANONICAL_SETS,

@@ -984,6 +984,11 @@ def test_config_errors(tmp_path, capsys):
     message = "eprb-lab: error: seed must be an integer in [0, 2**64), got -1\n"
     assert (code, out, err) == (2, "", message)
 
+    empty_out = tmp_path / "out.conf"
+    empty_out.write_text("out =\n")
+    code, out, err = run_cli(["stats", "--config", str(empty_out)], capsys)
+    assert (code, out, err) == (2, "", "eprb-lab: error: --out needs a file path\n")
+
     code, _, _ = run_cli(["stats", "--config", str(tmp_path / "absent.conf")], capsys)
     assert code == 2
 
@@ -1131,6 +1136,14 @@ def test_usage_error_messages(capsys):
         code, out, err = run_cli(["sweep", "--model", "quantum", "--steps", "2", *ends], capsys)
         message = f"theta range must have a finite width, got {given}"
         assert (code, out, err) == (2, "", f"eprb-lab: error: {message}\n")
+    # an empty output path would name the working directory
+    for argv, flag in (
+        (["stats", "--out="], "out"),
+        (["comm", "--runs", "1000", "--log="], "log"),
+        (["sweep", "--model", "quantum", "--steps", "2", "--svg="], "svg"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"eprb-lab: error: --{flag} needs a file path\n")
     # a theta just small enough keeps the bytes it had before the check
     code, out, _ = run_cli(["stats", "--theta", "5e307"], capsys)
     assert code == 0

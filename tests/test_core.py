@@ -288,7 +288,7 @@ def test_monte_carlo_blocks_start_at_once_for_any_n():
     # short sweep
     tracemalloc.start()
     try:
-        coords, sizes = next(next(_mc_blocks(2, 10**12, 1, 0)))
+        coords, sizes = next(next(_mc_blocks(2, 10**12, 1)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,6 +398,23 @@ def test_probe_locality_checks_every_outcome():
     silent = HvModel("silent", SPACE, zeros, zeros, UNIFORM)
     with pytest.raises(ValueError, match="model 'silent' are not all"):
         probe_locality(silent)
+
+
+def test_probe_locality_makes_four_outcome_calls_per_probe():
+    calls = []
+
+    def counted(fn):
+        def outcome(a, b, coords):
+            calls.append(fn)
+            return fn(a, b, coords)
+
+        return outcome
+
+    coin = local_coin_model()
+    model = HvModel("counted", SPACE, counted(coin.outcome_a), counted(coin.outcome_b), UNIFORM)
+    assert probe_locality(model, n_probes=25)
+    assert len(calls) == 4 * 25
+    assert calls.count(coin.outcome_a) == calls.count(coin.outcome_b) == 2 * 25
 
 
 def test_probe_locality_is_exported():

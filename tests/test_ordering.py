@@ -26,13 +26,13 @@ from eprb_lab.inequalities import hardy_bounds, stats_from_model
 from eprb_lab.models import (
     SequentialModel,
     biased_distribution,
+    induce_noncontextual,
     sequential_singlet_model,
     singlet_model,
 )
 from eprb_lab.ordering import (
     ORDERING_SETS,
     MocReport,
-    induce_noncontextual,
     moc_demo,
     moc_transition_measure,
     ordering_measures,

@@ -144,3 +144,31 @@ def test_exports_that_no_package_code_uses():
         "moc_transition_measure",
         "probe_locality",
     ]
+
+
+def test_only_core_reads_the_monte_carlo_plan():
+    # blocks, chunks and their streams come from core.monte_carlo_chunks, so
+    # no other module reads the sizes, the span maker or the stream maker
+    plan = {"BLOCK_SIZE", "CHUNK_SIZE", "_spans", "derived_stream"}
+    readers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for alias in _imported(tree)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        readers |= {f"{path.stem}.{name}" for name in names & plan}
+    assert readers == {f"core.{name}" for name in plan}
+
+
+def test_one_order_rule_calls_a_sequential_model():
+    # how a sequential model answers under an order is written once, in
+    # models._ordered; the moc sweep reads the first and second answers itself
+    callers = set()
+    for path in SOURCES:
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(call.func, ast.Attribute) and call.func.attr in (
+                "first_outcome",
+                "second_outcome",
+            ):
+                callers.add(f"{path.stem}.{scope.split('.')[0]}")
+    assert sorted(callers) == ["models._ordered", "ordering._first", "ordering._order_flip"]
