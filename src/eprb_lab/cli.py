@@ -139,8 +139,8 @@ def _merge_config(
         args = parser.parse_args(argv)
     if getattr(args, "grid", None) is not None and getattr(args, "mc", None) is not None:
         raise ValueError("--grid and --mc are mutually exclusive")
-    for flag in ("out", "log", "svg"):
-        # an empty path would name the working directory
+    for flag in ("config", "out", "log", "svg"):
+        # an empty path names no file, or the working directory
         if getattr(args, flag, None) == "":
             raise ValueError(f"--{flag} needs a file path")
     if getattr(args, "mc", None) is None:  # with --mc the scheme checks the count, then the seed
@@ -187,12 +187,7 @@ def _resolve_quadruple(args: argparse.Namespace) -> AngleQuadruple:
             values = [float(part) for part in parts]
         except ValueError:
             raise ValueError(f"malformed angles {args.angles!r}") from None
-        return AngleQuadruple(
-            a=make_angle(values[0]),
-            a_prime=make_angle(values[1]),
-            b=make_angle(values[2]),
-            b_prime=make_angle(values[3]),
-        )
+        return AngleQuadruple(*map(make_angle, values))  # a, a', b, b' in field order
     return AngleQuadruple.chain(args.theta)
 
 
@@ -687,13 +682,9 @@ def _cmd_moc(args: argparse.Namespace, argv: Sequence[str]) -> int:
     quadruple = _resolve_quadruple(args)
     scheme = _resolve_scheme(args, choice)
     report = moc_demo(choice.sequential, quadruple, scheme)
-    named = quadruple.named_angles()
     header, row = zip(
         ("model", choice.name),
-        ("a", named["a"].radians),
-        ("a_prime", named["a'"].radians),
-        ("b", named["b"].radians),
-        ("b_prime", named["b'"].radians),
+        *_quadruple_json(quadruple).items(),
         ("pair", report.pair),
         ("wing", report.wing),
         ("own", report.own.radians),
@@ -709,6 +700,8 @@ def _cmd_moc(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    if args.manifest == "":
+        raise ValueError("replay needs a manifest path")
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

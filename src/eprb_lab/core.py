@@ -84,8 +84,13 @@ _MAX_GRID_CELLS = 1 << 26
 # as an invalid measure downstream.
 _UNIT_SNAP = 1e-9
 
-#: Context labels in canonical order: (a,b), (a',b), (a',b'), (a,b').
-CONTEXT_LABELS = ("ab", "a'b", "a'b'", "ab'")
+#: The measurement contexts as (Alice's, Bob's) setting names, in canonical
+#: order.  Each context shares one setting with the next (cyclically), so the
+#: four form the EPRB cycle, and transition set k links context k to k + 1.
+CONTEXTS: tuple[tuple[str, str], ...] = (("a", "b"), ("a'", "b"), ("a'", "b'"), ("a", "b'"))
+
+#: Context labels in canonical order: "ab", "a'b", "a'b'", "ab'".
+CONTEXT_LABELS = tuple(alice + bob for alice, bob in CONTEXTS)
 
 
 class NumericalInvariantError(RuntimeError):
@@ -143,8 +148,8 @@ class AngleQuadruple:
     """The four settings a, a' (left wing) and b, b' (right wing).
 
     Degenerate quadruples with repeated angles are allowed.  The four
-    measurement contexts are enumerated in the canonical order
-    (a,b), (a',b), (a',b'), (a,b').
+    measurement contexts are enumerated in the canonical order of
+    :data:`CONTEXTS`.
     """
 
     a: Angle
@@ -166,12 +171,8 @@ class AngleQuadruple:
 
     def contexts(self) -> tuple[tuple[Angle, Angle], ...]:
         """(alice, bob) setting pairs in canonical context order."""
-        return (
-            (self.a, self.b),
-            (self.a_prime, self.b),
-            (self.a_prime, self.b_prime),
-            (self.a, self.b_prime),
-        )
+        named = self.named_angles()
+        return tuple((named[alice], named[bob]) for alice, bob in CONTEXTS)
 
     def context_thetas(self) -> tuple[float, float, float, float]:
         """theta_between(alice, bob) for each context, canonical order."""

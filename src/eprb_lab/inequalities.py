@@ -21,9 +21,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CONTEXT_LABELS, AngleQuadruple, Distribution, HvModel, Scheme
+from .core import CONTEXT_LABELS, CONTEXTS, AngleQuadruple, Distribution, HvModel, Scheme
 from .core import sweep_statistics  # noqa: F401  (bench/tracer.py rebinds it here)
-from .transition import CANONICAL_SETS, MembershipVector, TransitionSetId, full_report
+from .transition import CANONICAL_SETS, SET_LINKS, MembershipVector, TransitionSetId, full_report
 
 #: The four all-but-one-plus sign patterns, in canonical bound order.
 ALPHA_SIGNS: tuple[tuple[int, int, int, int], ...] = (
@@ -186,7 +186,7 @@ class ContradictionTrace:
 
     @property
     def failing_step(self) -> str | None:
-        return None if self.consistent else _CHAIN_OBSERVABLES[0]
+        return None if self.consistent else self.steps[-1].observable
 
     @property
     def escape_options(self) -> tuple[TransitionSetId, ...]:
@@ -202,16 +202,10 @@ class ContradictionTrace:
         return "\n".join(lines)
 
 
-_CHAIN_OBSERVABLES = (
-    "A(a,b)",
-    "B(a,b)",
-    "B(a',b)",
-    "A(a',b)",
-    "A(a',b')",
-    "B(a',b')",
-    "B(a,b')",
-    "A(a,b')",
-)
+def _observable(wing: str, context: int) -> str:
+    """The wing's outcome in a context of the cycle, e.g. "B(a',b)"."""
+    alice, bob = CONTEXTS[context % len(CONTEXTS)]
+    return f"{wing}({alice},{bob})"
 
 
 def contradiction_trace(
@@ -249,35 +243,35 @@ def contradiction_trace(
         TraceStep(
             index=0,
             kind="premise",
-            observable=_CHAIN_OBSERVABLES[0],
+            observable=_observable("A", 0),
             value=value,
-            rule="assignment at context ab",
+            rule=f"assignment at context {CONTEXT_LABELS[0]}",
         )
     )
-    # Alternate: context product fixes the other wing, then a transition set
-    # carries that wing to the neighbouring context.  Set order is canonical.
-    for leg in range(4):
+    # Alternate: context k's product fixes the other wing, then set k, the link
+    # to context k + 1, carries that wing on; the last leg ends at the premise.
+    for leg, crossed in enumerate(CANONICAL_SETS):
+        wing = SET_LINKS[crossed][0]
         sign = signs[leg]
         value = sign * value
         steps.append(
             TraceStep(
                 index=2 * leg + 1,
                 kind="context-sign",
-                observable=_CHAIN_OBSERVABLES[2 * leg + 1],
+                observable=_observable(wing, leg),
                 value=value,
                 rule=f"context {CONTEXT_LABELS[leg]} product is {sign:+d}",
             )
         )
-        crossed = CANONICAL_SETS[leg]
         flips = bool(memberships.in_set[leg])
         if flips:
             value = -value
             escapes_used.append(crossed)
-        observable = _CHAIN_OBSERVABLES[2 * leg + 2] if leg < 3 else _CHAIN_OBSERVABLES[0]
+        observable = _observable(wing, leg + 1)
         steps.append(
             TraceStep(
                 index=2 * leg + 2,
-                kind="transition" if leg < 3 else "check",
+                kind="check" if observable == steps[0].observable else "transition",
                 observable=observable,
                 value=value,
                 rule=(

@@ -26,6 +26,7 @@ import numpy as np
 # the kernel is called as core.sweep_statistics so that rebinding it on core reaches this sweep
 from . import core
 from .core import (
+    CONTEXTS,
     Angle,
     AngleQuadruple,
     Distribution,
@@ -175,8 +176,7 @@ def moc_demo(model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme) 
     (wing, own_name, other_name), moc_measure = max(sets.items(), key=lambda item: item[1].value)
     # the order-free model's outcome pattern at each combination of first answers, then each bin
     answers = dict(zip(_FIRSTS, 1 - 2 * (np.arange(16) >> np.arange(4)[:, None] & 1)))
-    contexts = (("a", "b"), ("a'", "b"), ("a'", "b'"), ("a", "b'"))  # canonical order
-    patterns = pattern_code(tuple((answers["A", x], answers["B", y]) for x, y in contexts))
+    patterns = pattern_code(tuple((answers["A", x], answers["B", y]) for x, y in CONTEXTS))
     induced = patterns[np.arange(len(histogram.sums)) >> len(ORDERING_SETS)]
     p_plus = tuple(histogram.measure(bins).value for bins in P_PLUS_SELECTION[:, induced])
     return MocReport(

@@ -30,6 +30,7 @@ import numpy as np
 # the kernel is called as core.sweep_statistics so that rebinding it on core reaches this sweep
 from . import core
 from .core import (
+    CONTEXTS,
     Angle,
     AngleQuadruple,
     Distribution,
@@ -51,6 +52,7 @@ from .transition import (
     MASK_BY_PATTERN,
     N_PATTERNS,
     OUTCOMES_BY_PATTERN,
+    SET_LINKS,
     TransitionSetId,
     partition_measures,
     pattern_classifier,
@@ -61,10 +63,11 @@ from .transition import (
 _DOMAINS = (11, 12, 13)
 
 #: Bits exchanged for each 4-bit membership mask (bit i = canonical set i):
-#: Alice's setting travels iff lambda sits in a B-side set (indices 0 or 2),
-#: Bob's iff in an A-side set (indices 1 or 3).
+#: Alice's setting travels iff lambda sits in a B-side set, Bob's iff in an
+#: A-side set, so a run costs one bit per wing among its sets' links.
 BITS_BY_MASK: tuple[int, ...] = tuple(
-    int(bool(mask & 0b0101)) + int(bool(mask & 0b1010)) for mask in range(16)
+    len({wing for i, (wing, _, _) in enumerate(SET_LINKS.values()) if mask >> i & 1})
+    for mask in range(16)
 )
 
 
@@ -83,8 +86,10 @@ N_KEYS = 4 * N_PATTERNS
 # Every command imports these tables: small dtypes and table lookups keep that cheap.
 _CHOICES, _PATTERNS = np.divmod(np.arange(N_KEYS, dtype=np.int16), N_PATTERNS)
 
-#: Canonical context of each run key: choice 2 * alice + bob plays context (0, 3, 1, 2)[choice].
-CONTEXT_BY_KEY = np.array([0, 3, 1, 2], dtype=np.int8)[_CHOICES]
+#: Canonical context of each run key: the one that setting choice 2 * alice + bob plays.
+CONTEXT_BY_KEY = np.array(
+    [CONTEXTS.index((alice, bob)) for alice in ("a", "a'") for bob in ("b", "b'")], dtype=np.int8
+)[_CHOICES]
 #: Membership mask (an index into ``LABELS_BY_MASK``) of each run key.
 MASK_BY_KEY = MASK_BY_PATTERN[_PATTERNS]
 #: Bits exchanged in each run key.

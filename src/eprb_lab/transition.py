@@ -2,7 +2,9 @@
 
 For a setting quadruple (a, a', b, b') there are four transition sets: the
 lambdas where one wing's outcome responds to a swap of the *other* wing's
-setting while its own is held fixed.  In canonical order:
+setting while its own is held fixed.  Set k links context k of the cycle
+``core.CONTEXTS`` to context k + 1, and its table :data:`SET_LINKS` is
+derived from that cycle.  In canonical order:
 
 ======  =============  ================================
 index   id             defining comparison
@@ -39,6 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
+    CONTEXTS,
     AngleQuadruple,
     ClassifierFn,
     Distribution,
@@ -65,16 +68,20 @@ class TransitionSetId(enum.Enum):
 
 CANONICAL_SETS: tuple[TransitionSetId, ...] = tuple(TransitionSetId)
 
-# (wing, pre-context, post-context): the compared outcome is the wing's, the
-# two contexts differ only in the other wing's setting, unprimed swap slot
-# listed first.  Context indices follow the canonical (a,b), (a',b), (a',b'),
-# (a,b') order.
-_SET_CONTEXTS: dict[TransitionSetId, tuple[str, int, int]] = {
-    TransitionSetId.BOB_AT_B: ("B", 0, 1),
-    TransitionSetId.ALICE_AT_A_PRIME: ("A", 1, 2),
-    TransitionSetId.BOB_AT_B_PRIME: ("B", 3, 2),
-    TransitionSetId.ALICE_AT_A: ("A", 0, 3),
-}
+
+def _link(here: int) -> tuple[str, int, int]:
+    """(wing, pre-context, post-context) of the link from context ``here`` to
+    the next: the wing whose setting the two share, then the context where
+    the other wing's setting is unprimed, then the other."""
+    there = (here + 1) % len(CONTEXTS)
+    wing = int(CONTEXTS[here][0] != CONTEXTS[there][0])
+    if CONTEXTS[here][1 - wing].endswith("'"):
+        here, there = there, here
+    return "AB"[wing], here, there
+
+
+#: (wing, pre-context, post-context) of each set: set k links context k to k + 1.
+SET_LINKS = {sid: _link(k) for k, sid in enumerate(CANONICAL_SETS)}
 
 
 def _build_region_labels() -> tuple[str, ...]:
@@ -170,12 +177,12 @@ def _build_pattern_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Set memberships, context signs and pre-swap values of every pattern.
 
     Each result has one row per canonical set (or context) and one column
-    per pattern.  Set i compares the outcomes that ``_SET_CONTEXTS`` names;
+    per pattern.  Set i compares the outcomes that ``SET_LINKS`` names;
     its pre-swap value is the outcome at the unprimed swap setting.
     """
     members, pre_values = [], []
     for sid in CANONICAL_SETS:
-        wing, pre, post = _SET_CONTEXTS[sid]
+        wing, pre, post = SET_LINKS[sid]
         outcomes = OUTCOMES_BY_PATTERN[:, "AB".index(wing)]
         members.append(outcomes[pre] != outcomes[post])
         pre_values.append(outcomes[pre])

@@ -1136,14 +1136,18 @@ def test_usage_error_messages(capsys):
         code, out, err = run_cli(["sweep", "--model", "quantum", "--steps", "2", *ends], capsys)
         message = f"theta range must have a finite width, got {given}"
         assert (code, out, err) == (2, "", f"eprb-lab: error: {message}\n")
-    # an empty output path would name the working directory
+    # an empty output path would name the working directory, an empty config
+    # or manifest path names no file
     for argv, flag in (
         (["stats", "--out="], "out"),
         (["comm", "--runs", "1000", "--log="], "log"),
         (["sweep", "--model", "quantum", "--steps", "2", "--svg="], "svg"),
+        (["stats", "--model", "quantum", "--config="], "config"),
     ):
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (2, "", f"eprb-lab: error: --{flag} needs a file path\n")
+    code, out, err = run_cli(["replay", ""], capsys)
+    assert (code, out, err) == (2, "", "eprb-lab: error: replay needs a manifest path\n")
     # a theta just small enough keeps the bytes it had before the check
     code, out, _ = run_cli(["stats", "--theta", "5e307"], capsys)
     assert code == 0

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from eprb_lab.core import (
     BLOCK_SIZE,
     CHUNK_SIZE,
+    CONTEXT_LABELS,
+    CONTEXTS,
     TAU,
     Angle,
     AngleQuadruple,
@@ -100,6 +102,16 @@ def test_chain_quadruple_layout():
     assert quad.b_prime.radians == 0.0
     assert quad.context_thetas() == pytest.approx((0.3, -0.3, 0.3, 0.9))
     assert quad.named_angles()["a'"] is quad.a_prime
+
+
+def test_contexts_walk_the_cycle():
+    quad = AngleQuadruple(*(make_angle(x) for x in (0.1, 0.2, 0.3, 0.4)))
+    a, a_prime, b, b_prime = quad.a, quad.a_prime, quad.b, quad.b_prime
+    assert quad.contexts() == ((a, b), (a_prime, b), (a_prime, b_prime), (a, b_prime))
+    assert CONTEXT_LABELS == ("ab", "a'b", "a'b'", "ab'")
+    # each context shares exactly one setting with the next, cyclically
+    for here, there in zip(CONTEXTS, CONTEXTS[1:] + CONTEXTS[:1]):
+        assert sum(x == y for x, y in zip(here, there)) == 1
 
 
 @given(st.floats(min_value=0.0, max_value=math.pi, allow_nan=False))

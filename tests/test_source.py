@@ -172,3 +172,17 @@ def test_one_order_rule_calls_a_sequential_model():
             ):
                 callers.add(f"{path.stem}.{scope.split('.')[0]}")
     assert sorted(callers) == ["models._ordered", "ordering._first", "ordering._order_flip"]
+
+
+def test_only_core_pairs_the_settings_of_a_context():
+    # the context cycle is written once, as core.CONTEXTS; an (Alice, Bob)
+    # pair of setting names anywhere else would be a second copy of it
+    alice, bob = {"a", "a'"}, {"b", "b'"}
+    holders = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                names = {elt.value for elt in node.elts if isinstance(elt, ast.Constant)}
+                if names & alice and names & bob:
+                    holders.add(path.stem)
+    assert holders == {"core"}

@@ -10,6 +10,7 @@ import pytest
 
 from eprb_lab.core import (
     BLOCK_SIZE,
+    CONTEXTS,
     TAU,
     AngleQuadruple,
     GridScheme,
@@ -25,12 +26,14 @@ from eprb_lab.transition import (
     ALL_REGION_LABELS,
     CANONICAL_SETS,
     LABELS_BY_MASK,
+    SET_LINKS,
     MembershipVector,
     TransitionSetId,
     classify_lambda,
     full_report,
     partition_measures,
 )
+from helpers import _SET_CONTEXTS
 
 CHAIN = AngleQuadruple.chain(math.pi / 4)
 GRID = GridScheme(1024)
@@ -55,6 +58,19 @@ def b_side_measure(quadruple: AngleQuadruple, which: TransitionSetId) -> float:
 
 def test_canonical_order():
     assert [s.value for s in CANONICAL_SETS] == ["bob@b", "alice@a'", "bob@b'", "alice@a"]
+
+
+def test_set_links_are_the_links_of_the_context_cycle():
+    # SET_LINKS is derived from core.CONTEXTS; the helpers' table is written out
+    assert SET_LINKS == _SET_CONTEXTS
+    for k, sid in enumerate(CANONICAL_SETS):
+        wing, pre, post = SET_LINKS[sid]
+        assert {pre, post} == {k, (k + 1) % len(CONTEXTS)}
+        # the compared wing holds its setting across the link, and the set's id names both
+        side = "AB".index(wing)
+        shared = CONTEXTS[pre][side]
+        assert CONTEXTS[post][side] == shared
+        assert sid.value == f"{'alice' if wing == 'A' else 'bob'}@{shared}"
 
 
 def test_region_label_table():
