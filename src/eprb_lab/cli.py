@@ -167,15 +167,14 @@ def _resolve_model(args: argparse.Namespace, needs: str | None = None) -> ModelC
 def _resolve_scheme(args: argparse.Namespace, choice: ModelChoice) -> Scheme | None:
     """The integration scheme of the flags; None for an analytic model, which
     still refuses the flags any other model refuses."""
+    flagged: Scheme | None = None
     if args.mc is not None:
-        scheme: Scheme = MonteCarloScheme(n=args.mc, seed=args.seed)
+        flagged = MonteCarloScheme(n=args.mc, seed=args.seed)
     elif args.grid is not None:
-        scheme = GridScheme(resolution=args.grid)
-    elif choice.hv is None:
+        flagged = GridScheme(resolution=args.grid)
+    if choice.hv is None:
         return None
-    else:
-        scheme = GridScheme(resolution=default_grid_resolution(choice.hv.space.dimension))
-    return None if choice.hv is None else scheme
+    return flagged or GridScheme(resolution=default_grid_resolution(choice.hv.space.dimension))
 
 
 def _resolve_quadruple(args: argparse.Namespace) -> AngleQuadruple:

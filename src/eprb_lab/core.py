@@ -5,12 +5,13 @@ B(a, b, lambda) in {+1, -1} to every pair of detector settings, where the
 hidden variable lambda lives on the unit hypercube [0, 1)^d and carries a
 probability density.  Everything downstream (transition sets, bound
 evaluation, the communication game) reduces to measures of indicator-defined
-subsets of the hypercube, so this module owns the two integration schemes:
+subsets of the hypercube.  Each integration scheme class supplies its blocks
+of points and its estimate rule, and the kernel names none:
 
-* a midpoint grid, exact for the axis-aligned threshold geometry of the
-  built-in models, and
-* seeded Monte Carlo with counter-based streams, bit-reproducible and
-  independent of how the sample range is partitioned into blocks.
+* :class:`GridScheme`, a midpoint grid, exact for the axis-aligned threshold
+  geometry of the built-in models, and
+* :class:`MonteCarloScheme`, seeded Monte Carlo with counter-based streams,
+  bit-reproducible and independent of how the samples split into blocks.
 
 Breakpoint contract
 -------------------
@@ -80,8 +81,8 @@ CHUNK_SIZE = 1 << 16
 _MAX_GRID_CELLS = 1 << 26
 
 # Grid sums of a rounded density may overshoot an exact unit measure by a few
-# ulp; anything under this slack snaps back to 1, anything above it surfaces
-# as an invalid measure downstream.
+# ulp; anything under this slack snaps back to 1, anything above it raises
+# NumericalInvariantError.
 _UNIT_SNAP = 1e-9
 
 #: The measurement contexts as (Alice's, Bob's) setting names, in canonical
@@ -293,6 +294,60 @@ class GridScheme:
     def label(self) -> str:
         return f"grid({self.resolution})"
 
+    def blocks(self, dimension: int, cuts: GridCuts | None) -> Iterator[Chunks]:
+        """Blocks of run boxes, each an iterator of chunks ``(coords, sizes)``.
+
+        A box is one run per axis (:func:`_axis_runs`), in row-major order; it
+        holds ``sizes[j]`` midpoints.  ``coords`` stacks the box corners: the
+        first or last midpoint of the box's run on every axis whose runs are not
+        all single midpoints.  Its first ``len(sizes)`` rows are the all-first
+        corners, the boxes' representatives; each further group of that many
+        rows is another corner of the same boxes.  A block holds up to
+        ``BLOCK_SIZE`` corners and a chunk up to ``CHUNK_SIZE``.  When every box
+        is a single midpoint (always without cuts) ``sizes`` is None and the
+        blocks are the full grid in blocks of ``BLOCK_SIZE``.
+        """
+        resolution = self.resolution
+        if resolution**dimension > _MAX_GRID_CELLS:
+            raise ValueError(
+                f"grid of {resolution}^{dimension} = {resolution**dimension} cells exceeds "
+                f"the {_MAX_GRID_CELLS}-cell limit; lower the resolution"
+            )
+        axes = (None,) * dimension if cuts is None else cuts.axes
+        runs = [_axis_runs(resolution, axis_cuts) for axis_cuts in axes]
+        wide = [axis for axis, (_, _, lengths) in enumerate(runs) if np.any(lengths > 1)]
+        n_corners = 1 << len(wide)
+        n_boxes = math.prod(len(lengths) for _, _, lengths in runs)
+
+        def boxes(start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
+            flat = np.arange(start, stop, dtype=np.int64)
+            coords = np.empty((n_corners, stop - start, dimension), dtype=np.float64)
+            sizes = np.ones(stop - start, dtype=np.int64) if wide else None
+            for axis in range(dimension - 1, -1, -1):
+                firsts, lasts, lengths = runs[axis]
+                flat, run = np.divmod(flat, len(lengths))
+                coords[:, :, axis] = firsts[run]
+                if axis in wide:
+                    sizes *= lengths[run]
+                    bit = 1 << wide.index(axis)
+                    coords[[c for c in range(n_corners) if c & bit], :, axis] = lasts[run]
+            return coords.reshape(-1, dimension), None if sizes is None else sizes.astype(np.float64)
+
+        step, chunk = (max(1, size // n_corners) for size in (BLOCK_SIZE, CHUNK_SIZE))
+        for start, stop in _spans(0, n_boxes, step):
+            yield itertools.starmap(boxes, _spans(start, stop, chunk))
+
+    def estimate(self, total: float, squares: float, dimension: int) -> tuple[float, float]:
+        """The selected sum over the cell count, snapped to 1 within
+        ``_UNIT_SNAP`` above it and raising further above, and error 0."""
+        value = total / float(self.resolution) ** dimension
+        if value > 1.0 + _UNIT_SNAP:
+            raise NumericalInvariantError(
+                f"{self.label} gives a measure of {float(value)!r}, above 1: a density "
+                "or outcome step lies on a cell midpoint"
+            )
+        return min(value, 1.0), 0.0
+
 
 @dataclass(frozen=True)
 class MonteCarloScheme:
@@ -309,6 +364,21 @@ class MonteCarloScheme:
     @property
     def label(self) -> str:
         return f"monte_carlo(n={self.n},seed={self.seed})"
+
+    def blocks(self, dimension: int, cuts: GridCuts | None) -> Iterator[Chunks]:
+        """``n`` uniform samples in blocks of chunks, from domain 0 of
+        :func:`monte_carlo_chunks`, drawn a chunk at a time as ``(coords, None)``;
+        ``cuts`` is ignored."""
+        for (stream,), spans in monte_carlo_chunks(self.n, self.seed, (0,)):
+            shapes = ((hi - lo, dimension) for lo, hi in spans)
+            yield zip(map(stream.random, shapes), itertools.repeat(None))
+
+    def estimate(self, total: float, squares: float, dimension: int) -> tuple[float, float]:
+        """The sample mean clipped to [0, 1], with the ddof=1 error of the
+        unclipped mean."""
+        n, value = self.n, total / self.n
+        error = math.sqrt(max(squares - n * value * value, 0.0) / (n - 1) / n) if n > 1 else 0.0
+        return min(max(value, 0.0), 1.0), error
 
 
 Scheme = Union[GridScheme, MonteCarloScheme]
@@ -420,58 +490,13 @@ def _axis_runs(
 
 
 #: The chunks of one block of a sweep, each ``(coords, sizes)`` as
-#: :func:`_grid_blocks` describes.
+#: :meth:`GridScheme.blocks` describes.
 Chunks = Iterator[tuple[np.ndarray, np.ndarray | None]]
 
 
 def _spans(start: int, stop: int, size: int) -> Iterator[tuple[int, int]]:
     """The ``[lo, hi)`` pieces of at most ``size`` that tile ``[start, stop)``, made lazily."""
     return ((lo, min(lo + size, stop)) for lo in range(start, stop, size))
-
-
-def _grid_blocks(
-    dimension: int, resolution: int, cuts: Cuts | None = None
-) -> Iterator[Chunks]:
-    """Blocks of run boxes, each an iterator of chunks ``(coords, sizes)``.
-
-    A box is one run per axis (:func:`_axis_runs`), in row-major order; it
-    holds ``sizes[j]`` midpoints.  ``coords`` stacks the box corners: the
-    first or last midpoint of the box's run on every axis whose runs are not
-    all single midpoints.  Its first ``len(sizes)`` rows are the all-first
-    corners, the boxes' representatives; each further group of that many
-    rows is another corner of the same boxes.  A block holds up to
-    ``BLOCK_SIZE`` corners and a chunk up to ``CHUNK_SIZE``.  When every box
-    is a single midpoint (always without cuts) ``sizes`` is None and the
-    blocks are the full grid in blocks of ``BLOCK_SIZE``.
-    """
-    total = resolution**dimension
-    if total > _MAX_GRID_CELLS:
-        raise ValueError(
-            f"grid of {resolution}^{dimension} = {total} cells exceeds the "
-            f"{_MAX_GRID_CELLS}-cell limit; lower the resolution"
-        )
-    runs = [_axis_runs(resolution, None if cuts is None else cuts[axis]) for axis in range(dimension)]
-    wide = [axis for axis, (_, _, lengths) in enumerate(runs) if np.any(lengths > 1)]
-    n_corners = 1 << len(wide)
-    n_boxes = math.prod(len(lengths) for _, _, lengths in runs)
-
-    def boxes(start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
-        flat = np.arange(start, stop, dtype=np.int64)
-        coords = np.empty((n_corners, stop - start, dimension), dtype=np.float64)
-        sizes = np.ones(stop - start, dtype=np.int64) if wide else None
-        for axis in range(dimension - 1, -1, -1):
-            firsts, lasts, lengths = runs[axis]
-            flat, run = np.divmod(flat, len(lengths))
-            coords[:, :, axis] = firsts[run]
-            if axis in wide:
-                sizes *= lengths[run]
-                bit = 1 << wide.index(axis)
-                coords[[c for c in range(n_corners) if c & bit], :, axis] = lasts[run]
-        return coords.reshape(-1, dimension), None if sizes is None else sizes.astype(np.float64)
-
-    step, chunk = (max(1, size // n_corners) for size in (BLOCK_SIZE, CHUNK_SIZE))
-    for start, stop in _spans(0, n_boxes, step):
-        yield itertools.starmap(boxes, _spans(start, stop, chunk))
 
 
 def monte_carlo_chunks(
@@ -484,14 +509,6 @@ def monte_carlo_chunks(
     for block_index, (start, stop) in enumerate(_spans(0, n, BLOCK_SIZE)):
         streams = tuple(derived_stream(seed, domain, block_index) for domain in domains)
         yield streams, _spans(start, stop, CHUNK_SIZE)
-
-
-def _mc_blocks(dimension: int, n: int, seed: int) -> Iterator[Chunks]:
-    """``n`` uniform samples in blocks of chunks, from domain 0 of
-    :func:`monte_carlo_chunks`, drawn a chunk at a time as ``(coords, None)``."""
-    for (stream,), spans in monte_carlo_chunks(n, seed, (0,)):
-        shapes = ((hi - lo, dimension) for lo, hi in spans)
-        yield zip(map(stream.random, shapes), itertools.repeat(None))
 
 
 ClassifierFn = Callable[[np.ndarray], np.ndarray]
@@ -507,25 +524,12 @@ class Histogram:
 
     def measure(self, bins: np.ndarray) -> MeasureEstimate:
         """The measure of the union of the bins that the boolean mask ``bins``
-        selects: on a grid the selected sum over the cell count, snapped to 1
-        within ``_UNIT_SNAP`` above it, error 0; under Monte Carlo the sample
-        mean clipped to [0, 1], with the ddof=1 error of the unclipped mean."""
-        scheme = self.scheme
+        selects, by the scheme's estimate rule from the selected totals."""
         # np.add.reduce is ndarray.sum, the same pairwise sum per contiguous row,
         # without the cost of its wrapper, which a report pays once per statistic
-        if isinstance(scheme, GridScheme):
-            total = np.add.reduce(np.where(bins, self.sums, 0.0))
-            value = total / float(scheme.resolution) ** self.dimension
-            value, error = (1.0 if 1.0 < value <= 1.0 + _UNIT_SNAP else value), 0.0
-        else:
-            n = scheme.n
-            total, squares = np.add.reduce(np.where(bins, self.totals, 0.0), axis=1)
-            value = total / n
-            error = 0.0
-            if n > 1:
-                error = math.sqrt(max(squares - n * value * value, 0.0) / (n - 1) / n)
-            value = min(max(value, 0.0), 1.0)
-        return MeasureEstimate(float(value), float(error), scheme)
+        total, squares = np.add.reduce(np.where(bins, self.totals, 0.0), axis=1)
+        value, error = self.scheme.estimate(total, squares, self.dimension)
+        return MeasureEstimate(float(value), float(error), self.scheme)
 
 
 def sweep_statistics(
@@ -563,12 +567,7 @@ def sweep_statistics(
     a uniform density.  Monte Carlo ignores ``cuts``.
     """
     dimension = dist.space.dimension
-    if isinstance(scheme, GridScheme):
-        blocks = _grid_blocks(dimension, scheme.resolution, None if cuts is None else cuts.axes)
-    elif isinstance(scheme, MonteCarloScheme):
-        blocks = _mc_blocks(dimension, scheme.n, scheme.seed)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    blocks = scheme.blocks(dimension, cuts)
     totals = np.zeros((2, n_stats), dtype=np.float64)
     sums, squares = totals
 

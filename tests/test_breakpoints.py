@@ -28,7 +28,6 @@ from eprb_lab.core import (
     LambdaSpace,
     NumericalInvariantError,
     _axis_runs,
-    _grid_blocks,
     declared_cuts,
     make_angle,
     uniform_distribution,
@@ -208,7 +207,7 @@ def test_undeclared_model_sums_every_midpoint_pairwise():
 
 
 def test_undeclared_blocks_stay_within_block_size():
-    blocks = [list(chunks) for chunks in _grid_blocks(1, BLOCK_SIZE + 5)]
+    blocks = [list(chunks) for chunks in GridScheme(BLOCK_SIZE + 5).blocks(1, None)]
     assert [[len(coords) for coords, _ in chunks] for chunks in blocks] == [
         [CHUNK_SIZE] * (BLOCK_SIZE // CHUNK_SIZE),
         [5],

@@ -23,7 +23,6 @@ from eprb_lab.core import (
     LambdaSpace,
     MeasureEstimate,
     MonteCarloScheme,
-    _mc_blocks,
     as_lambda_point,
     context_outcomes,
     default_grid_resolution,
@@ -300,7 +299,7 @@ def test_monte_carlo_blocks_start_at_once_for_any_n():
     # short sweep
     tracemalloc.start()
     try:
-        coords, sizes = next(next(_mc_blocks(2, 10**12, 1)))
+        coords, sizes = next(next(MonteCarloScheme(10**12, 1).blocks(2, None)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -186,3 +186,41 @@ def test_only_core_pairs_the_settings_of_a_context():
                 if names & alice and names & bob:
                     holders.add(path.stem)
     assert holders == {"core"}
+
+
+def test_the_kernel_names_no_scheme():
+    # each scheme class supplies its blocks and its estimate rule, so no code
+    # asks which scheme it holds, and the sweep kernel and Histogram.measure
+    # read no scheme's own fields
+    schemes = {"GridScheme", "MonteCarloScheme"}
+    checks = []
+    for path in SOURCES:
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if _callee(call) == "isinstance" and len(call.args) == 2:
+                named = {getattr(node, "id", None) or getattr(node, "attr", None)
+                         for node in ast.walk(call.args[1])}
+                if named & schemes:
+                    checks.append(f"{path.stem}.{scope}")
+    assert checks == []
+    tree = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    histogram = next(node for node in tree.body if getattr(node, "name", None) == "Histogram")
+    kernels = [node for node in (*tree.body, *histogram.body)
+               if getattr(node, "name", None) in ("sweep_statistics", "measure")]
+    assert len(kernels) == 2
+    read = {node.attr for kernel in kernels for node in ast.walk(kernel)
+            if isinstance(node, ast.Attribute)}
+    assert read & {"resolution", "n"} == set()
+
+
+def test_only_the_schemes_make_points():
+    # the grid's runs feed GridScheme.blocks alone, and the Monte Carlo plan
+    # feeds MonteCarloScheme.blocks and the communication game alone
+    callers: dict[str, set[str]] = {"_axis_runs": set(), "monte_carlo_chunks": set()}
+    for path in SOURCES:
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if _callee(call) in callers:
+                callers[_callee(call)].add(f"{path.stem}.{scope}")
+    assert callers == {
+        "_axis_runs": {"core.GridScheme.blocks"},
+        "monte_carlo_chunks": {"core.MonteCarloScheme.blocks", "protocols.simulate_game.play"},
+    }
