@@ -40,8 +40,8 @@ _EXPORTS = {
             "stats_from_model",
         ),
         "protocols": (
-            "CommBlock", "CommSummary", "average_bits_identity", "bits_required",
-            "detailed_balance", "marginal_shift", "simulate_game",
+            "CommBlock", "CommSummary", "average_bits_identity", "detailed_balance",
+            "marginal_shift", "simulate_game",
         ),
         "ordering": ("MocReport", "moc_demo", "moc_transition_measure"),
     }.items()

@@ -50,6 +50,7 @@ import numpy as np
 from . import __version__
 from .core import (
     CONTEXT_LABELS,
+    SETTINGS,
     AngleQuadruple,
     GridScheme,
     MonteCarloScheme,
@@ -506,7 +507,7 @@ def _tail_words() -> np.ndarray:
     every = CommBlock(start=0, lam=np.empty((N_KEYS, 0)), key=np.arange(N_KEYS))
     fields = ("alice_choice", "bob_choice", "mask_code", "bits", "outcome_a", "outcome_b")
     tails = [
-        ",%s,%s,%s,%d,%d,%d\n" % (("a", "a'")[a], ("b", "b'")[b], LABELS_BY_MASK[mask], *rest)
+        ",%s,%s,%s,%d,%d,%d\n" % (SETTINGS["A"][a], SETTINGS["B"][b], LABELS_BY_MASK[mask], *rest)
         for a, b, mask, *rest in zip(*(getattr(every, name).tolist() for name in fields))
     ]
     width = -(-max(map(len, tails)) // 4) * 4

@@ -90,6 +90,11 @@ _UNIT_SNAP = 1e-9
 #: four form the EPRB cycle, and transition set k links context k to k + 1.
 CONTEXTS: tuple[tuple[str, str], ...] = (("a", "b"), ("a'", "b"), ("a'", "b'"), ("a", "b'"))
 
+#: Each wing's setting names in order of first use in :data:`CONTEXTS`:
+#: A's ("a", "a'") and B's ("b", "b'").  A wing's choice of setting is an
+#: index into its names, and choice 0 is the unprimed setting.
+SETTINGS = dict(zip("AB", (tuple(dict.fromkeys(names)) for names in zip(*CONTEXTS))))
+
 #: Context labels in canonical order: "ab", "a'b", "a'b'", "ab'".
 CONTEXT_LABELS = tuple(alice + bob for alice, bob in CONTEXTS)
 

@@ -48,7 +48,7 @@ class JointStats:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_plus", tuple(float(p) for p in self.p_plus))
-        if len(self.p_plus) != 4:
+        if len(self.p_plus) != len(CONTEXTS):
             raise ValueError("JointStats needs exactly four contexts")
         for i, plus in enumerate(self.p_plus):
             if not 0.0 <= plus <= 1.0:
@@ -223,7 +223,7 @@ def contradiction_trace(
     memberships it is always consistent.
     """
     pairs = [(int(va), int(vb)) for va, vb in assignment]
-    if len(pairs) != 4:
+    if len(pairs) != len(CONTEXTS):
         raise ValueError("assignment must hold four (A, B) context pairs")
     for va, vb in pairs:
         if va not in (-1, 1) or vb not in (-1, 1):

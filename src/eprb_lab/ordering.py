@@ -27,6 +27,7 @@ import numpy as np
 from . import core
 from .core import (
     CONTEXTS,
+    SETTINGS,
     Angle,
     AngleQuadruple,
     Distribution,
@@ -42,21 +43,14 @@ from .models import SequentialModel, _check_wing
 from .transition import _ODD, P_PLUS_SELECTION, pattern_code
 from .transition import full_report  # noqa: F401  (bench/tracer.py rebinds it here)
 
+#: The first answers as (wing, own setting): bit 8 + j of a moc code is set when answer j is -1.
+_FIRSTS = tuple((wing, own) for wing, names in SETTINGS.items() for own in names)
+
 #: The eight ordering sets as (wing, own setting, companion setting) names,
 #: in the order :func:`moc_demo` searches them.
-ORDERING_SETS: tuple[tuple[str, str, str], ...] = (
-    ("A", "a", "b"),
-    ("A", "a", "b'"),
-    ("A", "a'", "b"),
-    ("A", "a'", "b'"),
-    ("B", "b", "a"),
-    ("B", "b", "a'"),
-    ("B", "b'", "a"),
-    ("B", "b'", "a'"),
+ORDERING_SETS: tuple[tuple[str, str, str], ...] = tuple(
+    (wing, own, other) for wing, own in _FIRSTS for companion, other in _FIRSTS if companion != wing
 )
-
-#: The first answers as (wing, own setting): bit 8 + j of a moc code is set when answer j is -1.
-_FIRSTS: tuple[tuple[str, str], ...] = (("A", "a"), ("A", "a'"), ("B", "b"), ("B", "b'"))
 
 
 def _companion(wing: str) -> str:
@@ -174,10 +168,10 @@ def moc_demo(model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme) 
     sets, histogram = _moc_sweep(model, quadruple, scheme)
     # max keeps the first of tied measures, in ORDERING_SETS order
     (wing, own_name, other_name), moc_measure = max(sets.items(), key=lambda item: item[1].value)
-    # the order-free model's outcome pattern at each combination of first answers, then each bin
-    answers = dict(zip(_FIRSTS, 1 - 2 * (np.arange(16) >> np.arange(4)[:, None] & 1)))
-    patterns = pattern_code(tuple((answers["A", x], answers["B", y]) for x, y in CONTEXTS))
-    induced = patterns[np.arange(len(histogram.sums)) >> len(ORDERING_SETS)]
+    # the order-free model's outcome pattern in each bin, from the bin's first answers
+    firsts = np.arange(len(histogram.sums)) >> len(ORDERING_SETS)
+    answers = dict(zip(_FIRSTS, 1 - 2 * (firsts >> np.arange(len(_FIRSTS))[:, None] & 1)))
+    induced = pattern_code(tuple((answers["A", x], answers["B", y]) for x, y in CONTEXTS))
     p_plus = tuple(histogram.measure(bins).value for bins in P_PLUS_SELECTION[:, induced])
     return MocReport(
         pair=f"{wing}@{own_name} (companion {other_name} first)",

@@ -21,6 +21,7 @@ outcome-pattern sweep of :mod:`transition`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -31,6 +32,7 @@ import numpy as np
 from . import core
 from .core import (
     CONTEXTS,
+    SETTINGS,
     Angle,
     AngleQuadruple,
     Distribution,
@@ -47,7 +49,6 @@ from .inequalities import JointStats, hardy_bounds
 from .transition import (
     ALL_REGION_LABELS,
     LABELS_BY_MASK,
-    MembershipVector,
     TransitionReport,
     MASK_BY_PATTERN,
     N_PATTERNS,
@@ -62,18 +63,13 @@ from .transition import (
 # Bob's coin) from measure sweeps.
 _DOMAINS = (11, 12, 13)
 
-#: Bits exchanged for each 4-bit membership mask (bit i = canonical set i):
+#: Bits exchanged for each membership mask (bit i = canonical set i):
 #: Alice's setting travels iff lambda sits in a B-side set, Bob's iff in an
 #: A-side set, so a run costs one bit per wing among its sets' links.
 BITS_BY_MASK: tuple[int, ...] = tuple(
     len({wing for i, (wing, _, _) in enumerate(SET_LINKS.values()) if mask >> i & 1})
-    for mask in range(16)
+    for mask in range(len(LABELS_BY_MASK))
 )
-
-
-def bits_required(memberships: MembershipVector) -> int:
-    """Bits exchanged for one lambda, looked up in :data:`BITS_BY_MASK`."""
-    return BITS_BY_MASK[memberships.mask]
 
 
 #: Bits required in each membership region (region label -> 0, 1 or 2).
@@ -82,13 +78,13 @@ REGION_BITS: dict[str, int] = {
 }
 
 #: Number of run keys (see :class:`CommBlock`).
-N_KEYS = 4 * N_PATTERNS
+N_KEYS = len(CONTEXTS) * N_PATTERNS
 # Every command imports these tables: small dtypes and table lookups keep that cheap.
 _CHOICES, _PATTERNS = np.divmod(np.arange(N_KEYS, dtype=np.int16), N_PATTERNS)
 
 #: Canonical context of each run key: the one that setting choice 2 * alice + bob plays.
 CONTEXT_BY_KEY = np.array(
-    [CONTEXTS.index((alice, bob)) for alice in ("a", "a'") for bob in ("b", "b'")], dtype=np.int8
+    [CONTEXTS.index(pair) for pair in itertools.product(*SETTINGS.values())], dtype=np.int8
 )[_CHOICES]
 #: Membership mask (an index into ``LABELS_BY_MASK``) of each run key.
 MASK_BY_KEY = MASK_BY_PATTERN[_PATTERNS]
@@ -107,8 +103,8 @@ class CommBlock:
     """The runs of one chunk of a sampling block.
 
     Row j is run ``start + j``: the shared lambda ``lam[j]`` and the run key
-    ``key[j] = (2 * alice + bob) * 256 + pattern``, where a choice is 0 for
-    the unprimed setting and 1 for the primed one and ``pattern`` is
+    ``key[j] = (2 * alice + bob) * N_PATTERNS + pattern``, where a choice is
+    an index into ``SETTINGS`` (0 for the unprimed setting) and ``pattern`` is
     lambda's :func:`pattern_code`.  The setting choices, lambda's membership
     mask (an index into ``LABELS_BY_MASK``), the bit cost and the outcomes
     of the realized context are lookups of the key.
@@ -118,8 +114,8 @@ class CommBlock:
     lam: np.ndarray
     key: np.ndarray
 
-    alice_choice = _by_key(np.array([0, 0, 1, 1], dtype=np.int8)[_CHOICES])
-    bob_choice = _by_key(np.array([0, 1, 0, 1], dtype=np.int8)[_CHOICES])
+    alice_choice = _by_key(_CHOICES.astype(np.int8) // len(SETTINGS["B"]))
+    bob_choice = _by_key(_CHOICES.astype(np.int8) % len(SETTINGS["B"]))
     mask_code = _by_key(MASK_BY_KEY)
     bits = _by_key(BITS_BY_KEY)
     outcome_a = _by_key(OUTCOME_A_BY_KEY)
@@ -199,7 +195,7 @@ def simulate_game(
     for chunk in play():
         histogram += np.bincount(chunk.key, minlength=N_KEYS)
 
-    in_context = CONTEXT_BY_KEY[:, None] == np.arange(4)
+    in_context = CONTEXT_BY_KEY[:, None] == np.arange(len(CONTEXTS))
     counts = (histogram @ in_context).tolist()
     plus = ((OUTCOME_A_BY_KEY == OUTCOME_B_BY_KEY) * histogram @ in_context).tolist()
     if 0 in counts:

@@ -35,6 +35,7 @@ views of its report.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -42,6 +43,7 @@ import numpy as np
 
 from .core import (
     CONTEXTS,
+    SETTINGS,
     AngleQuadruple,
     ClassifierFn,
     Distribution,
@@ -72,10 +74,10 @@ CANONICAL_SETS: tuple[TransitionSetId, ...] = tuple(TransitionSetId)
 def _link(here: int) -> tuple[str, int, int]:
     """(wing, pre-context, post-context) of the link from context ``here`` to
     the next: the wing whose setting the two share, then the context where
-    the other wing's setting is unprimed, then the other."""
+    the other wing plays its choice 0 (the unprimed setting), then the other."""
     there = (here + 1) % len(CONTEXTS)
     wing = int(CONTEXTS[here][0] != CONTEXTS[there][0])
-    if CONTEXTS[here][1 - wing].endswith("'"):
+    if CONTEXTS[here][1 - wing] != SETTINGS["AB"[1 - wing]][0]:
         here, there = there, here
     return "AB"[wing], here, there
 
@@ -85,16 +87,15 @@ SET_LINKS = {sid: _link(k) for k, sid in enumerate(CANONICAL_SETS)}
 
 
 def _build_region_labels() -> tuple[str, ...]:
-    labels = [""] * 16
-    labels[0] = "none"
-    labels[15] = "F"
-    for j in range(4):
-        labels[1 << j] = f"T{8 - j}"
-        labels[15 ^ (1 << j)] = f"T{1 + j}"
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for rank, (i, j) in enumerate(pairs, start=1):
+    n = len(CANONICAL_SETS)
+    full = (1 << n) - 1
+    labels = {0: "none", full: "F"}
+    for j in range(n):
+        labels[1 << j] = f"T{2 * n - j}"
+        labels[full ^ (1 << j)] = f"T{1 + j}"
+    for rank, (i, j) in enumerate(itertools.combinations(range(n), 2), start=1):
         labels[(1 << i) | (1 << j)] = f"E{rank}"
-    return tuple(labels)
+    return tuple(labels[mask] for mask in range(full + 1))
 
 
 #: Region label for each 4-bit membership mask (bit i = canonical set i).
@@ -120,7 +121,7 @@ class MembershipVector:
     sign_pattern: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.in_set) != 4 or len(self.sign_pattern) != 4:
+        if len(self.in_set) != len(CANONICAL_SETS) or len(self.sign_pattern) != len(CONTEXTS):
             raise ValueError("in_set and sign_pattern must both have length 4")
         if any(s not in (-1, 1) for s in self.sign_pattern):
             raise ValueError(f"sign_pattern entries must be +1/-1, got {self.sign_pattern!r}")
@@ -144,8 +145,8 @@ class MembershipVector:
         return (product == -1) == (self.membership_count % 2 == 1)
 
 
-#: Number of outcome patterns: the 8 outcome bits of the four contexts.
-N_PATTERNS = 256
+#: Number of outcome patterns: two outcome bits (A and B) per context.
+N_PATTERNS = 1 << 2 * len(CONTEXTS)
 
 
 def pattern_code(contexts: tuple[tuple[np.ndarray, np.ndarray], ...]) -> np.ndarray:
@@ -170,7 +171,9 @@ def pattern_classifier(model: HvModel, quadruple: AngleQuadruple) -> ClassifierF
 
 #: The outcome (+1/-1) that each pattern holds, indexed [context, wing,
 #: pattern] with wing 0 for A and 1 for B: the inverse of :func:`pattern_code`.
-OUTCOMES_BY_PATTERN = 1 - 2 * (np.arange(N_PATTERNS) >> np.arange(8).reshape(4, 2, 1) & 1)
+OUTCOMES_BY_PATTERN = 1 - 2 * (
+    np.arange(N_PATTERNS) >> np.arange(2 * len(CONTEXTS)).reshape(-1, 2, 1) & 1
+)
 
 
 def _build_pattern_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,7 +196,7 @@ _MEMBERS, _SIGNS, _PRE_VALUES = _build_pattern_tables()
 _ODD = np.bitwise_xor.reduce(_MEMBERS, axis=0)
 
 #: Membership mask (an index into :data:`LABELS_BY_MASK`) of each pattern.
-MASK_BY_PATTERN = np.sum(_MEMBERS << np.arange(4)[:, None], axis=0).astype(np.uint8)
+MASK_BY_PATTERN = np.sum(_MEMBERS << np.arange(len(_MEMBERS))[:, None], axis=0).astype(np.uint8)
 
 # The parity rule is an identity of the outcome bits: the four sign products
 # multiply to -1 exactly on the odd-membership patterns.  So it holds for

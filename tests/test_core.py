@@ -15,6 +15,7 @@ from eprb_lab.core import (
     CHUNK_SIZE,
     CONTEXT_LABELS,
     CONTEXTS,
+    SETTINGS,
     TAU,
     Angle,
     AngleQuadruple,
@@ -111,6 +112,8 @@ def test_contexts_walk_the_cycle():
     # each context shares exactly one setting with the next, cyclically
     for here, there in zip(CONTEXTS, CONTEXTS[1:] + CONTEXTS[:1]):
         assert sum(x == y for x, y in zip(here, there)) == 1
+    # each wing's settings in order of first use; choice 0 is the unprimed one
+    assert SETTINGS == {"A": ("a", "a'"), "B": ("b", "b'")}
 
 
 @given(st.floats(min_value=0.0, max_value=math.pi, allow_nan=False))

@@ -36,7 +36,6 @@ from eprb_lab.protocols import (
     OUTCOME_B_BY_KEY,
     REGION_BITS,
     average_bits_identity,
-    bits_required,
     detailed_balance,
     marginal_shift,
     simulate_game,
@@ -60,19 +59,20 @@ CHAIN = AngleQuadruple.chain(math.pi / 4)
 
 
 def test_bits_required_by_wing():
-    def vector(in_set):
-        # bits_required only reads in_set, so any legal sign pattern serves
-        return MembershipVector(in_set=tuple(in_set), sign_pattern=(1, 1, 1, 1))
+    def bits(in_set):
+        # the cost reads only the mask, so any legal sign pattern serves
+        vector = MembershipVector(in_set=tuple(in_set), sign_pattern=(1, 1, 1, 1))
+        return BITS_BY_MASK[vector.mask]
 
-    assert bits_required(vector((False, False, False, False))) == 0
+    assert bits((False, False, False, False)) == 0
     # one B-side set: Alice must announce
-    assert bits_required(vector((True, False, False, False))) == 1
-    assert bits_required(vector((False, False, True, False))) == 1
+    assert bits((True, False, False, False)) == 1
+    assert bits((False, False, True, False)) == 1
     # both B-side sets still cost one bit
-    assert bits_required(vector((True, False, True, False))) == 1
+    assert bits((True, False, True, False)) == 1
     # one set per wing costs two
-    assert bits_required(vector((True, True, False, False))) == 2
-    assert bits_required(vector((True, True, True, True))) == 2
+    assert bits((True, True, False, False)) == 2
+    assert bits((True, True, True, True)) == 2
 
 
 def test_region_bits_table():
@@ -129,7 +129,7 @@ def test_game_log_is_faithful():
         assert (block.outcome_a[i], block.outcome_b[i]) == (va, vb)
         memberships = classify_lambda(model, CHAIN, lam)
         assert LABELS_BY_MASK[block.mask_code[i]] == memberships.region
-        assert block.bits[i] == bits_required(memberships)
+        assert block.bits[i] == BITS_BY_MASK[memberships.mask]
     assert sum(summary.context_counts) == 500
 
 

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eprb_lab import cli, ordering, protocols, transition
 from eprb_lab.core import (
     BLOCK_SIZE,
     CONTEXTS,
@@ -33,7 +34,14 @@ from eprb_lab.transition import (
     full_report,
     partition_measures,
 )
-from helpers import _SET_CONTEXTS
+from helpers import (
+    _SET_CONTEXTS,
+    CONTEXT_BY_CHOICE,
+    CYCLE_TABLE_DIGESTS,
+    FIRST_ANSWERS,
+    ORDERING_SETS,
+    table_digest,
+)
 
 CHAIN = AngleQuadruple.chain(math.pi / 4)
 GRID = GridScheme(1024)
@@ -71,6 +79,23 @@ def test_set_links_are_the_links_of_the_context_cycle():
         shared = CONTEXTS[pre][side]
         assert CONTEXTS[post][side] == shared
         assert sid.value == f"{'alice' if wing == 'A' else 'bob'}@{shared}"
+
+
+def test_tables_built_from_the_cycle_keep_their_bytes():
+    # every table below is derived from core.CONTEXTS and core.SETTINGS; the
+    # references in helpers were taken from the tables they replaced
+    assert ordering.ORDERING_SETS == ORDERING_SETS
+    assert ordering._FIRSTS == FIRST_ANSWERS
+    assert tuple(protocols.CONTEXT_BY_KEY[:: transition.N_PATTERNS]) == CONTEXT_BY_CHOICE
+    n_keys = protocols.N_KEYS
+    every = protocols.CommBlock(start=0, lam=np.empty((n_keys, 0)), key=np.arange(n_keys))
+    owners = {"transition": transition, "protocols": protocols, "cli": cli, "CommBlock": every}
+    digests = {}
+    for name in CYCLE_TABLE_DIGESTS:
+        owner, attr = name.split(".")
+        table = getattr(owners[owner], attr)
+        digests[name] = table_digest(table() if callable(table) else table)
+    assert digests == CYCLE_TABLE_DIGESTS
 
 
 def test_region_label_table():
