@@ -234,7 +234,8 @@ def _emit(
     refused first.  The CSV (to --out or stdout), side outputs and manifest
     are written in that order, new and regular files under temporary names
     renamed into place once all are written; any other path (a FIFO, a
-    device, /dev/stdout) is opened as it is.
+    device, /dev/stdout) is opened as it is.  With the CSV on stdout, every
+    temporary is created before the copy.
     """
 
     def write_csv(handle: TextIO) -> None:
@@ -275,19 +276,25 @@ def _emit(
         }
         text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
         files.append((manifest_path, lambda handle: handle.write(text)))
-    if args.out is None:
-        # stdout gets the CSV once it is whole, so a command failing while it makes
-        # its rows writes nothing there; a spool file keeps memory flat as rows grow
-        with tempfile.TemporaryFile("w+", newline="", encoding="utf-8") as spool:
-            write_csv(spool)
-            spool.seek(0)
-            shutil.copyfileobj(spool, sys.stdout)
     staged = {
         target: target.with_name(f"{target.name}.{os.getpid()}.tmp")
         for target, path in targets.items()
         if os.path.isfile(path) or not os.path.exists(path)
     }
     try:
+        if args.out is None:
+            # stdout gets the CSV once it is whole and every staged file exists, so a
+            # command failing while it makes its rows, or an output that cannot be
+            # created, writes nothing there; a spool file keeps memory flat as rows grow
+            for target, temporary in staged.items():
+                try:
+                    temporary.touch()
+                except OSError as exc:  # name the output as given, not its temporary
+                    raise OSError(exc.errno, exc.strerror, targets[target]) from None
+            with tempfile.TemporaryFile("w+", newline="", encoding="utf-8") as spool:
+                write_csv(spool)
+                spool.seek(0)
+                shutil.copyfileobj(spool, sys.stdout)
         for (path, write), target in zip(files, targets):
             try:
                 with open(staged.get(target, path), "w", newline="", encoding="utf-8") as handle:

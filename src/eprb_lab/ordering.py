@@ -13,8 +13,10 @@ reproducing those statistics forces ordering contextuality.
 
 :func:`moc_demo` reads every figure off one sweep.  Each lambda gets a
 12-bit code: bit k is set when it lies in ordering set k, and bits 8-11 hold
-the four first answers, which fix the induced model's outcome pattern, so
-the sets, its sigma_minus and its context statistics are all unions of bins.
+the four first answers, which fix the induced model's outcome pattern
+(:data:`ORDER_FREE_PATTERNS`).  So the sets are unions of bins, and the
+induced model's figures are ``transition.TransitionReport.of`` over them;
+no order-free pattern lies in a transition set, so its sigma_minus is 0.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .core import (
 from .inequalities import JointStats, hardy_bounds, quantum_stats
 from .inequalities import stats_from_model  # noqa: F401  (bench/tracer.py rebinds it here)
 from .models import SequentialModel, _check_wing
-from .transition import _ODD, P_PLUS_SELECTION, pattern_code
+from .transition import TransitionReport, pattern_code
 from .transition import full_report  # noqa: F401  (bench/tracer.py rebinds it here)
 
 #: The first answers as (wing, own setting): bit 8 + j of a moc code is set when answer j is -1.
@@ -51,6 +53,13 @@ _FIRSTS = tuple((wing, own) for wing, names in SETTINGS.items() for own in names
 ORDERING_SETS: tuple[tuple[str, str, str], ...] = tuple(
     (wing, own, other) for wing, own in _FIRSTS for companion, other in _FIRSTS if companion != wing
 )
+
+#: Every moc code, and the first answers (+1/-1) that its bits 8-11 hold.
+_CODES = np.arange(1 << (len(ORDERING_SETS) + len(_FIRSTS)))
+_ANSWERS = {first: 1 - 2 * (_CODES >> j & 1) for j, first in enumerate(_FIRSTS, len(ORDERING_SETS))}
+#: The order-free model's outcome pattern in each moc code: each wing gives its first answer.
+ORDER_FREE_PATTERNS = pattern_code(tuple((_ANSWERS["A", x], _ANSWERS["B", y]) for x, y in CONTEXTS))
+del _ANSWERS  # 128 KB that no later code reads
 
 
 def _companion(wing: str) -> str:
@@ -133,11 +142,10 @@ def _moc_sweep(
             code |= (first < 0).astype(np.uint16) << j
         return code
 
-    codes = np.arange(1 << (len(ORDERING_SETS) + len(_FIRSTS)))
     dist = model.equilibrium
     cuts = declared_cuts(model, dist, named.values())
-    histogram = core.sweep_statistics(dist, scheme, classify, len(codes), cuts=cuts)
-    sets = {triple: histogram.measure(codes >> k & 1 == 1) for k, triple in enumerate(ORDERING_SETS)}
+    histogram = core.sweep_statistics(dist, scheme, classify, len(_CODES), cuts=cuts)
+    sets = {triple: histogram.measure(_CODES >> k & 1 == 1) for k, triple in enumerate(ORDERING_SETS)}
     return sets, histogram
 
 
@@ -168,18 +176,14 @@ def moc_demo(model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme) 
     sets, histogram = _moc_sweep(model, quadruple, scheme)
     # max keeps the first of tied measures, in ORDERING_SETS order
     (wing, own_name, other_name), moc_measure = max(sets.items(), key=lambda item: item[1].value)
-    # the order-free model's outcome pattern in each bin, from the bin's first answers
-    firsts = np.arange(len(histogram.sums)) >> len(ORDERING_SETS)
-    answers = dict(zip(_FIRSTS, 1 - 2 * (firsts >> np.arange(len(_FIRSTS))[:, None] & 1)))
-    induced = pattern_code(tuple((answers["A", x], answers["B", y]) for x, y in CONTEXTS))
-    p_plus = tuple(histogram.measure(bins).value for bins in P_PLUS_SELECTION[:, induced])
+    induced = TransitionReport.of(lambda bins: histogram.measure(bins[ORDER_FREE_PATTERNS]))
     return MocReport(
         pair=f"{wing}@{own_name} (companion {other_name} first)",
         wing=wing,
         own=named[own_name],
         other=named[other_name],
         moc_measure=moc_measure,
-        induced_sigma_minus=histogram.measure(_ODD[induced]),
-        induced_bell_lhs=hardy_bounds(JointStats(p_plus)).bell_lhs,
+        induced_sigma_minus=induced.sigma_minus,
+        induced_bell_lhs=hardy_bounds(JointStats(induced.p_plus)).bell_lhs,
         quantum_required=hardy_bounds(quantum_stats(quadruple)).unified,
     )

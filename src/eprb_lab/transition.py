@@ -27,9 +27,12 @@ patterns in lexicographic index-pair order, F for all four, "none" for zero.
 Every measure of a quadruple is a view over one histogram: a sweep bins each
 lambda by its 8 outcome bits (256 patterns), and each set, partition, region,
 sigma_minus and context statistic p_i^+ is the measure of a fixed union of
-those bins.  :func:`full_report` is the package's one reader of that histogram;
+those bins.  :meth:`TransitionReport.of` is the package's one reader of the
+pattern tables: given the measure of any selection of patterns, it builds
+every statistic.  :func:`full_report` hands it its sweep's histogram and
+``ordering.moc_demo`` the order-free model's view of the moc histogram;
 :func:`partition_measures` and :func:`inequalities.stats_from_model` are
-views of its report.
+views of the report.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -236,6 +239,22 @@ class TransitionReport:
     sigma_minus: MeasureEstimate
     p_plus: tuple[float, float, float, float]
 
+    @classmethod
+    def of(cls, measure: Callable[[np.ndarray], MeasureEstimate]) -> TransitionReport:
+        """Every statistic, as ``measure`` of a boolean selection of the outcome patterns."""
+        return cls(
+            set_measures={sid: measure(_MEMBERS[i]) for i, sid in enumerate(CANONICAL_SETS)},
+            partition_measures={
+                sid: tuple(measure(_MEMBERS[i] & (_PRE_VALUES[i] == sign)) for sign in (1, -1))
+                for i, sid in enumerate(CANONICAL_SETS)
+            },
+            region_measures={
+                label: measure(MASK_BY_PATTERN == code) for code, label in enumerate(LABELS_BY_MASK)
+            },
+            sigma_minus=measure(_ODD),
+            p_plus=tuple(measure(bins).value for bins in P_PLUS_SELECTION),  # type: ignore[arg-type]
+        )
+
     @property
     def seed(self) -> int | None:
         return self.sigma_minus.seed
@@ -271,29 +290,19 @@ def full_report(
     """Classify every lambda once and report every measure from that sweep.
 
     The sweep, the package's only pattern sweep, fills one histogram over
-    the 256 outcome patterns and every statistic is a union of its bins,
-    so additivity identities (partitions summing to set measures, regions
-    summing to sigma_minus) hold exactly rather than approximately.
+    the 256 outcome patterns and :meth:`TransitionReport.of` reads every
+    statistic as a union of its bins, so additivity identities (partitions
+    summing to set measures, regions summing to sigma_minus) hold exactly
+    rather than approximately.
     """
-    measure = sweep_statistics(
+    histogram = sweep_statistics(
         dist,
         scheme,
         pattern_classifier(model, quadruple),
         N_PATTERNS,
         cuts=declared_cuts(model, dist, quadruple.named_angles().values()),
-    ).measure
-    return TransitionReport(
-        set_measures={sid: measure(_MEMBERS[i]) for i, sid in enumerate(CANONICAL_SETS)},
-        partition_measures={
-            sid: tuple(measure(_MEMBERS[i] & (_PRE_VALUES[i] == sign)) for sign in (1, -1))
-            for i, sid in enumerate(CANONICAL_SETS)
-        },
-        region_measures={
-            label: measure(MASK_BY_PATTERN == code) for code, label in enumerate(LABELS_BY_MASK)
-        },
-        sigma_minus=measure(_ODD),
-        p_plus=tuple(measure(bins).value for bins in P_PLUS_SELECTION),  # type: ignore[arg-type]
     )
+    return TransitionReport.of(histogram.measure)
 
 
 def partition_measures(

@@ -850,6 +850,24 @@ def test_no_file_when_a_later_output_cannot_be_written(
     assert [p.name for p in tmp_path.iterdir()] == [directory]
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["comm", "--runs", "1000", "--log"], "x.csv"),
+        (["sweep", "--model", "quantum", "--steps", "3", "--svg"], "x.svg"),
+    ],
+    ids=["comm", "sweep"],
+)
+def test_nothing_on_stdout_when_a_side_output_cannot_be_created(argv, name, tmp_path, capsys):
+    # with the CSV on stdout, every new or regular output and the manifest is
+    # created under its temporary name before the copy, so a side output in a
+    # missing directory leaves stdout empty; the error names the path as given
+    missing = str(tmp_path / "missing" / name)
+    code, out, err = run_cli([*argv, missing], capsys)
+    assert (code, out) == (2, "") and repr(missing) in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_output_through_a_symlink_writes_its_target(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "link.csv").symlink_to("target.csv")

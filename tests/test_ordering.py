@@ -12,6 +12,7 @@ import pytest
 from eprb_lab import ordering
 from eprb_lab.core import (
     BLOCK_SIZE,
+    CONTEXTS,
     AngleQuadruple,
     GridScheme,
     LambdaSpace,
@@ -31,13 +32,21 @@ from eprb_lab.models import (
     singlet_model,
 )
 from eprb_lab.ordering import (
+    ORDER_FREE_PATTERNS,
     ORDERING_SETS,
     MocReport,
     moc_demo,
     moc_transition_measure,
     ordering_measures,
 )
-from eprb_lab.transition import full_report
+from eprb_lab.transition import (
+    MASK_BY_PATTERN,
+    OUTCOMES_BY_PATTERN,
+    TransitionReport,
+    TransitionSetId,
+    full_report,
+)
+from helpers import FIRST_ANSWERS
 
 CHAIN = AngleQuadruple.chain(math.pi / 4)
 
@@ -254,6 +263,39 @@ def test_moc_demo_induced_model_figures_of_other_models(
     model, quadruple, scheme, tolerance, monkeypatch
 ):
     _assert_induced_figures(model, quadruple, scheme, tolerance, monkeypatch)
+
+
+def test_no_order_free_pattern_lies_in_a_transition_set():
+    # each wing gives its first answer whatever the companion's setting, so the
+    # order-free model is local: an identity of the tables, for every moc code
+    codes = np.arange(len(ORDER_FREE_PATTERNS))
+    assert len(codes) == 1 << (len(ORDERING_SETS) + len(FIRST_ANSWERS))
+    assert np.all(MASK_BY_PATTERN[ORDER_FREE_PATTERNS] == 0)
+    # the pattern holds, in every context, the first answers that bits 8-11 hold
+    for i, (x, y) in enumerate(CONTEXTS):
+        for wing, own in enumerate((x, y)):
+            bit = len(ORDERING_SETS) + FIRST_ANSWERS.index(("AB"[wing], own))
+            answer = 1 - 2 * (codes >> bit & 1)
+            assert np.array_equal(OUTCOMES_BY_PATTERN[i, wing, ORDER_FREE_PATTERNS], answer)
+    # so its 16 patterns are the 16 combinations of first answers
+    firsts = codes >> len(ORDERING_SETS)
+    assert len(np.unique(ORDER_FREE_PATTERNS)) == 16
+    assert len(set(zip(firsts.tolist(), ORDER_FREE_PATTERNS.tolist()))) == 16
+
+
+@pytest.mark.parametrize("scheme", [GridScheme(256), MonteCarloScheme(20_000, 4)])
+def test_order_free_report_has_no_transition(scheme):
+    # why moc prints induced_sigma_minus 0 for every model: the order-free
+    # view of the moc histogram selects no bin for any set or for sigma_minus
+    _, histogram = ordering._moc_sweep(sequential_singlet_model(), CHAIN, scheme)
+    report = TransitionReport.of(lambda bins: histogram.measure(bins[ORDER_FREE_PATTERNS]))
+    assert list(report.set_measures) == list(TransitionSetId)
+    for estimate in (*report.set_measures.values(), report.sigma_minus):
+        assert (estimate.value, estimate.std_error) == (0.0, 0.0)
+    total = histogram.measure(np.ones(len(ORDER_FREE_PATTERNS), dtype=bool))
+    assert report.region_measures["none"] == total
+    moc = moc_demo(sequential_singlet_model(), CHAIN, scheme)
+    assert moc.induced_sigma_minus == report.sigma_minus
 
 
 def _u_half(angles):

@@ -42,6 +42,7 @@ from eprb_lab.transition import (
     MASK_BY_PATTERN,
     N_PATTERNS,
     MembershipVector,
+    TransitionReport,
     full_report,
     partition_measures,
 )
@@ -318,3 +319,42 @@ def test_measure_is_the_selection_readout_bit_for_bit(kind, density, scheme, mon
     assert values.tobytes() == ref_values.tobytes()
     assert errors.tobytes() == ref_errors.tobytes()
     assert np.count_nonzero(histogram.sums) >= 2
+
+
+@pytest.mark.parametrize(
+    "name, scheme",
+    [
+        ("singlet", GridScheme(256)),
+        ("singlet", MonteCarloScheme(20_000, 4)),
+        ("singlet+bias:q=0.7", GridScheme(256)),
+        ("singlet+bias:q=0.7", MonteCarloScheme(20_000, 4)),
+    ],
+    ids=lambda value: getattr(value, "label", value),
+)
+def test_report_is_the_view_of_any_measure_of_the_patterns(name, scheme, monkeypatch):
+    # full_report is its sweep read by TransitionReport.of, and the view reads
+    # any measure of pattern selections: the same histogram with its bins
+    # permuted, read through the permutation, gives the same report
+    choice = resolve_model(name)
+    reports = []
+    histogram = _histogram_of(
+        lambda: reports.append(full_report(choice.hv, choice.distribution, QUADRUPLE, scheme)),
+        monkeypatch,
+    )
+    (report,) = reports
+    assert TransitionReport.of(histogram.measure) == report
+    perm = np.random.default_rng(5).permutation(N_PATTERNS)
+    permuted = core.Histogram(histogram.totals[:, perm], histogram.scheme, histogram.dimension)
+    read = TransitionReport.of(lambda bins: permuted.measure(bins[perm]))
+    assert {e.scheme for e in read.region_measures.values()} == {scheme}
+    (values, errors), (want_values, want_errors) = report_arrays(read), report_arrays(report)
+    if name == "singlet":
+        # a uniform density makes every bin total an integer, so any order of
+        # the pairwise sum gives the same bits
+        assert read == report
+        assert (values.tobytes(), errors.tobytes()) == (want_values.tobytes(), want_errors.tobytes())
+    else:
+        # a biased density's totals are floats, summed here in another order
+        assert np.max(np.abs(values - want_values)) <= 1e-15
+        assert np.max(np.abs(errors - want_errors)) <= 1e-15
+        assert np.count_nonzero(histogram.totals[0] % 1) > 0

@@ -228,3 +228,25 @@ def test_only_the_schemes_make_points():
         "_axis_runs": {"core.GridScheme.blocks"},
         "monte_carlo_chunks": {"core.MonteCarloScheme.blocks", "protocols.simulate_game.play"},
     }
+
+
+def test_only_transition_reads_the_pattern_tables():
+    # how a four-context statistic is read off the outcome patterns is written
+    # once, in TransitionReport.of: no other module reads the pattern tables,
+    # and no code but that classmethod's cls(...) builds a report
+    tables = {"_MEMBERS", "_SIGNS", "_PRE_VALUES", "_ODD", "P_PLUS_SELECTION"}
+    readers, builders = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for alias in _imported(tree)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if names & tables:
+            readers.add(path.stem)
+        for scope, call in _calls(tree):
+            if _callee(call) == "TransitionReport" or (
+                path.stem == "transition" and _callee(call) == "cls"
+            ):
+                builders.append(f"{path.stem}.{scope}")
+    assert readers == {"transition"}
+    assert builders == ["transition.TransitionReport.of"]
