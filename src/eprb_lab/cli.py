@@ -4,9 +4,10 @@ Subcommands: stats, transition, sweep, comm, signal, moc, replay.  Each
 subcommand declares only the flags it reads, and the parser holds every
 flag's type and default.  An optional key-value config file supplies the
 subcommand's defaults, so flags still win.  CSV goes to stdout unless --out
-is given; whenever a run writes files it also writes a manifest
-(<first output>.manifest.json) recording the command line, resolved model,
-quadruple, scheme and seed, so the run can be replayed byte for byte.
+is given; whenever a run writes a new or regular file it also writes a
+manifest beside the first one (<that output>.manifest.json) recording the
+command line, resolved model, quadruple, scheme and seed, so the run can be
+replayed byte for byte.
 Each subcommand asks ``_resolve_model`` for the kind of model it needs (any,
 hidden-variable or order-resolved), and ``_resolve_scheme`` gives None for
 an analytic model, which the manifest records as scheme "analytic" with no
@@ -235,7 +236,8 @@ def _emit(
     are written in that order, new and regular files under temporary names
     renamed into place once all are written; any other path (a FIFO, a
     device, /dev/stdout) is opened as it is.  With the CSV on stdout, every
-    temporary is created before the copy.
+    temporary is created before the copy.  The manifest goes beside the first
+    new or regular file; a run whose every output is a stream writes none.
     """
 
     def write_csv(handle: TextIO) -> None:
@@ -243,19 +245,14 @@ def _emit(
         writer.writerow(header)
         writer.writerows([_fmt(value) for value in row] for row in rows)
 
+    def is_file(path: str) -> bool:  # new or regular: staged, then renamed into place
+        return os.path.isfile(path) or not os.path.exists(path)
+
     given = [(args.out, write_csv), *side_outputs]
     files = [(path, write) for path, write in given if path is not None]
     outputs = [path for path, _ in files]
-    targets: dict[Path, str] = {}
-    if outputs:
-        manifest_path = outputs[0] + ".manifest.json"
-        for path in [*outputs, manifest_path]:
-            resolved = Path(path).resolve()
-            if resolved in targets:
-                raise ValueError(f"outputs {targets[resolved]!r} and {path!r} name the same file")
-            if resolved.is_dir():
-                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            targets[resolved] = path
+    beside = next((path for path in outputs if is_file(path)), None)
+    if beside is not None:
         if scheme is None:
             label, seed = "analytic", None
         elif isinstance(scheme, str):
@@ -275,11 +272,19 @@ def _emit(
             "outputs": outputs,
         }
         text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        files.append((manifest_path, lambda handle: handle.write(text)))
+        files.append((beside + ".manifest.json", lambda handle: handle.write(text)))
+    targets: dict[Path, str] = {}
+    for path, _ in files:
+        resolved = Path(path).resolve()
+        if resolved in targets:
+            raise ValueError(f"outputs {targets[resolved]!r} and {path!r} name the same file")
+        if resolved.is_dir():
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        targets[resolved] = path
     staged = {
         target: target.with_name(f"{target.name}.{os.getpid()}.tmp")
         for target, path in targets.items()
-        if os.path.isfile(path) or not os.path.exists(path)
+        if is_file(path)
     }
     try:
         if args.out is None:

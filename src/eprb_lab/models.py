@@ -25,6 +25,7 @@ from .core import (
     Distribution,
     HvModel,
     LambdaSpace,
+    _checked_values,
     theta_between,
     uniform_distribution,
 )
@@ -32,18 +33,6 @@ from .core import (
 SPACE_2D = LambdaSpace(2)
 
 WINGS = ("A", "B")
-
-#: Built-in model names accepted by :func:`resolve_model` (the bias entry is
-#: a prefix; append a real in [0, 1]).
-MODEL_NAMES = (
-    "local-coin",
-    "singlet",
-    "singlet+bias:q=<real>",
-    "sequential-singlet",
-    "quantum",
-)
-
-_BIAS_PREFIX = "singlet+bias:q="
 
 
 def _coin(coords: np.ndarray, axis: int) -> np.ndarray:
@@ -222,6 +211,7 @@ def _ordered(model: SequentialModel, first_wing: str | None, name: str) -> HvMod
         if first_wing is None or wing == first_wing:
             return model.first_outcome(wing, own, coords)
         first = model.first_outcome(first_wing, other, coords)
+        first = _checked_values(first, coords, model.name, first_wing)
         return model.second_outcome(wing, own, other, first, coords)
 
     def outcome_a(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
@@ -266,10 +256,9 @@ class ModelChoice:
     """A resolved CLI model name.
 
     Every hidden-variable model populates ``hv`` and ``distribution``.  An
-    order-resolved model also populates ``sequential``; its ``hv`` is the
-    A-first collapse used by the simultaneous-analysis commands.  The
-    "quantum" source populates neither: it has no hidden variables, so only
-    analytic statistics are available.
+    order-resolved model also populates ``sequential``, and its ``hv`` is the
+    collapse that the simultaneous-analysis commands use.  The analytic
+    "quantum" source populates neither: it has no hidden variables.
     """
 
     name: str
@@ -278,34 +267,36 @@ class ModelChoice:
     distribution: Distribution | None = None
 
 
-def resolve_model(name: str) -> ModelChoice:
-    """Map a CLI model name to a :class:`ModelChoice`.
+_BIAS_PREFIX = "singlet+bias:q="
 
-    Accepted names: "local-coin", "singlet", "singlet+bias:q=<real>",
-    "sequential-singlet" and "quantum".  Unknown names raise ValueError.
-    """
-    if name == "quantum":
-        return ModelChoice(name=name)
-    if name == "local-coin":
-        model = local_coin_model()
-        return ModelChoice(name=name, hv=model, distribution=model.equilibrium)
-    if name == "singlet":
-        model = singlet_model()
-        return ModelChoice(name=name, hv=model, distribution=model.equilibrium)
+#: Each built-in CLI model name, in order, and its factory: a SequentialModel runs
+#: as its default collapse, None is analytic, and the bias entry is a template.
+_BUILT_INS: dict[str, Callable[[], HvModel | SequentialModel] | None] = {
+    "local-coin": local_coin_model,
+    "singlet": singlet_model,
+    _BIAS_PREFIX + "<real>": singlet_model,
+    "sequential-singlet": sequential_singlet_model,
+    "quantum": None,
+}
+MODEL_NAMES = tuple(_BUILT_INS)  # the names resolve_model accepts
+
+
+def resolve_model(name: str) -> ModelChoice:
+    """The :class:`ModelChoice` of a CLI model name; unknown names raise ValueError."""
+    key, q = name, None
     if name.startswith(_BIAS_PREFIX):
         text = name[len(_BIAS_PREFIX):]
         try:
-            q = float(text)
+            key, q = _BIAS_PREFIX + "<real>", float(text)
         except ValueError:
             raise ValueError(f"malformed bias value {text!r} in model name {name!r}") from None
-        model = singlet_model()
-        return ModelChoice(name=name, hv=model, distribution=biased_distribution(model, q))
-    if name == "sequential-singlet":
-        sequential = sequential_singlet_model()
-        return ModelChoice(
-            name=name,
-            hv=as_simultaneous(sequential, "A"),
-            sequential=sequential,
-            distribution=sequential.equilibrium,
-        )
-    raise ValueError(f"unknown model name {name!r}; expected one of {', '.join(MODEL_NAMES)}")
+    if key not in _BUILT_INS:
+        raise ValueError(f"unknown model name {name!r}; expected one of {', '.join(MODEL_NAMES)}")
+    factory = _BUILT_INS[key]
+    if factory is None:
+        return ModelChoice(name=name)
+    model = factory()
+    sequential = model if isinstance(model, SequentialModel) else None
+    hv = model if sequential is None else as_simultaneous(sequential)
+    distribution = hv.equilibrium if q is None else biased_distribution(hv, q)
+    return ModelChoice(name=name, hv=hv, sequential=sequential, distribution=distribution)

@@ -71,12 +71,6 @@ BITS_BY_MASK: tuple[int, ...] = tuple(
     for mask in range(len(LABELS_BY_MASK))
 )
 
-
-#: Bits required in each membership region (region label -> 0, 1 or 2).
-REGION_BITS: dict[str, int] = {
-    label: BITS_BY_MASK[LABELS_BY_MASK.index(label)] for label in ALL_REGION_LABELS
-}
-
 #: Number of run keys (see :class:`CommBlock`).
 N_KEYS = len(CONTEXTS) * N_PATTERNS
 # Every command imports these tables: small dtypes and table lookups keep that cheap.
@@ -220,15 +214,16 @@ def simulate_game(
 def average_bits_identity(report: TransitionReport) -> tuple[float, float]:
     """Integrate the bit cost over the report's regions.
 
-    Returns (b_regions, lower_bound) where b_regions is the sum of
-    REGION_BITS[label] * P(label) over all sixteen patterns and lower_bound
-    is P(sigma_minus).  Every odd region costs at least one bit, so
-    b_regions can never fall below the bound; a violation means the report
-    is internally inconsistent and raises NumericalInvariantError.
+    Returns (b_regions, lower_bound) where b_regions is the sum of each
+    region's bits (``BITS_BY_MASK`` at its mask) times its measure over all
+    sixteen regions, and lower_bound is P(sigma_minus).  Every odd region
+    costs at least one bit, so b_regions can never fall below the bound; a
+    violation means the report is internally inconsistent and raises
+    NumericalInvariantError.
     """
     b_regions = float(
         sum(
-            REGION_BITS[label] * report.region_measures[label].value
+            BITS_BY_MASK[LABELS_BY_MASK.index(label)] * report.region_measures[label].value
             for label in ALL_REGION_LABELS
         )
     )

@@ -919,6 +919,23 @@ def test_an_existing_fifo_is_written_in_place(tmp_path, monkeypatch, capsys):
     assert code == 0 and received == [Path("x.csv").read_bytes()]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_run_whose_every_output_is_a_stream_writes_no_manifest(tmp_path, monkeypatch, capsys):
+    # the manifest goes beside the first new or regular output; the CSV on
+    # stdout and the log into a FIFO leave it no such file to sit beside
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("fifo")
+    received = []
+    reader = threading.Thread(target=lambda: received.append(Path("fifo").read_bytes()))
+    reader.daemon = True
+    reader.start()
+    code, out, err = run_cli(["comm", "--runs", "100", "--seed", "5", "--log", "fifo"], capsys)
+    reader.join(timeout=10)
+    assert (code, err) == (0, "") and out.startswith("n_runs,")
+    assert received and received[0].startswith(b"run,")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
 def test_a_closed_output_pipe_exits_141_quietly(tmp_path):
     # like `... --log /dev/stdout | head -1`: the reader leaves long before the

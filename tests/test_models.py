@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,10 @@ from eprb_lab.core import (
 )
 from eprb_lab.inequalities import quantum_stats, stats_from_model
 from eprb_lab.models import (
+    _BUILT_INS,
+    MODEL_NAMES,
+    ModelChoice,
+    SequentialModel,
     anticorrelation_threshold,
     as_simultaneous,
     biased_distribution,
@@ -28,6 +34,7 @@ from eprb_lab.models import (
     sequential_singlet_model,
     singlet_model,
 )
+from eprb_lab.transition import full_report
 from helpers import total_mass
 
 GRID = GridScheme(1024)
@@ -163,6 +170,23 @@ def test_as_simultaneous_names_and_tags():
         as_simultaneous(seq, "X")
 
 
+def test_a_collapse_checks_the_first_answer_it_passes_on():
+    # the wing measured second hears the first wing's answer; a bad answer is
+    # blamed on the wing that gave it, under the sequential model's name
+    seq = sequential_singlet_model()
+
+    def first_outcome(wing, own, coords):
+        answer = seq.first_outcome(wing, own, coords)
+        return np.zeros_like(answer) if wing == "B" else answer
+
+    broken = replace(seq, name="broken", first_outcome=first_outcome)
+    message = re.escape("B outcomes of model 'broken' are not all")
+    with pytest.raises(ValueError, match=message):
+        full_report(
+            as_simultaneous(broken, "B"), broken.equilibrium, AngleQuadruple.chain(0.5), GridScheme(8)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Name resolution
 
@@ -196,3 +220,37 @@ def test_resolve_model_bias_parsing():
 def test_resolve_model_unknown():
     with pytest.raises(ValueError, match="unknown model"):
         resolve_model("telepathy")
+
+
+def test_every_built_in_is_named_by_its_table_key():
+    assert MODEL_NAMES == tuple(_BUILT_INS)
+    for key, factory in _BUILT_INS.items():
+        name = key.replace("<real>", "0.7")  # a real in the bias template
+        choice = resolve_model(name)
+        assert choice.name == name
+        model = None if factory is None else factory()
+        if model is None:
+            assert choice == ModelChoice(name=name)
+        elif isinstance(model, SequentialModel):
+            assert choice.sequential.name == key and choice.hv.name == f"{key}[A first]"
+            assert choice.distribution is choice.sequential.equilibrium
+        elif name == key:
+            assert choice.hv.name == key and choice.sequential is None
+            assert choice.distribution is choice.hv.equilibrium
+        else:
+            assert choice.hv.name == model.name and choice.sequential is None
+            assert choice.distribution.label == "nonequilibrium:q=0.7"
+
+
+def test_a_sequential_entry_runs_as_its_a_first_collapse():
+    rng = derived_stream(24, 0, 0)
+    choices = [resolve_model(key) for key in MODEL_NAMES if "<real>" not in key]
+    sequential = [choice for choice in choices if choice.sequential is not None]
+    assert sequential
+    for choice in sequential:
+        collapse = as_simultaneous(choice.sequential, "A")
+        coords = rng.random((4096, choice.hv.space.dimension))
+        for _ in range(20):
+            a, b = (make_angle(float(x)) for x in rng.random(2) * 2 * math.pi)
+            assert np.array_equal(choice.hv.outcome_a(a, b, coords), collapse.outcome_a(a, b, coords))
+            assert np.array_equal(choice.hv.outcome_b(a, b, coords), collapse.outcome_b(a, b, coords))

@@ -34,13 +34,13 @@ from eprb_lab.protocols import (
     N_KEYS,
     OUTCOME_A_BY_KEY,
     OUTCOME_B_BY_KEY,
-    REGION_BITS,
     average_bits_identity,
     detailed_balance,
     marginal_shift,
     simulate_game,
 )
 from eprb_lab.transition import (
+    ALL_REGION_LABELS,
     LABELS_BY_MASK,
     MASK_BY_PATTERN,
     MembershipVector,
@@ -84,7 +84,8 @@ def test_region_bits_table():
         "E1": 2, "E3": 2, "E4": 2, "E6": 2,
         "F": 2,
     }
-    assert REGION_BITS == expected
+    bits = {label: BITS_BY_MASK[LABELS_BY_MASK.index(label)] for label in ALL_REGION_LABELS}
+    assert bits == expected
 
 
 # ---------------------------------------------------------------------------

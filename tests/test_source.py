@@ -8,6 +8,7 @@ from pathlib import Path
 
 import eprb_lab
 from eprb_lab.core import CONTEXTS
+from eprb_lab.models import MODEL_NAMES
 
 PACKAGE = Path(eprb_lab.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -250,3 +251,26 @@ def test_only_transition_reads_the_pattern_tables():
                 builders.append(f"{path.stem}.{scope}")
     assert readers == {"transition"}
     assert builders == ["transition.TransitionReport.of"]
+
+
+def test_resolve_model_branches_on_no_model_name():
+    # each built-in is one entry of the models table, which resolve_model looks
+    # the name up in; a comparison of the name with a built-in's name would be
+    # a second registration of that model
+    tree = ast.parse((PACKAGE / "models.py").read_text(encoding="utf-8"))
+    [function] = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "resolve_model"
+    ]
+    named = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Compare) and any(
+            isinstance(part, ast.Name) and part.id == "name" for part in ast.walk(node)
+        ):
+            named += [
+                part.value
+                for part in ast.walk(node)
+                if isinstance(part, ast.Constant) and part.value in MODEL_NAMES
+            ]
+    assert named == []
