@@ -756,7 +756,10 @@ def _add_common_flags(
         "--seed", type=int, default=_DEFAULT_SEED, metavar="S", help="PRNG seed (default 42)"
     )
     parser.add_argument(
-        "--out", metavar="PATH", help="write CSV to PATH plus PATH.manifest.json (default stdout)"
+        "--out",
+        metavar="PATH",
+        help="write CSV to PATH (default stdout); the first new or regular output "
+        "FILE gets FILE.manifest.json beside it",
     )
     parser.add_argument(
         "--config", metavar="PATH", help="key-value file mirroring these flags; flags win"

@@ -262,9 +262,10 @@ class HvModel:
     """A deterministic outcome-function pair over a hidden-variable space.
 
     ``outcome_a(a, b, coords)`` and ``outcome_b(a, b, coords)`` follow the
-    batch convention and must return +1/-1 integer arrays.  The model is
-    local when outcome_a ignores b and outcome_b ignores a, which
-    :func:`probe_locality` checks.
+    batch convention and must return one +1/-1 per point, of any numeric
+    dtype.  :meth:`outcome` is the way to ask for them: it checks that rule.
+    The model is local when outcome_a ignores b and outcome_b ignores a,
+    which :func:`probe_locality` checks.
 
     ``breakpoints(angles)``, when present, returns one tuple of cut
     positions per axis such that both outcomes, at every setting pair drawn
@@ -278,6 +279,12 @@ class HvModel:
     outcome_b: OutcomeFn
     equilibrium: Distribution
     breakpoints: BreakpointsFn | None = None
+
+    def outcome(self, wing: str, a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
+        """The outcomes of wing "A" or "B" at (a, b), checked to be one
+        +1/-1 per point; ValueError names the wing and the model."""
+        fn = {"A": self.outcome_a, "B": self.outcome_b}[wing]
+        return _checked_values(fn(a, b, coords), coords, self.name, wing)
 
 
 @dataclass(frozen=True)
@@ -710,21 +717,10 @@ def context_outcomes(
     model: HvModel, quadruple: AngleQuadruple, coords: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Evaluate (A, B) in all four contexts for a block of points."""
-    results = []
-    for alice, bob in quadruple.contexts():
-        results.append(
-            (
-                _checked_outcomes(model.outcome_a, alice, bob, coords, model.name, "A"),
-                _checked_outcomes(model.outcome_b, alice, bob, coords, model.name, "B"),
-            )
-        )
-    return tuple(results)
-
-
-def _checked_outcomes(
-    fn: OutcomeFn, alice: Angle, bob: Angle, coords: np.ndarray, name: str, wing: str
-) -> np.ndarray:
-    return _checked_values(fn(alice, bob, coords), coords, name, wing)
+    return tuple(
+        (model.outcome("A", alice, bob, coords), model.outcome("B", alice, bob, coords))
+        for alice, bob in quadruple.contexts()
+    )
 
 
 def _checked_values(values: object, coords: np.ndarray, name: str, wing: str) -> np.ndarray:
@@ -742,11 +738,8 @@ def _checked_values(values: object, coords: np.ndarray, name: str, wing: str) ->
 
 def evaluate_pair(model: HvModel, a: Angle, b: Angle, lam: object) -> tuple[int, int]:
     """Both wings' outcomes at one setting pair and one lambda."""
-    point = as_lambda_point(lam, model.space)
-    block = point.reshape(1, -1)
-    value_a = _checked_outcomes(model.outcome_a, a, b, block, model.name, "A")
-    value_b = _checked_outcomes(model.outcome_b, a, b, block, model.name, "B")
-    return int(value_a[0]), int(value_b[0])
+    block = as_lambda_point(lam, model.space).reshape(1, -1)
+    return int(model.outcome("A", a, b, block)[0]), int(model.outcome("B", a, b, block)[0])
 
 
 def probe_locality(model: HvModel, n_probes: int = 1000, seed: int = 2024) -> bool:
@@ -767,8 +760,8 @@ def probe_locality(model: HvModel, n_probes: int = 1000, seed: int = 2024) -> bo
         lam = rng.random(model.space.dimension)
         value_a, value_b = evaluate_pair(model, a, b, lam)
         block = lam.reshape(1, -1)
-        moved_a = _checked_outcomes(model.outcome_a, a, b_alt, block, model.name, "A")[0]
-        moved_b = _checked_outcomes(model.outcome_b, a_alt, b, block, model.name, "B")[0]
+        moved_a = model.outcome("A", a, b_alt, block)[0]
+        moved_b = model.outcome("B", a_alt, b, block)[0]
         if moved_a != value_a or moved_b != value_b:
             return False
     return True

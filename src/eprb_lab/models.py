@@ -144,6 +144,8 @@ class SequentialModel:
     measurement.  ``second_outcome(wing, own_setting, other_setting,
     first_value, coords)`` is the outcome of the wing measured second, given
     the first wing's realized outcome.  Wings are named "A" and "B".
+    :meth:`first` and :meth:`second` are the way to ask for them: each
+    checks that the answer is one +1/-1 per point, of any numeric dtype.
 
     ``breakpoints(angles)``, when present, returns one tuple of cut
     positions per axis such that every first and second outcome, at every
@@ -157,6 +159,18 @@ class SequentialModel:
     first_outcome: FirstOutcomeFn
     second_outcome: SecondOutcomeFn
     breakpoints: BreakpointsFn | None = None
+
+    def first(self, wing: str, own: Angle, coords: np.ndarray) -> np.ndarray:
+        """``wing``'s checked outcomes at ``own`` when it is measured first."""
+        return _checked_values(self.first_outcome(wing, own, coords), coords, self.name, wing)
+
+    def second(
+        self, wing: str, own: Angle, other: Angle, first: np.ndarray, coords: np.ndarray
+    ) -> np.ndarray:
+        """``wing``'s checked outcomes at ``own`` when it is measured second,
+        after its companion answered ``first`` at ``other``."""
+        answer = self.second_outcome(wing, own, other, first, coords)
+        return _checked_values(answer, coords, self.name, wing)
 
 
 def sequential_singlet_model() -> SequentialModel:
@@ -210,8 +224,7 @@ def _ordered(model: SequentialModel, first_wing: str | None, name: str) -> HvMod
     def answer(wing: str, own: Angle, other: Angle, coords: np.ndarray) -> np.ndarray:
         if first_wing is None or wing == first_wing:
             return model.first_outcome(wing, own, coords)
-        first = model.first_outcome(first_wing, other, coords)
-        first = _checked_values(first, coords, model.name, first_wing)
+        first = model.first(first_wing, other, coords)
         return model.second_outcome(wing, own, other, first, coords)
 
     def outcome_a(a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:

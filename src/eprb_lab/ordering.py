@@ -35,7 +35,6 @@ from .core import (
     Distribution,
     MeasureEstimate,
     Scheme,
-    _checked_values,
     declared_cuts,
     estimate_measure,
 )
@@ -66,28 +65,6 @@ def _companion(wing: str) -> str:
     return "B" if wing == "A" else "A"
 
 
-def _first(model: SequentialModel, wing: str, setting: Angle, coords: np.ndarray) -> np.ndarray:
-    return _checked_values(model.first_outcome(wing, setting, coords), coords, model.name, wing)
-
-
-def _order_flip(
-    model: SequentialModel,
-    wing: str,
-    own: Angle,
-    other: Angle,
-    first_own: np.ndarray,
-    companion_first: np.ndarray,
-    coords: np.ndarray,
-) -> np.ndarray:
-    """Where the wing's answer ``first_own`` at ``own`` changes when it is
-    measured second, after its companion answered ``companion_first`` at
-    ``other``."""
-    second_own = _checked_values(
-        model.second_outcome(wing, own, other, companion_first, coords), coords, model.name, wing
-    )
-    return first_own != second_own
-
-
 def moc_transition_measure(
     model: SequentialModel,
     dist: Distribution,
@@ -101,9 +78,9 @@ def moc_transition_measure(
     _check_wing(wing)
 
     def indicator(coords: np.ndarray) -> np.ndarray:
-        first_own = _first(model, wing, own, coords)
-        companion_first = _first(model, _companion(wing), other, coords)
-        return _order_flip(model, wing, own, other, first_own, companion_first, coords)
+        first_own = model.first(wing, own, coords)
+        companion_first = model.first(_companion(wing), other, coords)
+        return first_own != model.second(wing, own, other, companion_first, coords)
 
     return estimate_measure(dist, indicator, scheme)
 
@@ -125,19 +102,12 @@ def _moc_sweep(
     named = quadruple.named_angles()
 
     def classify(coords: np.ndarray) -> np.ndarray:
-        firsts = {(wing, own): _first(model, wing, named[own], coords) for wing, own in _FIRSTS}
+        firsts = {(wing, own): model.first(wing, named[own], coords) for wing, own in _FIRSTS}
         code = np.zeros(coords.shape[0], dtype=np.uint16)
         for k, (wing, own, other) in enumerate(ORDERING_SETS):
-            flip = _order_flip(
-                model,
-                wing,
-                named[own],
-                named[other],
-                firsts[wing, own],
-                firsts[_companion(wing), other],
-                coords,
-            )
-            code |= flip.astype(np.uint16) << k
+            companion_first = firsts[_companion(wing), other]
+            second = model.second(wing, named[own], named[other], companion_first, coords)
+            code |= (firsts[wing, own] != second).astype(np.uint16) << k
         for j, first in enumerate(firsts.values(), start=len(ORDERING_SETS)):
             code |= (first < 0).astype(np.uint16) << j
         return code

@@ -39,7 +39,6 @@ from .core import (
     HvModel,
     NumericalInvariantError,
     Scheme,
-    _checked_outcomes,
     _in_unit_cube,
     check_seed,
     declared_cuts,
@@ -253,8 +252,8 @@ def marginal_shift(
     """
 
     def classify(coords: np.ndarray) -> np.ndarray:
-        down_1 = _checked_outcomes(model.outcome_b, a1, b_setting, coords, model.name, "B") < 0
-        down_2 = _checked_outcomes(model.outcome_b, a2, b_setting, coords, model.name, "B") < 0
+        down_1 = model.outcome("B", a1, b_setting, coords) < 0
+        down_2 = model.outcome("B", a2, b_setting, coords) < 0
         return down_1.astype(np.uint8) | (down_2.astype(np.uint8) << 1)
 
     cuts = declared_cuts(model, dist, (a1, a2, b_setting))

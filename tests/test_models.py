@@ -17,6 +17,7 @@ from eprb_lab.core import (
     MonteCarloScheme,
     derived_stream,
     estimate_measure,
+    evaluate_pair,
     make_angle,
     probe_locality,
 )
@@ -34,6 +35,7 @@ from eprb_lab.models import (
     sequential_singlet_model,
     singlet_model,
 )
+from eprb_lab.protocols import marginal_shift, simulate_game
 from eprb_lab.transition import full_report
 from helpers import total_mass
 
@@ -185,6 +187,43 @@ def test_a_collapse_checks_the_first_answer_it_passes_on():
         full_report(
             as_simultaneous(broken, "B"), broken.equilibrium, AngleQuadruple.chain(0.5), GridScheme(8)
         )
+
+
+_FAULTS = {
+    "zeros": np.zeros_like,
+    "one-too-many": lambda values: np.append(values, values[:1]),
+}
+_CHAIN = AngleQuadruple.chain(0.5)
+_ENTRY_POINTS = {
+    "full_report": lambda model: full_report(model, model.equilibrium, _CHAIN, GridScheme(8)),
+    "marginal_shift": lambda model: marginal_shift(
+        model, model.equilibrium, _CHAIN.b, _CHAIN.a, _CHAIN.a_prime, GridScheme(8)
+    ),
+    "simulate_game": lambda model: simulate_game(model, model.equilibrium, _CHAIN, 100, seed=1),
+    "evaluate_pair": lambda model: evaluate_pair(model, _CHAIN.a, _CHAIN.b, (0.25, 0.75)),
+    "probe_locality": lambda model: probe_locality(model, n_probes=3),
+}
+
+
+@pytest.mark.parametrize(
+    ("entry", "wing", "fault"),
+    [
+        (entry, wing, fault)
+        for entry in _ENTRY_POINTS
+        for wing in ("A", "B")
+        for fault in _FAULTS
+        if entry != "marginal_shift" or wing == "B"  # the marginal reads B alone
+    ],
+)
+def test_every_entry_point_blames_the_wing_of_a_bad_answer(entry, wing, fault):
+    model = singlet_model()
+    field = f"outcome_{wing.lower()}"
+    answer = getattr(model, field)
+    broken = replace(
+        model, name="broken", **{field: lambda a, b, coords: _FAULTS[fault](answer(a, b, coords))}
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{wing} outcomes of model 'broken' ")):
+        _ENTRY_POINTS[entry](broken)
 
 
 # ---------------------------------------------------------------------------

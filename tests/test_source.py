@@ -85,18 +85,22 @@ def test_every_unused_import_is_a_tracer_shim():
     assert stale == []
 
 
-def _calls(node: ast.AST, scope: str = "") -> list[tuple[str, ast.Call]]:
-    """Every call under ``node`` with the dotted name of the class or
-    function it sits in."""
+def _scoped(node: ast.AST, kind: type, scope: str = "") -> list[tuple[str, ast.AST]]:
+    """Every ``kind`` node under ``node`` with the dotted name of the class
+    or function it sits in."""
     found = []
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{scope}.{child.name}" if scope else child.name
-        elif isinstance(child, ast.Call):
+        elif isinstance(child, kind):
             found.append((scope, child))
-        found += _calls(child, inner)
+        found += _scoped(child, kind, inner)
     return found
+
+
+def _calls(node: ast.AST) -> list[tuple[str, ast.Call]]:
+    return _scoped(node, ast.Call)  # type: ignore[return-value]
 
 
 def _callee(call: ast.Call) -> str | None:
@@ -168,7 +172,8 @@ def test_only_core_reads_the_monte_carlo_plan():
 
 def test_one_order_rule_calls_a_sequential_model():
     # how a sequential model answers under an order is written once, in
-    # models._ordered; the moc sweep reads the first and second answers itself
+    # models._ordered; every other first or second answer, the moc sweep's
+    # included, is asked through the checked SequentialModel.first/.second
     callers = set()
     for path in SOURCES:
         for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
@@ -176,8 +181,23 @@ def test_one_order_rule_calls_a_sequential_model():
                 "first_outcome",
                 "second_outcome",
             ):
-                callers.add(f"{path.stem}.{scope.split('.')[0]}")
-    assert sorted(callers) == ["models._ordered", "ordering._first", "ordering._order_flip"]
+                callers.add(f"{path.stem}.{scope}")
+    assert sorted(callers) == [
+        "models.SequentialModel.first",
+        "models.SequentialModel.second",
+        "models._ordered.answer",
+    ]
+
+
+def test_only_the_checked_accessor_reads_an_outcome_function():
+    # the +1/-1 rule of a two-wing model's answers is written once, in
+    # HvModel.outcome; no other package code reads outcome_a or outcome_b
+    readers = set()
+    for path in SOURCES:
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")), ast.Attribute):
+            if node.attr in ("outcome_a", "outcome_b"):  # type: ignore[attr-defined]
+                readers.add(f"{path.stem}.{scope}")
+    assert readers == {"core.HvModel.outcome"}
 
 
 def test_only_core_pairs_the_settings_of_a_context():
