@@ -13,7 +13,9 @@ hidden-variable or order-resolved), and ``_resolve_scheme`` gives None for
 an analytic model, which the manifest records as scheme "analytic" with no
 seed.  ``_emit`` is the only writer: the CSV first, then --log or --svg,
 then the manifest, a new or regular file renamed into place once all are
-written.
+written.  Numpy and the kernel load only once the arguments parse:
+``_load_kernel`` binds the names of the ``_KERNEL`` table here, so --version,
+--help and usage errors exit before either is imported.
 
 Exit codes: 0 success, 2 usage error (unknown model or one of the wrong
 kind, malformed angles, --grid with --mc, a seed outside [0, 2**64), outputs
@@ -28,6 +30,7 @@ import csv
 import errno
 import functools
 import html
+import importlib
 import json
 import math
 import os
@@ -46,27 +49,47 @@ from typing import Callable, Iterable, Sequence, TextIO
 # package's exports are lazy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from . import __version__
-from .core import (
-    CONTEXT_LABELS,
-    SETTINGS,
-    AngleQuadruple,
-    GridScheme,
-    MonteCarloScheme,
-    NumericalInvariantError,
-    Scheme,
-    check_seed,
-    default_grid_resolution,
-    make_angle,
-)
-from .inequalities import JointStats, hardy_bounds, quantum_stats, stats_from_model
-from .models import ModelChoice, biased_distribution, resolve_model
-from .ordering import moc_demo
-from .protocols import N_KEYS, CommBlock, average_bits_identity, marginal_shift, simulate_game
-from .protocols import detailed_balance  # noqa: F401  (bench/tracer.py rebinds it here)
-from .transition import LABELS_BY_MASK, full_report
+
+# name -> the module ``_load_kernel`` binds it from; numpy itself is bound as np
+_KERNEL = {
+    name: module
+    for module, names in {
+        "numpy": ("np",),
+        "eprb_lab.core": (
+            "CONTEXT_LABELS", "SETTINGS", "AngleQuadruple", "GridScheme", "MonteCarloScheme",
+            "NumericalInvariantError", "Scheme", "check_seed", "default_grid_resolution",
+            "make_angle",
+        ),
+        "eprb_lab.inequalities": ("JointStats", "hardy_bounds", "quantum_stats", "stats_from_model"),
+        "eprb_lab.models": ("ModelChoice", "biased_distribution", "resolve_model"),
+        "eprb_lab.ordering": ("moc_demo",),
+        # detailed_balance: bench/tracer.py rebinds it here
+        "eprb_lab.protocols": (
+            "N_KEYS", "CommBlock", "average_bits_identity", "detailed_balance", "marginal_shift",
+            "simulate_game",
+        ),
+        "eprb_lab.transition": ("LABELS_BY_MASK", "full_report"),
+    }.items()
+    for name in names
+}
+
+
+@functools.cache
+def _load_kernel() -> None:
+    """Import numpy and the kernel and bind ``_KERNEL``'s names here, once.
+    A name bound before (a replacement of the original) is kept."""
+    for name, module in _KERNEL.items():
+        loaded = importlib.import_module(module)
+        globals().setdefault(name, loaded if name == "np" else getattr(loaded, name))
+
+
+def __getattr__(name: str) -> object:
+    if name not in _KERNEL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_kernel()
+    return globals()[name]
+
 
 TOOL_NAME = "eprb-lab"
 
@@ -488,15 +511,15 @@ _LOG_PIECE_ROWS = 4096
 # 4-byte words; the bytes it leaves are NUL.  A proven slot is the comma and
 # "0", the point and lead zeros, then three words of digits.
 _SLOT_WORDS = 5
-_COMMA_ZERO = np.frombuffer(b",\0\0" b"0", np.uint32)[0]
+_COMMA_ZERO = int.from_bytes(b",\0\0" b"0", sys.byteorder)
 # The decade k of a lambda v in [1e-4, 1) is the number of these thresholds
 # at or below v.  Each is the least double above its power of ten, so
 # k = 3 - lead exactly, where v lies in [10**-(lead + 1), 10**-lead).
 _DECADES = (1e-3, 1e-2, 1e-1)
 # By decade: the scale 10**(12 + lead), exact in a double, and the point and
 # lead zeros, NUL-padded to one word.
-_SCALE_BY_DECADE = np.array([1e15, 1e14, 1e13, 1e12])
-_POINT_BY_DECADE = np.frombuffer(b".000" b".00\0" b".0\0\0" b".\0\0\0", np.uint32)
+_SCALE_BY_DECADE = (1e15, 1e14, 1e13, 1e12)
+_POINT_BY_DECADE = b".000" b".00\0" b".0\0\0" b".\0\0\0"
 
 
 @functools.cache
@@ -570,7 +593,7 @@ def _lambda_slots(values: np.ndarray) -> np.ndarray:
     decade = (v >= _DECADES[0]).astype(np.intp)
     decade += v >= _DECADES[1]
     decade += v >= _DECADES[2]
-    scaled = v * _SCALE_BY_DECADE[decade]
+    scaled = v * np.take(_SCALE_BY_DECADE, decade)
     rounded = np.rint(scaled)
     proven = inside & (np.abs(scaled - rounded) < 0.499)
     low = rounded.astype(np.int64)  # the digits, as three words of four
@@ -581,7 +604,7 @@ def _lambda_slots(values: np.ndarray) -> np.ndarray:
     proven &= low != 0
     slots = np.empty((len(values), _SLOT_WORDS), dtype=np.uint32)
     slots[:, 0] = _COMMA_ZERO
-    slots[:, 1] = _POINT_BY_DECADE[decade]
+    slots[:, 1] = np.frombuffer(_POINT_BY_DECADE, np.uint32)[decade]
     slots[:, 2] = full.take(top, mode="clip")  # top is 10**4 only for 10**12
     slots[:, 3] = full[middle]
     slots[:, 4] = trimmed[low]
@@ -843,6 +866,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(args_list)
     except SystemExit as exc:  # argparse exits with 0 (--help, --version) or 2
         return exc.code
+    _load_kernel()
     try:
         if args.subcommand == "replay":
             return _cmd_replay(args)

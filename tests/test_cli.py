@@ -583,40 +583,69 @@ def test_version_flag(capsys):
     assert "eprb-lab" in out and __version__ in out
 
 
-def test_python_dash_m_runs_the_cli():
+def _fresh_run(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter's run of ``python *args`` on this package's source."""
     import eprb_lab
 
     source = os.path.dirname(os.path.dirname(eprb_lab.__file__))
-    result = subprocess.run(
-        [sys.executable, "-m", "eprb_lab", "--version"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": source},
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    result = _fresh_run("-m", "eprb_lab", "--version")
     assert result.returncode == 0
     assert result.stdout.strip() == f"eprb-lab {__version__}"
 
 
 def test_version_skips_heavy_imports():
-    # xml.sax pulls in urllib.request, http.client and ssl; numpy.random is
-    # only needed once a command samples
-    import eprb_lab
+    # parsing alone needs argparse, not numpy or the six kernel modules;
+    # xml.sax pulls in urllib.request, http.client and ssl, and numpy.random
+    # is only needed once a command samples
+    kernel = {"numpy", *(f"eprb_lab.{name}" for name in
+                         ("core", "models", "transition", "inequalities", "protocols", "ordering"))}
+    for argv, code in ((["--version"], 0), (["--help"], 0), (["comm", "--help"], 0),
+                       (["stats", "--bogus"], 2)):
+        result = _fresh_run("-X", "importtime", "-m", "eprb_lab.cli", *argv)
+        assert result.returncode == code, argv
+        imported = {
+            line.rsplit("|", 1)[-1].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "argparse" in imported, argv
+        assert not imported & (kernel | {"xml.sax", "urllib.request", "numpy.random"}), argv
 
-    source = os.path.dirname(os.path.dirname(eprb_lab.__file__))
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "eprb_lab.cli", "--version"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": source},
-        check=True,
-    )
-    imported = {
-        line.rsplit("|", 1)[-1].strip()
-        for line in result.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-    assert "eprb_lab.core" in imported
-    assert not imported & {"xml.sax", "urllib.request", "numpy.random"}
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["stats", "--config", "/nonexistent"], 2, "/nonexistent"),
+        (["stats", "--model", "nosuch"], 2, "nosuch"),
+        (["signal", "--q", "0.05", "--grid", "3"], 3, "above 1"),
+        (["transition", "--grid", "64"], 0, None),
+    ],
+    ids=["missing-config", "unknown-model", "odd-grid-mass", "transition"],
+)
+def test_a_fresh_interpreter_reaches_every_exit_code(argv, code, message):
+    # in-process tests run after some other test has loaded the kernel, so
+    # only a new interpreter shows a name that cli reads before it is bound
+    result = _fresh_run("-m", "eprb_lab", *argv)
+    assert result.returncode == code
+    if message is None:
+        assert result.stderr == "" and result.stdout.startswith("name,value,")
+    else:
+        assert result.stderr.startswith("eprb-lab: ") and message in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_unknown_cli_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(cli, "no_such_name")
 
 
 def _fresh_python(code: str, **env: str) -> str:
@@ -657,6 +686,33 @@ def test_cli_starts_openblas_with_one_thread():
 def test_cli_keeps_the_users_openblas_thread_count():
     code = "import os, eprb_lab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
+
+
+def test_a_kernel_name_of_cli_loads_the_kernel():
+    # the benchmark tracer reads cli's kernel names before any command runs
+    code = (
+        "import sys\n"
+        "from eprb_lab import cli\n"
+        "print('numpy' in sys.modules)\n"
+        "resolve = cli.resolve_model\n"
+        "from eprb_lab import models\n"
+        "print('numpy' in sys.modules, resolve is models.resolve_model)\n"
+    )
+    assert _fresh_python(code).split() == ["False", "True", "True"]
+
+
+def test_a_replacement_made_before_the_first_command_is_kept():
+    # the kernel loads when main runs, and must not undo a rebinding made before
+    code = (
+        "from eprb_lab import cli\n"
+        "calls = []\n"
+        "def replaced(*args):\n"
+        "    calls.append(args)\n"
+        "    raise ValueError('replaced')\n"
+        "cli.full_report = replaced\n"
+        "print(cli.main(['transition', '--grid', '4']), len(calls), cli.full_report is replaced)\n"
+    )
+    assert _fresh_python(code).split() == ["2", "1", "True"]
 
 
 def test_unknown_package_attribute_raises():

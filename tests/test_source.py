@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
+import symtable
 from pathlib import Path
 
 import eprb_lab
+from eprb_lab import cli
 from eprb_lab.core import CONTEXTS
 from eprb_lab.models import MODEL_NAMES
 
@@ -83,6 +86,33 @@ def test_every_unused_import_is_a_tracer_shim():
             if _bound_name(alias) not in rebinds.get(path.stem, set()):
                 stale.append(f"{path.name}:{alias.lineno}: {_bound_name(alias)}")
     assert stale == []
+
+
+def test_cli_binds_every_kernel_name_it_reads():
+    # cli imports numpy and the kernel once its arguments parse, binding the
+    # names of its _KERNEL table; a name it reads that is bound nowhere would
+    # fail only on the path that reads it, and an entry that nothing reads
+    # and the tracer does not rebind is a dead import
+    text = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    top = symtable.symtable(text, "cli.py", "exec")
+    tables, read = [top], set()
+    while tables:
+        table = tables.pop()
+        tables += table.get_children()
+        read |= {symbol.get_name() for symbol in table.get_symbols()
+                 if symbol.is_referenced() and (table is top or symbol.is_global())}
+    # annotations are never evaluated, but typing.get_type_hints resolves
+    # their names in cli
+    for node in ast.walk(ast.parse(text)):
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if annotation is not None:
+            read |= {name.id for name in ast.walk(annotation) if isinstance(name, ast.Name)}
+    bound = {symbol.get_name() for symbol in top.get_symbols()
+             if symbol.is_assigned() or symbol.is_imported()}
+    kernel, rebound = set(cli._KERNEL), _tracer_rebinds()["cli"]
+    assert read - bound - set(dir(builtins)) - kernel == set()
+    assert kernel - read <= rebound
+    assert rebound <= kernel | bound
 
 
 def _scoped(node: ast.AST, kind: type, scope: str = "") -> list[tuple[str, ast.AST]]:
