@@ -30,7 +30,6 @@ import csv
 import errno
 import functools
 import html
-import importlib
 import json
 import math
 import os
@@ -80,7 +79,8 @@ def _load_kernel() -> None:
     """Import numpy and the kernel and bind ``_KERNEL``'s names here, once.
     A name bound before (a replacement of the original) is kept."""
     for name, module in _KERNEL.items():
-        loaded = importlib.import_module(module)
+        __import__(module)  # not importlib.import_module, which -X importtime does not list
+        loaded = sys.modules[module]
         globals().setdefault(name, loaded if name == "np" else getattr(loaded, name))
 
 

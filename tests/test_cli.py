@@ -602,23 +602,36 @@ def test_python_dash_m_runs_the_cli():
     assert result.stdout.strip() == f"eprb-lab {__version__}"
 
 
+_NUMPY_AND_KERNEL = {"numpy", *(f"eprb_lab.{name}" for name in
+                                ("core", "models", "transition", "inequalities", "protocols", "ordering"))}
+
+
+def _imports_of(argv: list[str], code: int) -> set[str]:
+    """The modules ``-X importtime`` lists for a new interpreter's command."""
+    result = _fresh_run("-X", "importtime", "-m", "eprb_lab.cli", *argv)
+    assert result.returncode == code, argv
+    return {
+        line.rsplit("|", 1)[-1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
 def test_version_skips_heavy_imports():
     # parsing alone needs argparse, not numpy or the six kernel modules;
     # xml.sax pulls in urllib.request, http.client and ssl, and numpy.random
     # is only needed once a command samples
-    kernel = {"numpy", *(f"eprb_lab.{name}" for name in
-                         ("core", "models", "transition", "inequalities", "protocols", "ordering"))}
     for argv, code in ((["--version"], 0), (["--help"], 0), (["comm", "--help"], 0),
                        (["stats", "--bogus"], 2)):
-        result = _fresh_run("-X", "importtime", "-m", "eprb_lab.cli", *argv)
-        assert result.returncode == code, argv
-        imported = {
-            line.rsplit("|", 1)[-1].strip()
-            for line in result.stderr.splitlines()
-            if line.startswith("import time:")
-        }
+        imported = _imports_of(argv, code)
         assert "argparse" in imported, argv
-        assert not imported & (kernel | {"xml.sax", "urllib.request", "numpy.random"}), argv
+        assert not imported & (_NUMPY_AND_KERNEL | {"xml.sax", "urllib.request", "numpy.random"}), argv
+
+
+def test_importtime_lists_the_kernel_a_command_loads():
+    # the control of the test above: the loader's imports are ones that
+    # -X importtime lists, so their absence there means they did not run
+    assert _NUMPY_AND_KERNEL <= _imports_of(["stats", "--model", "quantum"], 0)
 
 
 @pytest.mark.parametrize(
@@ -632,8 +645,8 @@ def test_version_skips_heavy_imports():
     ids=["missing-config", "unknown-model", "odd-grid-mass", "transition"],
 )
 def test_a_fresh_interpreter_reaches_every_exit_code(argv, code, message):
-    # in-process tests run after some other test has loaded the kernel, so
-    # only a new interpreter shows a name that cli reads before it is bound
+    # in-process tests run with the kernel loaded (conftest.py), so only a
+    # new interpreter shows a name that cli reads before it is bound
     result = _fresh_run("-m", "eprb_lab", *argv)
     assert result.returncode == code
     if message is None:
