@@ -47,13 +47,14 @@ up the density that falls in each bin (and, for Monte Carlo, the squared
 density) and returns the totals as a :class:`Histogram`.  A statistic is a
 boolean mask over the bins, which :meth:`Histogram.measure` turns into a
 :class:`MeasureEstimate`, so every statistic is a view of one histogram.
-The package fills three kinds: the 256 outcome patterns of a quadruple
-(every transition-set measure and context statistic, see :mod:`transition`),
-the four outcome pairs behind a signal-locality check, and the 4,096 codes
-of a sequential model's ordering sets and first answers (see :mod:`ordering`);
+The package fills two kinds: the 256 outcome patterns of a quadruple
+(every transition-set measure, context statistic and signal-locality check,
+see :mod:`transition` and :mod:`protocols`), and the 4,096 codes of a
+sequential model's ordering sets and first answers (see :mod:`ordering`);
 :func:`estimate_measure` is the two-bin case for a bare indicator.  Per
-block, each bin counts its weights of exactly 1 and keeps the others, in
-block order, in an array grown chunk by chunk; no other array is a block long.
+block, each bin counts a run of one repeated weight without keeping it, and
+keeps its weights, in block order, in an array grown chunk by chunk only
+once a chunk breaks the run; no other array is a block long.
 """
 
 from __future__ import annotations
@@ -565,11 +566,15 @@ def sweep_statistics(
 
     Each bin total of a block is exactly numpy's pairwise
     ``weights[codes == bin].sum()`` over the whole block, whatever the chunk
-    size (see ``CHUNK_SIZE``).  A chunk of weights all 1 only adds to the bin
-    counts; any other is sorted stably by bin, and appends each bin's slice,
-    after the ones counted since, to that bin's array.  So the array ends as
-    the bin's slice of the block sorted stably by bin.  A bin that met only
-    ones adds its count, which is exact.
+    size (see ``CHUNK_SIZE``).  Each bin holds a pending run: a count of
+    copies of one weight.  A chunk in which every point weighs its bin's
+    one value, and each bin it hits has no run or a run of that value, only
+    adds to the runs; a chunk of one weight throughout is seen without a
+    per-point scatter.  Any other chunk is sorted stably by bin, and appends
+    each bin's slice, after the bin's run, to that bin's array.  So the array
+    ends as the bin's slice of the block sorted stably by bin.  A bin that
+    met only a run of n copies of v adds ``np.broadcast_to(v, n).sum()``, the
+    same pairwise sum over a zero-stride view, which allocates nothing.
 
     With a grid and ``cuts`` (see :func:`declared_cuts` and the breakpoint
     contract in the module docstring) the sweep classifies one point per box
@@ -584,8 +589,10 @@ def sweep_statistics(
     sums, squares = totals
 
     def add_block(chunks: Chunks) -> None:
-        # per bin: the weights of 1 not yet in ``kept``, and the weights in block order
-        ones = np.zeros(n_stats, dtype=np.int64)
+        # per bin: a run of ``runs`` copies of ``run_value`` not yet in ``kept``,
+        # and the weights in block order
+        runs = np.zeros(n_stats, dtype=np.int64)
+        run_value = np.zeros(n_stats, dtype=np.float64)
         kept: dict[int, np.ndarray] = {}
         for coords, sizes in chunks:
             weights = _density_values(dist, coords)
@@ -593,38 +600,51 @@ def sweep_statistics(
             if sizes is not None:
                 codes, weights = _box_values(coords, codes, weights, sizes, cuts, dist)
             counts = np.bincount(codes, minlength=n_stats)
-            if np.all(weights == 1.0):
-                ones += counts
+            hit = counts > 0
+            # each bin's one weight in this chunk, if it has one; a chunk of
+            # one weight throughout needs no per-point scatter
+            if len(weights) and np.all(weights == weights[0]):
+                value, repeated = weights[0], True
+            else:
+                value = np.zeros(n_stats, dtype=np.float64)
+                value[codes] = weights
+                repeated = np.all(weights == value[codes])
+            if repeated and not np.any(hit & (runs > 0) & (run_value != value)):
+                runs += counts
+                np.copyto(run_value, value, where=hit)
                 continue
             # the classifier's own dtype keeps the stable argsort a radix sort
             ordered = weights[np.argsort(codes, kind="stable")]
             stops = np.cumsum(counts)
             for k in np.flatnonzero(counts).tolist():
-                kept[k] = _extended(kept.get(k), ones[k], ordered[stops[k] - counts[k] : stops[k]])
-                ones[k] = 0
+                piece = ordered[stops[k] - counts[k] : stops[k]]
+                kept[k] = _extended(kept.get(k), runs[k], run_value[k], piece)
+                runs[k] = 0
         for k, part in kept.items():
-            if ones[k]:
-                part = _extended(part, ones[k], np.empty(0))
-                ones[k] = 0
+            if runs[k]:
+                part = _extended(part, runs[k], run_value[k], np.empty(0))
+                runs[k] = 0
             sums[k] += part.sum()
             squares[k] += np.multiply(part, part, out=part).sum()
-        # the bins that met only ones: exact counts, whatever the summation order
-        sums[:] += ones
-        squares[:] += ones
+        # the bins that met only a run: numpy's pairwise sum of a zero-stride view
+        for k in np.flatnonzero(runs).tolist():
+            v = run_value[k]
+            sums[k] += np.broadcast_to(v, runs[k]).sum()
+            squares[k] += np.broadcast_to(v * v, runs[k]).sum()
 
     for chunks in blocks:
         add_block(chunks)
     return Histogram(totals, scheme, dimension)
 
 
-def _extended(kept: np.ndarray | None, n_ones: int, piece: np.ndarray) -> np.ndarray:
-    """``kept`` (None: empty), then ``n_ones`` ones, then ``piece``: ``kept``
-    grows by a reallocation, never beside a copy, so no view of it may exist."""
+def _extended(kept: np.ndarray | None, n_run: int, value: float, piece: np.ndarray) -> np.ndarray:
+    """``kept`` (None: empty), then ``n_run`` copies of ``value``, then ``piece``:
+    ``kept`` grows by a reallocation, never beside a copy, so no view of it may exist."""
     kept = np.empty(0) if kept is None else kept
     start = len(kept)
-    kept.resize(start + n_ones + len(piece), refcheck=False)
-    kept[start : start + n_ones] = 1.0
-    kept[start + n_ones :] = piece
+    kept.resize(start + n_run + len(piece), refcheck=False)
+    kept[start : start + n_run] = value
+    kept[start + n_run :] = piece
     return kept
 
 
@@ -716,11 +736,14 @@ def as_lambda_point(lam: object, space: LambdaSpace) -> np.ndarray:
 def context_outcomes(
     model: HvModel, quadruple: AngleQuadruple, coords: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Evaluate (A, B) in all four contexts for a block of points."""
-    return tuple(
-        (model.outcome("A", alice, bob, coords), model.outcome("B", alice, bob, coords))
-        for alice, bob in quadruple.contexts()
-    )
+    """Evaluate (A, B) in all four contexts for a block of points, each
+    distinct setting pair once: a quadruple with repeated angles repeats a
+    context, as (a1, a2, b, b) repeats two."""
+    evaluated: dict[tuple[Angle, Angle], tuple[np.ndarray, np.ndarray]] = {}
+    for pair in quadruple.contexts():
+        if pair not in evaluated:
+            evaluated[pair] = (model.outcome("A", *pair, coords), model.outcome("B", *pair, coords))
+    return tuple(evaluated[pair] for pair in quadruple.contexts())
 
 
 def _checked_values(values: object, coords: np.ndarray, name: str, wing: str) -> np.ndarray:

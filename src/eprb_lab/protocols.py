@@ -14,7 +14,7 @@ of a transition set (the (+,-) and (-,+) partitions).  At equilibrium the
 two halves have equal measure, so the local marginal cannot shift; a biased
 lambda distribution breaks the balance and the marginal moves.  The shift of
 the marginal and the balance gap are the same difference of sets read two
-ways, so :func:`marginal_shift` returns both from one four-bin sweep.
+ways, so :func:`marginal_shift` returns both from one outcome-pattern sweep.
 :func:`detailed_balance` reads the gap of any of the four sets off the
 outcome-pattern sweep of :mod:`transition`.
 """
@@ -172,21 +172,28 @@ def simulate_game(
 
     classify = pattern_classifier(model, quadruple)
 
+    def play_chunk(streams: tuple[np.random.Generator, ...], lo: int, hi: int) -> CommBlock:
+        lam_rng, alice_rng, bob_rng = streams
+        lam = dist.sampler(lam_rng, hi - lo)
+        if not _in_unit_cube(lam):
+            raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
+        key = 2 * alice_rng.integers(0, 2, hi - lo)
+        key += bob_rng.integers(0, 2, hi - lo)
+        key *= N_PATTERNS
+        key += classify(lam)
+        return CommBlock(start=lo, lam=lam, key=key)
+
     def play() -> Iterator[CommBlock]:
-        for (lam_rng, alice_rng, bob_rng), spans in monte_carlo_chunks(n_runs, seed, _DOMAINS):
+        # a chunk is made in its own frame, so the generator keeps no reference
+        # to it once yielded, and a consumer that drops it frees it
+        for streams, spans in monte_carlo_chunks(n_runs, seed, _DOMAINS):
             for lo, hi in spans:
-                lam = dist.sampler(lam_rng, hi - lo)
-                if not _in_unit_cube(lam):
-                    raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
-                key = 2 * alice_rng.integers(0, 2, hi - lo)
-                key += bob_rng.integers(0, 2, hi - lo)
-                key *= N_PATTERNS
-                key += classify(lam)
-                yield CommBlock(start=lo, lam=lam, key=key)
+                yield play_chunk(streams, lo, hi)
 
     histogram = np.zeros(N_KEYS, dtype=np.int64)
     for chunk in play():
         histogram += np.bincount(chunk.key, minlength=N_KEYS)
+        del chunk  # free it before the stream plays the next one
 
     in_context = CONTEXT_BY_KEY[:, None] == np.arange(len(CONTEXTS))
     counts = (histogram @ in_context).tolist()
@@ -247,25 +254,24 @@ def marginal_shift(
     shift is |P(B=+1 at (a1, b)) - P(B=+1 at (a2, b))| and gap is
     |P(+,-) - P(-,+)| of the bob@b set of the quadruple (a1, a2, b, b), the
     :func:`detailed_balance` of that set.  Both are the same difference of
-    sets read two ways, so one sweep bins each lambda by B's two outcomes
-    and each probability is the measure of a union of its four bins.
+    sets read two ways, so one outcome-pattern sweep of that quadruple
+    serves both, and each probability is the measure of the patterns whose
+    B outcomes at (a1, b) and (a2, b) it names.
     """
-
-    def classify(coords: np.ndarray) -> np.ndarray:
-        down_1 = model.outcome("B", a1, b_setting, coords) < 0
-        down_2 = model.outcome("B", a2, b_setting, coords) < 0
-        return down_1.astype(np.uint8) | (down_2.astype(np.uint8) << 1)
-
+    # A's bits are read by no view, but with them each bin holds one repeated
+    # weight wherever the density follows the outcomes, as the bias follows A's
+    quadruple = AngleQuadruple(a=a1, a_prime=a2, b=b_setting, b_prime=b_setting)
     cuts = declared_cuts(model, dist, (a1, a2, b_setting))
-    histogram = core.sweep_statistics(dist, scheme, classify, 4, cuts=cuts)
-    # B is +1 at a1 off bit 0 and at a2 off bit 1; bin 2 is the (+,-) half of
-    # the bob@b set of the quadruple (a1, a2, b, b), bin 1 its (-,+) half
-    bins = np.arange(4)
-    up_1, up_2, plus_minus, minus_plus = (
-        histogram.measure(selected).value
-        for selected in (bins & 1 == 0, bins & 2 == 0, bins == 2, bins == 1)
+    histogram = core.sweep_statistics(
+        dist, scheme, pattern_classifier(model, quadruple), N_PATTERNS, cuts=cuts
     )
-    return abs(up_1 - up_2), abs(plus_minus - minus_plus)
+    # the bob@b set links B at (a1, b), its pre-context, to B at (a2, b)
+    wing, pre, post = SET_LINKS[TransitionSetId.BOB_AT_B]
+    up_1, up_2 = OUTCOMES_BY_PATTERN[[pre, post], "AB".index(wing)] == 1
+    p_1, p_2, plus_minus, minus_plus = (
+        histogram.measure(bins).value for bins in (up_1, up_2, up_1 & ~up_2, up_2 & ~up_1)
+    )
+    return abs(p_1 - p_2), abs(plus_minus - minus_plus)
 
 
 def detailed_balance(

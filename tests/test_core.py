@@ -311,6 +311,20 @@ def test_monte_carlo_blocks_start_at_once_for_any_n():
     assert np.array_equal(coords, derived_stream(1, 0, 0).random((CHUNK_SIZE, 2)))
 
 
+def test_a_repeated_weight_sums_as_its_zero_stride_view():
+    # the kernel sums a bin of n copies of one weight v as
+    # np.broadcast_to(v, n).sum(), which must be the bits of the pairwise sum
+    # of n stored copies, np.full(n, v).sum(), at every size: below and above
+    # the pairwise unroll and block, around powers of two and at a whole block
+    rng = np.random.default_rng(28)
+    sizes = [*range(1, 301), *(2**k + d for k in range(2, 20) for d in (-1, 0, 1)), BLOCK_SIZE]
+    values = [1.0, 0.4, 0.6, 1.4, 1.6, 2.0 / 3.0, 1e-300, 3.7e15, *rng.random(4) * 2.0]
+    for v in map(np.float64, values):
+        for n in sizes:
+            for w in (v, v * v):
+                assert np.broadcast_to(w, n).sum().tobytes() == np.full(n, w).sum().tobytes(), (n, w)
+
+
 def test_bad_density_and_masks_rejected():
     from eprb_lab.core import Distribution, sweep_statistics
 
@@ -368,6 +382,37 @@ def test_evaluate_pair_and_context_outcomes():
     assert pair == (1, -1)
     contexts = context_outcomes(model, quad, np.array([lam]))
     assert (int(contexts[0][0][0]), int(contexts[0][1][0])) == pair
+
+
+@pytest.mark.parametrize(
+    "angles, n_pairs",
+    [((0.1, 0.9, 0.3, 0.3), 2), ((0.1, 0.1, 0.3, 0.3), 1), ((0.1, 0.9, 0.3, 1.7), 4)],
+)
+def test_context_outcomes_evaluates_each_setting_pair_once(angles, n_pairs):
+    # (a1, a2, b, b) repeats two contexts, so it costs 4 outcome calls, not 8;
+    # the outcomes are still each context's own
+    calls = []
+
+    def counted(wing, fn):
+        def outcome(a, b, coords):
+            calls.append((wing, a, b))
+            return fn(a, b, coords)
+
+        return outcome
+
+    singlet = singlet_model()
+    model = HvModel(
+        "counted", SPACE, counted("A", singlet.outcome_a), counted("B", singlet.outcome_b), UNIFORM
+    )
+    quad = AngleQuadruple(*map(make_angle, angles))
+    coords = derived_stream(5, 0, 0).random((1000, 2))
+    contexts = context_outcomes(model, quad, coords)
+    assert len(calls) == 2 * n_pairs
+    assert len(set(calls)) == len(calls)
+    assert len(contexts) == len(CONTEXTS)
+    for (alice, bob), (va, vb) in zip(quad.contexts(), contexts):
+        assert np.array_equal(va, model.outcome_a(alice, bob, coords))
+        assert np.array_equal(vb, model.outcome_b(alice, bob, coords))
 
 
 @pytest.mark.parametrize("coordinate", [math.nan, 1.0, -0.1])

@@ -212,7 +212,6 @@ _ENTRY_POINTS = {
         for entry in _ENTRY_POINTS
         for wing in ("A", "B")
         for fault in _FAULTS
-        if entry != "marginal_shift" or wing == "B"  # the marginal reads B alone
     ],
 )
 def test_every_entry_point_blames_the_wing_of_a_bad_answer(entry, wing, fault):

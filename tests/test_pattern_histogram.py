@@ -227,6 +227,33 @@ def test_bins_mixing_unit_and_weighted_chunks_sum_to_the_same_bits(ones_first):
     assert np.array_equal(values, reference_sweep(dist, scheme, bin_masks(classify))[0])
 
 
+def test_bins_whose_weight_changes_mid_block_sum_to_the_same_bits():
+    # one block of the undeclared grid(1024), 64 rows of u per chunk: every
+    # bin starts as a run of 0.1, meets 0.7 from a chunk boundary on, then a
+    # chunk of mixed weights, then runs of 0.1 again; bins 8 and 9 meet only
+    # 0.1 and bin 10 only 0.7.  Each total must be the pairwise sum of the
+    # bin's weights in block order, whichever way the kernel holds them
+    def density(c):
+        u, v = c[:, 0], c[:, 1]
+        mixed = np.where(v < 0.5, 0.1, 0.3 + v)
+        return np.select([u < 0.25, u < 0.5, u < 0.625], [0.1, 0.7, mixed], 0.1)
+
+    def classify(c):
+        u, v = c[:, 0], c[:, 1]
+        codes = np.where(u >= 0.75, 8 + (v * 2).astype(np.int64), (v * 8).astype(np.int64))
+        return np.where((u >= 0.25) & (u < 0.5) & (v < 0.1), 10, codes)
+
+    dist = Distribution(space=LambdaSpace(2), density=density, label="changing")
+    scheme = GridScheme(1024)
+    histogram = sweep_statistics(dist, scheme, classify, 11)
+    (coords,) = reference_blocks(2, scheme)
+    weights, codes = density(coords), classify(coords)
+    for k in range(11):
+        assert histogram.sums[k] == weights[codes == k].sum(), k
+        assert histogram.squares[k] == (weights * weights)[codes == k].sum(), k
+    assert set(np.unique(weights[codes == 10])) == {0.7}
+
+
 def test_many_bins_of_a_biased_density_sum_to_the_same_bits():
     # an int64 classifier (a stable argsort that is not a radix sort) over
     # many bins, so each chunk adds a piece to most bins; three blocks, the

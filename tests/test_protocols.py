@@ -11,6 +11,7 @@ import pytest
 
 from eprb_lab.core import (
     BLOCK_SIZE,
+    CHUNK_SIZE,
     AngleQuadruple,
     Distribution,
     GridScheme,
@@ -187,6 +188,25 @@ def test_game_memory_is_one_block():
     one, three = peak(BLOCK_SIZE), peak(3 * BLOCK_SIZE)
     assert one < 8 << 20
     assert three <= 1.5 * one
+
+
+def test_game_keeps_one_chunk_alive():
+    # a wide lambda makes the chunk's lambdas the bulk of the game's memory:
+    # the next chunk is played only once the last one is freed, so the peak
+    # holds one chunk's lambdas (and the sampler's range check), not two
+    space = LambdaSpace(16)
+
+    def coin(axis):
+        return lambda a, b, coords: np.where(coords[:, axis] < 0.5, 1, -1)
+
+    model = HvModel("wide", space, coin(0), coin(1), uniform_distribution(space))
+    tracemalloc.start()
+    try:
+        simulate_game(model, model.equilibrium, CHAIN, 4 * CHUNK_SIZE, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * CHUNK_SIZE * space.dimension * 8
 
 
 def _scrambled_model():

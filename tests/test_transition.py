@@ -265,8 +265,8 @@ def test_full_report_monte_carlo():
 
 
 def test_monte_carlo_report_memory_is_one_block():
-    # a biased density keeps a block's weights, sorted by bin, until the block
-    # ends; a finished block's arrays are freed before the next block is filled
+    # a bin's weights that are not one repeated value are kept, sorted by bin,
+    # until the block ends; a finished block's arrays are freed before the next
     choice = resolve_model("singlet+bias:q=0.8")
 
     def peak(n):
@@ -299,13 +299,27 @@ SWEEP_PEAKS = {
 
 @pytest.mark.parametrize("name", SWEEP_PEAKS)
 def test_monte_carlo_sweep_peak_memory(name):
-    # a density of exactly 1 keeps only per-bin counts; any other density
-    # keeps one block of weights (8 MiB), never block-long codes or a permutation
+    # a bin of one repeated weight keeps only its count; any other bin keeps
+    # its weights (at most a block, 8 MiB), never block-long codes or a permutation
     bound, sweep = SWEEP_PEAKS[name]
     tracemalloc.start()
     try:
         sweep(MonteCarloScheme(3 * BLOCK_SIZE, seed=4))
         assert tracemalloc.get_traced_memory()[1] < bound << 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["biased-full_report", "biased-marginal_shift"])
+def test_biased_sweeps_keep_no_block_of_weights(name):
+    # under the bias every outcome pattern holds one repeated weight, 2q or
+    # 2(1 - q), which the kernel counts without keeping: at mc-mix's 1.1M
+    # samples the peak stays far below one block of weights (8 MiB)
+    _, sweep = SWEEP_PEAKS[name]
+    tracemalloc.start()
+    try:
+        sweep(MonteCarloScheme(1_100_000, seed=4))
+        assert tracemalloc.get_traced_memory()[1] < 5 << 20
     finally:
         tracemalloc.stop()
 
