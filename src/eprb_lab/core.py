@@ -49,7 +49,7 @@ boolean mask over the bins, which :meth:`Histogram.measure` turns into a
 :class:`MeasureEstimate`, so every statistic is a view of one histogram.
 The package fills two kinds: the 256 outcome patterns of a quadruple
 (every transition-set measure, context statistic and signal-locality check,
-see :mod:`transition` and :mod:`protocols`), and the 4,096 codes of a
+all read off :func:`transition.full_report`), and the 4,096 codes of a
 sequential model's ordering sets and first answers (see :mod:`ordering`);
 :func:`estimate_measure` is the two-bin case for a bare indicator.  Per
 block, each bin counts a run of one repeated weight without keeping it, and
@@ -95,6 +95,14 @@ CONTEXTS: tuple[tuple[str, str], ...] = (("a", "b"), ("a'", "b"), ("a'", "b'"), 
 #: A's ("a", "a'") and B's ("b", "b'").  A wing's choice of setting is an
 #: index into its names, and choice 0 is the unprimed setting.
 SETTINGS = dict(zip("AB", (tuple(dict.fromkeys(names)) for names in zip(*CONTEXTS))))
+
+
+def check_wing(wing: str) -> str:
+    """``wing`` once it names a wing (a key of :data:`SETTINGS`); ValueError otherwise."""
+    if wing not in tuple(SETTINGS):  # a tuple, so an unhashable wing is refused too
+        raise ValueError(f"wing must be one of {tuple(SETTINGS)}, got {wing!r}")
+    return wing
+
 
 #: Context labels in canonical order: "ab", "a'b", "a'b'", "ab'".
 CONTEXT_LABELS = tuple(alice + bob for alice, bob in CONTEXTS)
@@ -284,7 +292,7 @@ class HvModel:
     def outcome(self, wing: str, a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
         """The outcomes of wing "A" or "B" at (a, b), checked to be one
         +1/-1 per point; ValueError names the wing and the model."""
-        fn = {"A": self.outcome_a, "B": self.outcome_b}[wing]
+        fn = {"A": self.outcome_a, "B": self.outcome_b}[check_wing(wing)]
         return _checked_values(fn(a, b, coords), coords, self.name, wing)
 
 

@@ -26,13 +26,12 @@ from .core import (
     HvModel,
     LambdaSpace,
     _checked_values,
+    check_wing,
     theta_between,
     uniform_distribution,
 )
 
 SPACE_2D = LambdaSpace(2)
-
-WINGS = ("A", "B")
 
 
 def _coin(coords: np.ndarray, axis: int) -> np.ndarray:
@@ -162,14 +161,15 @@ class SequentialModel:
 
     def first(self, wing: str, own: Angle, coords: np.ndarray) -> np.ndarray:
         """``wing``'s checked outcomes at ``own`` when it is measured first."""
-        return _checked_values(self.first_outcome(wing, own, coords), coords, self.name, wing)
+        answer = self.first_outcome(check_wing(wing), own, coords)
+        return _checked_values(answer, coords, self.name, wing)
 
     def second(
         self, wing: str, own: Angle, other: Angle, first: np.ndarray, coords: np.ndarray
     ) -> np.ndarray:
         """``wing``'s checked outcomes at ``own`` when it is measured second,
         after its companion answered ``first`` at ``other``."""
-        answer = self.second_outcome(wing, own, other, first, coords)
+        answer = self.second_outcome(check_wing(wing), own, other, first, coords)
         return _checked_values(answer, coords, self.name, wing)
 
 
@@ -186,13 +186,13 @@ def sequential_singlet_model() -> SequentialModel:
     """
 
     def first_outcome(wing: str, own: Angle, coords: np.ndarray) -> np.ndarray:
-        _check_wing(wing)
+        check_wing(wing)
         return _coin(coords, 0)
 
     def second_outcome(
         wing: str, own: Angle, other: Angle, first_value: np.ndarray, coords: np.ndarray
     ) -> np.ndarray:
-        _check_wing(wing)
+        check_wing(wing)
         coords = np.asarray(coords, dtype=np.float64)
         threshold = anticorrelation_threshold(theta_between(own, other))
         return _flip_below(np.asarray(first_value), coords[..., 1], threshold)
@@ -205,11 +205,6 @@ def sequential_singlet_model() -> SequentialModel:
         second_outcome=second_outcome,
         breakpoints=_singlet_breakpoints,
     )
-
-
-def _check_wing(wing: str) -> None:
-    if wing not in WINGS:
-        raise ValueError(f"wing must be one of {WINGS}, got {wing!r}")
 
 
 def _ordered(model: SequentialModel, first_wing: str | None, name: str) -> HvModel:
@@ -250,8 +245,7 @@ def as_simultaneous(model: SequentialModel, first_wing: str = "A") -> HvModel:
     wing's outcome function may then depend on both settings, and
     :func:`core.probe_locality` measures whether it does.
     """
-    _check_wing(first_wing)
-    return _ordered(model, first_wing, f"{model.name}[{first_wing} first]")
+    return _ordered(model, check_wing(first_wing), f"{model.name}[{first_wing} first]")
 
 
 def induce_noncontextual(model: SequentialModel) -> HvModel:

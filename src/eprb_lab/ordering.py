@@ -35,12 +35,13 @@ from .core import (
     Distribution,
     MeasureEstimate,
     Scheme,
+    check_wing,
     declared_cuts,
     estimate_measure,
 )
 from .inequalities import JointStats, hardy_bounds, quantum_stats
 from .inequalities import stats_from_model  # noqa: F401  (bench/tracer.py rebinds it here)
-from .models import SequentialModel, _check_wing
+from .models import SequentialModel
 from .transition import TransitionReport, pattern_code
 from .transition import full_report  # noqa: F401  (bench/tracer.py rebinds it here)
 
@@ -75,7 +76,7 @@ def moc_transition_measure(
 ) -> MeasureEstimate:
     """Measure of the lambdas where measuring first vs second changes the
     wing's outcome at ``own``, with the companion wing set to ``other``."""
-    _check_wing(wing)
+    check_wing(wing)
 
     def indicator(coords: np.ndarray) -> np.ndarray:
         first_own = model.first(wing, own, coords)

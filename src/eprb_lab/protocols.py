@@ -14,9 +14,10 @@ of a transition set (the (+,-) and (-,+) partitions).  At equilibrium the
 two halves have equal measure, so the local marginal cannot shift; a biased
 lambda distribution breaks the balance and the marginal moves.  The shift of
 the marginal and the balance gap are the same difference of sets read two
-ways, so :func:`marginal_shift` returns both from one outcome-pattern sweep.
-:func:`detailed_balance` reads the gap of any of the four sets off the
-outcome-pattern sweep of :mod:`transition`.
+ways, so :func:`marginal_shift` reads both off one
+:func:`transition.full_report`: the shift from its B marginals, the gap from
+its bob@b partitions.  :func:`detailed_balance` reads the gap of any of the
+four sets off the same report.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from typing import Iterator
 
 import numpy as np
 
-# the kernel is called as core.sweep_statistics so that rebinding it on core reaches this sweep
-from . import core
 from .core import (
     CONTEXTS,
     SETTINGS,
@@ -41,7 +40,6 @@ from .core import (
     Scheme,
     _in_unit_cube,
     check_seed,
-    declared_cuts,
     monte_carlo_chunks,
 )
 from .inequalities import JointStats, hardy_bounds
@@ -54,6 +52,7 @@ from .transition import (
     OUTCOMES_BY_PATTERN,
     SET_LINKS,
     TransitionSetId,
+    full_report,
     partition_measures,
     pattern_classifier,
 )
@@ -122,8 +121,9 @@ class CommSummary:
     ``stats`` conditions on the realized settings (context i gets the runs
     that happened to play context i); ``context_counts`` are the run counts
     behind each context, and ``n_runs`` is their sum.  ``sigma_minus_bound``
-    is the unified lower bound evaluated on ``stats``: the cost certified by
-    the game's own data, to compare against ``average_bits``.
+    is the unified lower bound evaluated on ``stats``: the cost estimated
+    from the game's own data, a point estimate with no error bar, to compare
+    against ``average_bits``.
     """
 
     seed: int
@@ -253,25 +253,16 @@ def marginal_shift(
 
     shift is |P(B=+1 at (a1, b)) - P(B=+1 at (a2, b))| and gap is
     |P(+,-) - P(-,+)| of the bob@b set of the quadruple (a1, a2, b, b), the
-    :func:`detailed_balance` of that set.  Both are the same difference of
-    sets read two ways, so one outcome-pattern sweep of that quadruple
-    serves both, and each probability is the measure of the patterns whose
-    B outcomes at (a1, b) and (a2, b) it names.
+    :func:`detailed_balance` of that set.  Both are views of one
+    :func:`transition.full_report` of that quadruple; equal in exact
+    arithmetic, they are sums over different bins and may differ in the last bits.
     """
-    # A's bits are read by no view, but with them each bin holds one repeated
-    # weight wherever the density follows the outcomes, as the bias follows A's
-    quadruple = AngleQuadruple(a=a1, a_prime=a2, b=b_setting, b_prime=b_setting)
-    cuts = declared_cuts(model, dist, (a1, a2, b_setting))
-    histogram = core.sweep_statistics(
-        dist, scheme, pattern_classifier(model, quadruple), N_PATTERNS, cuts=cuts
-    )
+    report = full_report(model, dist, AngleQuadruple(a1, a2, b_setting, b_setting), scheme)
     # the bob@b set links B at (a1, b), its pre-context, to B at (a2, b)
     wing, pre, post = SET_LINKS[TransitionSetId.BOB_AT_B]
-    up_1, up_2 = OUTCOMES_BY_PATTERN[[pre, post], "AB".index(wing)] == 1
-    p_1, p_2, plus_minus, minus_plus = (
-        histogram.measure(bins).value for bins in (up_1, up_2, up_1 & ~up_2, up_2 & ~up_1)
-    )
-    return abs(p_1 - p_2), abs(plus_minus - minus_plus)
+    up_1, up_2 = (report.marginals[context]["AB".index(wing)] for context in (pre, post))
+    plus_minus, minus_plus = report.partition_measures[TransitionSetId.BOB_AT_B]
+    return abs(up_1 - up_2), abs(plus_minus.value - minus_plus.value)
 
 
 def detailed_balance(

@@ -26,12 +26,13 @@ patterns in lexicographic index-pair order, F for all four, "none" for zero.
 
 Every measure of a quadruple is a view over one histogram: a sweep bins each
 lambda by its 8 outcome bits (256 patterns), and each set, partition, region,
-sigma_minus and context statistic p_i^+ is the measure of a fixed union of
-those bins.  :meth:`TransitionReport.of` is the package's one reader of the
-pattern tables: given the measure of any selection of patterns, it builds
-every statistic.  :func:`full_report` hands it its sweep's histogram and
-``ordering.moc_demo`` the order-free model's view of the moc histogram;
-:func:`partition_measures` and :func:`inequalities.stats_from_model` are
+sigma_minus, context statistic p_i^+ and one-wing marginal is the measure of
+a fixed union of those bins.  :meth:`TransitionReport.of` is the package's
+one reader of the pattern tables: given the measure of any selection of
+patterns, it builds every statistic.  :func:`full_report` hands it its
+sweep's histogram and ``ordering.moc_demo`` the order-free model's view of
+the moc histogram; :func:`partition_measures`,
+:func:`inequalities.stats_from_model` and ``protocols.marginal_shift`` are
 views of the report.
 """
 
@@ -230,7 +231,9 @@ class TransitionReport:
     E1..E6, F, none).  ``sigma_minus`` is the measure of odd-membership
     lambdas, which is also the negative-sign-product measure: both select
     the same outcome patterns.  ``p_plus`` holds the context statistics
-    p_i^+ of the same sweep, canonical context order.
+    p_i^+ of the same sweep, canonical context order, and ``marginals`` each
+    wing's P(outcome = +1) in each context, indexed [context][wing] with
+    wing 0 for A and 1 for B.
     """
 
     set_measures: Mapping[TransitionSetId, MeasureEstimate]
@@ -238,6 +241,7 @@ class TransitionReport:
     region_measures: Mapping[str, MeasureEstimate]
     sigma_minus: MeasureEstimate
     p_plus: tuple[float, float, float, float]
+    marginals: tuple[tuple[float, float], ...]
 
     @classmethod
     def of(cls, measure: Callable[[np.ndarray], MeasureEstimate]) -> TransitionReport:
@@ -253,6 +257,7 @@ class TransitionReport:
             },
             sigma_minus=measure(_ODD),
             p_plus=tuple(measure(bins).value for bins in P_PLUS_SELECTION),  # type: ignore[arg-type]
+            marginals=tuple(tuple(measure(bins).value for bins in up) for up in OUTCOMES_BY_PATTERN == 1),
         )
 
     @property

@@ -35,6 +35,7 @@ from eprb_lab.models import (
     sequential_singlet_model,
     singlet_model,
 )
+from eprb_lab.ordering import moc_transition_measure
 from eprb_lab.protocols import marginal_shift, simulate_game
 from eprb_lab.transition import full_report
 from helpers import total_mass
@@ -223,6 +224,59 @@ def test_every_entry_point_blames_the_wing_of_a_bad_answer(entry, wing, fault):
     )
     with pytest.raises(ValueError, match=re.escape(f"{wing} outcomes of model 'broken' ")):
         _ENTRY_POINTS[entry](broken)
+
+
+def _unchecking_sequential_model() -> tuple[SequentialModel, list[str]]:
+    """A user's order-resolved model whose functions accept any wing, and the
+    wings they were called with."""
+    asked: list[str] = []
+
+    def first_outcome(wing, own, coords):
+        asked.append(wing)
+        return np.ones(len(coords), dtype=np.int8)
+
+    def second_outcome(wing, own, other, first, coords):
+        asked.append(wing)
+        return -first
+
+    seq = sequential_singlet_model()
+    return replace(seq, name="user", first_outcome=first_outcome, second_outcome=second_outcome), asked
+
+
+_COORDS = np.full((3, 2), 0.25)
+_USER, _ = _unchecking_sequential_model()
+_WING_ACCESSORS = {
+    "HvModel.outcome": lambda wing: singlet_model().outcome(wing, _CHAIN.a, _CHAIN.b, _COORDS),
+    "first": lambda wing: sequential_singlet_model().first(wing, _CHAIN.a, _COORDS),
+    "second": lambda wing: sequential_singlet_model().second(
+        wing, _CHAIN.a, _CHAIN.b, np.ones(3), _COORDS
+    ),
+    "user-first": lambda wing: _USER.first(wing, _CHAIN.a, _COORDS),
+    "user-second": lambda wing: _USER.second(wing, _CHAIN.a, _CHAIN.b, np.ones(3), _COORDS),
+    "as_simultaneous": lambda wing: as_simultaneous(_USER, wing),
+    "moc_transition_measure": lambda wing: moc_transition_measure(
+        _USER, _USER.equilibrium, _CHAIN.a, _CHAIN.b, wing, GridScheme(4)
+    ),
+}
+
+
+@pytest.mark.parametrize("accessor", _WING_ACCESSORS)
+@pytest.mark.parametrize("wing", ["C", "a", None, ["A"]])
+def test_every_accessor_names_a_bad_wing(accessor, wing):
+    with pytest.raises(ValueError, match=re.escape(f"wing must be one of ('A', 'B'), got {wing!r}")):
+        _WING_ACCESSORS[accessor](wing)
+
+
+def test_a_users_model_never_hears_a_bad_wing():
+    seq, asked = _unchecking_sequential_model()
+    for ask in (
+        lambda: seq.first("C", _CHAIN.a, _COORDS),
+        lambda: seq.second("C", _CHAIN.a, _CHAIN.b, np.ones(3), _COORDS),
+    ):
+        with pytest.raises(ValueError, match="got 'C'"):
+            ask()
+    assert asked == []
+    assert seq.first("B", _CHAIN.a, _COORDS).tolist() == [1, 1, 1] and asked == ["B"]
 
 
 # ---------------------------------------------------------------------------

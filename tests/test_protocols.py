@@ -44,6 +44,7 @@ from eprb_lab.transition import (
     ALL_REGION_LABELS,
     LABELS_BY_MASK,
     MASK_BY_PATTERN,
+    SET_LINKS,
     MembershipVector,
     TransitionSetId,
     classify_lambda,
@@ -407,3 +408,30 @@ def test_signal_gap_matches_three_bin_reference(q, scheme):
         )
         assert gap == abs(plus_minus.value - minus_plus.value)
         assert gap > 0.0 or q is None
+
+
+@pytest.mark.parametrize("scheme", [GridScheme(300), MonteCarloScheme(BLOCK_SIZE + 137, 6)])
+@pytest.mark.parametrize("q", [None, 0.8])
+def test_marginal_shift_is_a_view_of_the_report(q, scheme):
+    # the shift is read off the report's B marginals at the bob@b set's two
+    # contexts and the gap off its bob@b partitions, the set's detailed balance
+    model = singlet_model()
+    dist = model.equilibrium if q is None else biased_distribution(model, q)
+    b = make_angle(0.3)
+    wing, pre, post = SET_LINKS[TransitionSetId.BOB_AT_B]
+    for a1, a2 in ((make_angle(0.0), make_angle(math.pi / 2)), (make_angle(1.1), make_angle(2.9))):
+        quadruple = AngleQuadruple(a=a1, a_prime=a2, b=b, b_prime=b)
+        up = full_report(model, dist, quadruple, scheme).marginals
+        shift, gap = marginal_shift(model, dist, b, a1, a2, scheme)
+        assert shift == abs(up[pre]["AB".index(wing)] - up[post]["AB".index(wing)])
+        assert gap == detailed_balance(model, dist, quadruple, TransitionSetId.BOB_AT_B, scheme)
+
+
+def test_shift_and_gap_are_summed_over_different_bins():
+    # equal in exact arithmetic, the two reads round differently, so neither
+    # stands in for the other
+    model = singlet_model()
+    dist = biased_distribution(model, 0.7)
+    angles = (make_angle(1.1), make_angle(0.3), make_angle(2.2))
+    shift, gap = marginal_shift(model, dist, *angles, MonteCarloScheme(1_100_000, seed=5))
+    assert (shift, gap) == (0.04842545454545455, 0.048425454545454535)

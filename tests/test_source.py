@@ -152,7 +152,6 @@ def test_every_statistic_is_a_view_of_a_histogram():
     assert sorted(where for where, _ in sweeps) == [
         "core.estimate_measure",
         "ordering._moc_sweep",
-        "protocols.marginal_shift",
         "transition.full_report",
     ]
     assert [(where, n) for where, n in sweeps if n > 4] == []

@@ -264,6 +264,32 @@ def test_full_report_monte_carlo():
     assert report.seed == 4
 
 
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.7, 1.0])
+def test_bias_sets_alice_marginal_in_every_context(q):
+    # A's outcome is the singlet's coin u < 1/2, the bit the bias weighs with
+    # 2q; the chain's few cells sum to q exactly, a random quadruple's many
+    # cells to within rounding
+    choice = resolve_model(f"singlet+bias:q={q}")
+    report = full_report(choice.hv, choice.distribution, CHAIN, GRID)
+    assert [up_a for up_a, _ in report.marginals] == [q] * len(CONTEXTS)
+    rng = derived_stream(81, 0, 0)
+    report = full_report(choice.hv, choice.distribution, random_quadruple(rng), GRID)
+    assert [up_a for up_a, _ in report.marginals] == pytest.approx([q] * len(CONTEXTS), abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["singlet", "local-coin", "sequential-singlet"])
+def test_equilibrium_marginals_ignore_the_remote_setting(name):
+    # no signalling: each set links two contexts that share its wing's
+    # setting, and at equilibrium that wing's marginal is the same in both
+    choice = resolve_model(name)
+    rng = derived_stream(82, 0, 0)
+    for quadruple in (CHAIN, random_quadruple(rng), random_quadruple(rng)):
+        report = full_report(choice.hv, choice.distribution, quadruple, GridScheme(256))
+        for wing, pre, post in SET_LINKS.values():
+            w = "AB".index(wing)
+            assert report.marginals[pre][w] == report.marginals[post][w]
+
+
 def test_monte_carlo_report_memory_is_one_block():
     # a bin's weights that are not one repeated value are kept, sorted by bin,
     # until the block ends; a finished block's arrays are freed before the next
