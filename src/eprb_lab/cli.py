@@ -29,7 +29,6 @@ import argparse
 import csv
 import errno
 import functools
-import html
 import json
 import math
 import os
@@ -342,6 +341,8 @@ _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 def _svg_line_plot(title: str, series: Sequence[tuple[str, list[tuple[float, float]]]]) -> str:
     """A self-contained line plot: axes, ticks, legend, one polyline per series."""
+    import html  # only ``--svg`` needs it
+
     width, height = 720.0, 480.0
     left, right, top, bottom = 64.0, 16.0, 28.0, 44.0
     points = [(x, y) for _, pts in series for x, y in pts]

@@ -80,6 +80,11 @@ CYCLE_TABLE_DIGESTS = {
 }
 
 
+# chunk sizes that no result may depend on: two powers of two, one that
+# divides no block, and one just above a power of two
+CHUNK_SIZES = (1 << 14, 1 << 16, 1000, 4097)
+
+
 def table_digest(table) -> str:
     """sha256 over a table's dtype, shape and bytes, as a numpy array."""
     array = np.asarray(table)

@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprb_lab import __version__, cli
+from eprb_lab import __version__, cli, core
 from eprb_lab.cli import _LOG_PIECE_ROWS, _subparsers, _write_log, build_parser, main
 from eprb_lab.core import BLOCK_SIZE, CHUNK_SIZE, AngleQuadruple, NumericalInvariantError
 from eprb_lab.models import MODEL_NAMES, resolve_model
-from eprb_lab.protocols import N_KEYS, CommBlock
-from helpers import reference_write_log
+from eprb_lab.protocols import N_KEYS, CommBlock, simulate_game
+from helpers import CHUNK_SIZES, reference_write_log
 
 
 def run_cli(argv, capsys):
@@ -161,7 +161,7 @@ def test_comm_log_and_summary_bytes_are_pinned(tmp_path, capsys):
             "d754dfd22df149062ca06c5fc4d6d2a39046258c0c49b23faecce8877e8ef70f",
             "d6de1128b60d5bb2f525870bf640fd81ea46edafaf8b8589613b96bb3b7eaf62",
         ),
-        # more runs than one 65,536-run chunk of a block
+        # more runs than one chunk of a block, fewer than a block
         (
             ["--runs", "200000", "--seed", "5"],
             "bb84f8c0679f5b84095cd0405809aef10d527d8ad72929363ffe7c84852bd1ee",
@@ -193,6 +193,35 @@ def test_two_block_comm_summary_is_pinned(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "de1575a4b4e49cc4f85fd3dc9c8b73b9cd719893774f930f1a6bf76f6374284a"
     )
+
+
+@pytest.mark.parametrize(
+    "name, runs, log",
+    [
+        ("singlet", 200_000, True),
+        ("singlet+bias:q=0.7", 200_000, True),
+        ("singlet", BLOCK_SIZE + 137, False),
+    ],
+)
+def test_game_and_its_log_do_not_depend_on_the_chunk_size(name, runs, log, monkeypatch):
+    # a block fixes the game's three streams; its chunks are consecutive
+    # draws from them, so any chunk size plays the same runs
+    choice = resolve_model(name)
+
+    def play(size):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "CHUNK_SIZE", size)
+            summary, stream = simulate_game(
+                choice.hv, choice.distribution, AngleQuadruple.chain(math.pi / 4), runs, seed=5
+            )
+            written = io.StringIO()
+            if log:
+                _write_log(written, choice.hv.space.dimension, stream)
+            return summary, written.getvalue()
+
+    expected = play(CHUNK_SIZES[0])
+    for size in CHUNK_SIZES[1:]:
+        assert play(size) == expected, size
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -619,19 +648,27 @@ def _imports_of(argv: list[str], code: int) -> set[str]:
 
 def test_version_skips_heavy_imports():
     # parsing alone needs argparse, not numpy or the six kernel modules;
-    # xml.sax pulls in urllib.request, http.client and ssl, and numpy.random
-    # is only needed once a command samples
+    # xml.sax pulls in urllib.request, http.client and ssl, numpy.random is
+    # only needed once a command samples, and html once it draws an SVG
+    heavy = _NUMPY_AND_KERNEL | {"xml.sax", "urllib.request", "numpy.random", "html"}
     for argv, code in ((["--version"], 0), (["--help"], 0), (["comm", "--help"], 0),
                        (["stats", "--bogus"], 2)):
         imported = _imports_of(argv, code)
         assert "argparse" in imported, argv
-        assert not imported & (_NUMPY_AND_KERNEL | {"xml.sax", "urllib.request", "numpy.random"}), argv
+        assert not imported & heavy, argv
 
 
 def test_importtime_lists_the_kernel_a_command_loads():
     # the control of the test above: the loader's imports are ones that
     # -X importtime lists, so their absence there means they did not run
     assert _NUMPY_AND_KERNEL <= _imports_of(["stats", "--model", "quantum"], 0)
+
+
+def test_only_svg_loads_html(tmp_path):
+    # html escapes the plot's title and legend, so a command that loads the
+    # kernel but draws no SVG leaves it unloaded; its control draws one
+    assert "html" not in _imports_of(["stats", "--model", "quantum"], 0)
+    assert "html" in _imports_of(["sweep", "--steps", "3", "--svg", str(tmp_path / "plot.svg")], 0)
 
 
 @pytest.mark.parametrize(

@@ -46,7 +46,7 @@ from eprb_lab.transition import (
     full_report,
     partition_measures,
 )
-from helpers import reference_statistics
+from helpers import CHUNK_SIZES, reference_statistics
 
 QUADRUPLE = AngleQuadruple.chain(0.7)
 TWO_BLOCKS = BLOCK_SIZE + 137
@@ -385,3 +385,41 @@ def test_report_is_the_view_of_any_measure_of_the_patterns(name, scheme, monkeyp
         assert np.max(np.abs(values - want_values)) <= 1e-15
         assert np.max(np.abs(errors - want_errors)) <= 1e-15
         assert np.count_nonzero(histogram.totals[0] % 1) > 0
+
+
+def _smooth(model):
+    """A density that is not piecewise constant and declares no cuts, so
+    its weights all differ and every bin keeps them (the kernel's keep path)."""
+    return Distribution(
+        space=model.space,
+        density=lambda coords: 1.0 + 0.5 * np.sin(core.TAU * coords[..., 0]),
+        label="smooth",
+    )
+
+
+CHUNK_DENSITIES = {"uniform": DENSITIES["uniform"], "biased": DENSITIES["q0.8"], "smooth": _smooth}
+CHUNK_CASES = [
+    (kind, density, scheme)
+    for kind in ("pattern", "ordering")
+    for density in CHUNK_DENSITIES
+    for scheme in (MonteCarloScheme(1_300_000, 7), GridScheme(1024), GridScheme(999))
+]
+
+
+@pytest.mark.parametrize(
+    "kind, density, scheme", CHUNK_CASES, ids=[f"{k}-{d}-{s.label}" for k, d, s in CHUNK_CASES]
+)
+def test_totals_do_not_depend_on_the_chunk_size(kind, density, scheme, monkeypatch):
+    # blocks fix every stream and every per-bin pairwise sum; chunks only
+    # bound memory, so any chunk size gives the same bits in every bin
+    sweep = _sweeps(CHUNK_DENSITIES[density], scheme)[kind]
+
+    def totals(size):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "CHUNK_SIZE", size)
+            return _histogram_of(sweep, patch).totals
+
+    expected = totals(CHUNK_SIZES[0])
+    assert np.count_nonzero(expected[0]) >= 2
+    for size in CHUNK_SIZES[1:]:
+        assert totals(size).tobytes() == expected.tobytes(), size

@@ -168,8 +168,8 @@ def test_game_multi_block_run_count():
         context = np.array([[0, 3], [1, 2]])[block.alice_choice, block.bob_choice]
         counts += np.bincount(context, minlength=4)
         plus += np.bincount(context[block.outcome_a == block.outcome_b], minlength=4)
-    # one chunk of 65,536 runs at a time, each starting where the last ended
-    assert sizes == [65536] * 16 + [137]
+    # one chunk of CHUNK_SIZE runs at a time, each starting where the last ended
+    assert sizes == [CHUNK_SIZE] * (BLOCK_SIZE // CHUNK_SIZE) + [137]
     assert tuple(counts.tolist()) == summary.context_counts
     assert tuple((plus / counts).tolist()) == summary.stats.p_plus
 

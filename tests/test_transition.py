@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
 
@@ -22,7 +23,7 @@ from eprb_lab.core import (
 )
 from eprb_lab.models import local_coin_model, resolve_model, singlet_model
 from eprb_lab.ordering import ordering_measures
-from eprb_lab.protocols import marginal_shift
+from eprb_lab.protocols import marginal_shift, simulate_game
 from eprb_lab.transition import (
     ALL_REGION_LABELS,
     CANONICAL_SETS,
@@ -346,6 +347,31 @@ def test_biased_sweeps_keep_no_block_of_weights(name):
     try:
         sweep(MonteCarloScheme(1_100_000, seed=4))
         assert tracemalloc.get_traced_memory()[1] < 5 << 20
+    finally:
+        tracemalloc.stop()
+
+
+CHUNK_PEAKS = {
+    "biased-full_report": SWEEP_PEAKS["biased-full_report"][1],
+    "biased-marginal_shift": SWEEP_PEAKS["biased-marginal_shift"][1],
+    "ordering_measures": SWEEP_PEAKS["ordering_measures"][1],
+    "simulate_game": lambda s: simulate_game(UNIFORM.hv, UNIFORM.distribution, CHAIN, s.n, s.seed),
+}
+
+
+@pytest.mark.parametrize("name", CHUNK_PEAKS)
+def test_monte_carlo_peak_is_a_cache_sized_chunk(name):
+    # at mc-mix's 1.1M samples nothing a block long is kept, so the peak is
+    # one chunk's working set: 35-53 bytes a point, under 1 MiB at 2**14
+    # points (2.2-2.8 MiB at 2**16); a small run first makes what the first
+    # call of a process builds once
+    sweep = CHUNK_PEAKS[name]
+    sweep(MonteCarloScheme(1_000, seed=4))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sweep(MonteCarloScheme(1_100_000, seed=4))
+        assert tracemalloc.get_traced_memory()[1] < 1.25 * (1 << 20)
     finally:
         tracemalloc.stop()
 
