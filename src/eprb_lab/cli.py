@@ -1,13 +1,14 @@
 """Batch front-end over the built-in models.
 
-Subcommands: stats, transition, sweep, comm, signal, moc, replay.  Each
-subcommand declares only the flags it reads, and the parser holds every
-flag's type and default.  An optional key-value config file supplies the
-subcommand's defaults, so flags still win.  CSV goes to stdout unless --out
-is given; whenever a run writes a new or regular file it also writes a
-manifest beside the first one (<that output>.manifest.json) recording the
-command line, resolved model, quadruple, scheme and seed, so the run can be
-replayed byte for byte.
+Subcommands: stats, transition, sweep, comm, signal, moc, replay.  One
+table, ``_SUBCOMMANDS``, gives each its handler, help line and the flags it
+reads, with every flag's type and default; the parser, the config file's
+keys and types, and dispatch are all built from it.  An optional key-value
+config file supplies the subcommand's defaults, so flags still win.  CSV
+goes to stdout unless --out is given; whenever a run writes a new or
+regular file it also writes a manifest beside the first one (<that
+output>.manifest.json) recording the command line, resolved model,
+quadruple, scheme and seed, so the run can be replayed byte for byte.
 Each subcommand asks ``_resolve_model`` for the kind of model it needs (any,
 hidden-variable or order-resolved), and ``_resolve_scheme`` gives None for
 an analytic model, which the manifest records as scheme "analytic" with no
@@ -126,48 +127,40 @@ def _read_config(path: str, known: set[str]) -> dict[str, str]:
     return table
 
 
-def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
-
-
-def _merge_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: Sequence[str]
-) -> argparse.Namespace:
+def _merge_config(args: argparse.Namespace, argv: Sequence[str]) -> argparse.Namespace:
     """Make the config file's entries the subcommand's defaults and parse
-    ``argv`` again, so flags win; refuse --grid with --mc, a bad --seed or
+    ``argv`` again, so flags win; refuse two scheme flags, a bad --seed or
     an empty output path, from either source."""
-    grid, mc = getattr(args, "grid", None), getattr(args, "mc", None)
-    if args.config:
-        subparser = _subparsers(parser)[args.subcommand]
+    scheme = [name[2:] for name, _ in _SCHEME]  # each scheme flag's key and dest
+    if getattr(args, "config", None):
+        _, _, flags = _SUBCOMMANDS[args.subcommand]
         # a config file cannot name another config file
-        actions = {
-            action.dest.replace("_", "-"): action
-            for action in subparser._actions
-            if action.option_strings and action.dest not in ("help", "config")
+        types = {
+            name[2:]: keywords.get("type", str)
+            for name, keywords in flags
+            if name.startswith("--") and name != "--config"
         }
-        config = _read_config(args.config, set(actions))
-        if grid is not None or mc is not None:
-            # a flag-level grid/mc choice shadows both config entries, so a
-            # config file holding `grid = ...` can still be overridden by --mc alone
-            config.pop("grid", None)
-            config.pop("mc", None)
+        config = _read_config(args.config, set(types))
+        if any(getattr(args, key, None) is not None for key in scheme):
+            # a flag-level scheme choice shadows every scheme entry, so a config
+            # file holding `grid = ...` can still be overridden by --mc alone
+            for key in scheme:
+                config.pop(key, None)
         defaults: dict[str, object] = {}
         for key, text in config.items():
-            action = actions[key]
             try:
-                defaults[action.dest] = text if action.type is None else action.type(text)
+                defaults[key.replace("-", "_")] = types[key](text)
             except ValueError:
                 raise ValueError(f"config entry {key} = {text!r} is malformed") from None
-        subparser.set_defaults(**defaults)
-        args = parser.parse_args(argv)
-    if getattr(args, "grid", None) is not None and getattr(args, "mc", None) is not None:
-        raise ValueError("--grid and --mc are mutually exclusive")
+        args = build_parser({args.subcommand: defaults}).parse_args(argv)
+    if sum(getattr(args, key, None) is not None for key in scheme) > 1:
+        raise ValueError(" and ".join(f"--{key}" for key in scheme) + " are mutually exclusive")
     for flag in ("config", "out", "log", "svg"):
         # an empty path names no file, or the working directory
         if getattr(args, flag, None) == "":
             raise ValueError(f"--{flag} needs a file path")
-    if getattr(args, "mc", None) is None:  # with --mc the scheme checks the count, then the seed
+    # with --mc the scheme checks the count, then the seed; replay has no seed
+    if "seed" in args and getattr(args, "mc", None) is None:
         check_seed(args.seed)
     return args
 
@@ -735,7 +728,7 @@ def _cmd_moc(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return _emit(args, argv, header, [row], quadruple=quadruple, scheme=scheme, parameters={})
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
+def _cmd_replay(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.manifest == "":
         raise ValueError("replay needs a manifest path")
     try:
@@ -755,42 +748,72 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # Parser and entry point.
+#
+# Flags as (name, ``add_argument`` keywords), in --help order, and the groups
+# of them that several subcommands share.  ``_SUBCOMMANDS`` gives each
+# subcommand its handler, help line and flags; the parser, the config file's
+# keys and types, and dispatch all read that one table.
 
 
-def _add_common_flags(
-    parser: argparse.ArgumentParser, default_model: str, *, angles: bool, scheme: bool
-) -> None:
-    """The flags every subcommand reads, plus the quadruple's (``angles``)
-    and the integration scheme's (``scheme``) where it reads them."""
-    parser.add_argument(
-        "--model", default=default_model, help=f"model name (default {default_model})"
-    )
-    if angles:
-        parser.add_argument("--angles", help="a,a',b,b' in radians; overrides --theta")
-        parser.add_argument(
-            "--theta",
-            type=float,
-            default=_DEFAULT_THETA,
-            help="chain angle: a-b = b-a' = a'-b' = theta (default pi/4)",
-        )
-    if scheme:
-        parser.add_argument("--grid", type=int, metavar="N", help="midpoint grid, N cells per axis")
-        parser.add_argument("--mc", type=int, metavar="N", help="Monte Carlo with N samples")
-    parser.add_argument(
-        "--seed", type=int, default=_DEFAULT_SEED, metavar="S", help="PRNG seed (default 42)"
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        help="write CSV to PATH (default stdout); the first new or regular output "
-        "FILE gets FILE.manifest.json beside it",
-    )
-    parser.add_argument(
-        "--config", metavar="PATH", help="key-value file mirroring these flags; flags win"
-    )
+def _model(default: str) -> tuple[str, dict[str, object]]:
+    return ("--model", dict(default=default, help=f"model name (default {default})"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+_QUADRUPLE = (
+    ("--angles", dict(help="a,a',b,b' in radians; overrides --theta")),
+    ("--theta", dict(type=float, default=_DEFAULT_THETA,
+                     help="chain angle: a-b = b-a' = a'-b' = theta (default pi/4)")),
+)
+# at most one of these; any one as a flag shadows a config file's entries for all
+_SCHEME = (
+    ("--grid", dict(type=int, metavar="N", help="midpoint grid, N cells per axis")),
+    ("--mc", dict(type=int, metavar="N", help="Monte Carlo with N samples")),
+)
+_RUN = (
+    ("--seed", dict(type=int, default=_DEFAULT_SEED, metavar="S",
+                    help=f"PRNG seed (default {_DEFAULT_SEED})")),
+    ("--out", dict(metavar="PATH", help="write CSV to PATH (default stdout); the first new or "
+                   "regular output FILE gets FILE.manifest.json beside it")),
+    ("--config", dict(metavar="PATH", help="key-value file mirroring these flags; flags win")),
+)
+
+_SUBCOMMANDS = {
+    "stats": (_cmd_stats, "per-context product statistics",
+              (_model("singlet"), *_QUADRUPLE, *_SCHEME, *_RUN)),
+    "transition": (_cmd_transition, "transition-set, partition and region measures",
+                   (_model("singlet"), *_QUADRUPLE, *_SCHEME, *_RUN)),
+    "sweep": (_cmd_sweep, "bound curves over a theta range", (
+        _model("quantum"), *_SCHEME, *_RUN,
+        ("--theta-min", dict(type=float, default=0.0, help="sweep start (default 0)")),
+        ("--theta-max", dict(type=float, default=math.pi, help="sweep end (default pi)")),
+        ("--steps", dict(type=int, default=_DEFAULT_STEPS,
+                         help=f"sample count (default {_DEFAULT_STEPS})")),
+        ("--svg", dict(metavar="PATH", help="also write a line plot to PATH")),
+    )),
+    "comm": (_cmd_comm, "play the classical-communication game", (
+        _model("singlet"), *_QUADRUPLE, *_RUN,
+        ("--runs", dict(type=int, default=_DEFAULT_RUNS,
+                        help=f"number of runs (default {_DEFAULT_RUNS})")),
+        ("--log", dict(metavar="PATH", help="also write a per-run CSV log to PATH")),
+    )),
+    "signal": (_cmd_signal, "marginal shift and detailed-balance gap at one wing", (
+        _model("singlet"), *_SCHEME, *_RUN,
+        ("--q", dict(type=float, help="bias weight; replaces the equilibrium distribution")),
+        ("--b-setting", dict(type=float, default=0.0, help="B's fixed setting (default 0)")),
+        ("--a1", dict(type=float, default=0.0, help="Alice's first setting (default 0)")),
+        ("--a2", dict(type=float, default=math.pi / 2,
+                      help="Alice's second setting (default pi/2)")),
+    )),
+    "moc": (_cmd_moc, "measurement-ordering contextuality demonstration",
+            (_model("sequential-singlet"), *_QUADRUPLE, *_SCHEME, *_RUN)),
+    "replay": (_cmd_replay, "re-run the command recorded in a manifest",
+               (("manifest", dict(help="path to a .manifest.json file")),)),
+}
+
+
+def build_parser(defaults: dict[str, dict[str, object]] | None = None) -> argparse.ArgumentParser:
+    """One subparser per ``_SUBCOMMANDS`` entry; ``defaults`` maps a
+    subcommand to defaults (by dest) that replace its flags' own."""
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
         description="Deterministic hidden-variable laboratory for the two-wing "
@@ -801,78 +824,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"{TOOL_NAME} {__version__}"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_stats = sub.add_parser("stats", help="per-context product statistics")
-    _add_common_flags(p_stats, "singlet", angles=True, scheme=True)
-
-    p_transition = sub.add_parser(
-        "transition", help="transition-set, partition and region measures"
-    )
-    _add_common_flags(p_transition, "singlet", angles=True, scheme=True)
-
-    p_sweep = sub.add_parser("sweep", help="bound curves over a theta range")
-    _add_common_flags(p_sweep, "quantum", angles=False, scheme=True)
-    p_sweep.add_argument("--theta-min", type=float, default=0.0, help="sweep start (default 0)")
-    p_sweep.add_argument("--theta-max", type=float, default=math.pi, help="sweep end (default pi)")
-    p_sweep.add_argument(
-        "--steps", type=int, default=_DEFAULT_STEPS, help=f"sample count (default {_DEFAULT_STEPS})"
-    )
-    p_sweep.add_argument("--svg", metavar="PATH", help="also write a line plot to PATH")
-
-    p_comm = sub.add_parser("comm", help="play the classical-communication game")
-    _add_common_flags(p_comm, "singlet", angles=True, scheme=False)
-    p_comm.add_argument(
-        "--runs", type=int, default=_DEFAULT_RUNS, help=f"number of runs (default {_DEFAULT_RUNS})"
-    )
-    p_comm.add_argument("--log", metavar="PATH", help="also write a per-run CSV log to PATH")
-
-    p_signal = sub.add_parser(
-        "signal", help="marginal shift and detailed-balance gap at one wing"
-    )
-    _add_common_flags(p_signal, "singlet", angles=False, scheme=True)
-    p_signal.add_argument(
-        "--q", type=float, help="bias weight; replaces the equilibrium distribution"
-    )
-    p_signal.add_argument(
-        "--b-setting", type=float, default=0.0, help="B's fixed setting (default 0)"
-    )
-    p_signal.add_argument("--a1", type=float, default=0.0, help="Alice's first setting (default 0)")
-    p_signal.add_argument(
-        "--a2", type=float, default=math.pi / 2, help="Alice's second setting (default pi/2)"
-    )
-
-    p_moc = sub.add_parser("moc", help="measurement-ordering contextuality demonstration")
-    _add_common_flags(p_moc, "sequential-singlet", angles=True, scheme=True)
-
-    p_replay = sub.add_parser("replay", help="re-run the command recorded in a manifest")
-    p_replay.add_argument("manifest", help="path to a .manifest.json file")
-
+    for name, (_, summary, flags) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=summary)
+        for flag, keywords in flags:
+            subparser.add_argument(flag, **keywords)
+        subparser.set_defaults(**(defaults or {}).get(name, {}))
     return parser
-
-
-_DISPATCH: dict[str, Callable[[argparse.Namespace, Sequence[str]], int]] = {
-    "stats": _cmd_stats,
-    "transition": _cmd_transition,
-    "sweep": _cmd_sweep,
-    "comm": _cmd_comm,
-    "signal": _cmd_signal,
-    "moc": _cmd_moc,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(args_list)
+        args = build_parser().parse_args(args_list)
     except SystemExit as exc:  # argparse exits with 0 (--help, --version) or 2
         return exc.code
     _load_kernel()
+    handler, _, _ = _SUBCOMMANDS[args.subcommand]
     try:
-        if args.subcommand == "replay":
-            return _cmd_replay(args)
-        args = _merge_config(parser, args, args_list)
-        return _DISPATCH[args.subcommand](args, args_list)
+        return handler(_merge_config(args, args_list), args_list)
     except NumericalInvariantError as exc:
         print(f"{TOOL_NAME}: numerical invariant violated: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from eprb_lab import __version__, cli, core
-from eprb_lab.cli import _LOG_PIECE_ROWS, _subparsers, _write_log, build_parser, main
+from eprb_lab.cli import _LOG_PIECE_ROWS, _SUBCOMMANDS, _write_log, main
 from eprb_lab.core import BLOCK_SIZE, CHUNK_SIZE, AngleQuadruple, NumericalInvariantError
 from eprb_lab.models import MODEL_NAMES, resolve_model
 from eprb_lab.protocols import N_KEYS, CommBlock, simulate_game
@@ -651,8 +651,8 @@ def test_version_skips_heavy_imports():
     # xml.sax pulls in urllib.request, http.client and ssl, numpy.random is
     # only needed once a command samples, and html once it draws an SVG
     heavy = _NUMPY_AND_KERNEL | {"xml.sax", "urllib.request", "numpy.random", "html"}
-    for argv, code in ((["--version"], 0), (["--help"], 0), (["comm", "--help"], 0),
-                       (["stats", "--bogus"], 2)):
+    helps = [([name, "--help"], 0) for name in _SUBCOMMANDS]
+    for argv, code in ((["--version"], 0), (["--help"], 0), *helps, (["stats", "--bogus"], 2)):
         imported = _imports_of(argv, code)
         assert "argparse" in imported, argv
         assert not imported & heavy, argv
@@ -678,8 +678,9 @@ def test_only_svg_loads_html(tmp_path):
         (["stats", "--model", "nosuch"], 2, "nosuch"),
         (["signal", "--q", "0.05", "--grid", "3"], 3, "above 1"),
         (["transition", "--grid", "64"], 0, None),
+        (["replay", "/nonexistent.manifest.json"], 2, "/nonexistent.manifest.json"),
     ],
-    ids=["missing-config", "unknown-model", "odd-grid-mass", "transition"],
+    ids=["missing-config", "unknown-model", "odd-grid-mass", "transition", "missing-manifest"],
 )
 def test_a_fresh_interpreter_reaches_every_exit_code(argv, code, message):
     # in-process tests run with the kernel loaded (conftest.py), so only a
@@ -1205,7 +1206,7 @@ def test_usage_errors_exit_two(argv, capsys):
 
 
 def test_readme_lists_each_subcommands_flags():
-    # the README's table of flags per subcommand is the parser's, row for row
+    # the README's table of flags per subcommand is the CLI's table, row for row
     lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
     start = lines.index("| subcommand | flags |") + 2
     documented: dict[str, set[str]] = {}
@@ -1213,11 +1214,11 @@ def test_readme_lists_each_subcommands_flags():
         _, names, flags, _ = line.split("|")
         for name in re.findall(r"`([a-z]+)`", names):
             documented[name] = set(re.findall(r"`(--[a-z0-9-]+)`", flags))
-    parsed = {
-        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
-        for name, sub in _subparsers(build_parser()).items()
+    declared = {
+        name: {flag for flag, _ in flags if flag.startswith("--")}
+        for name, (_, _, flags) in _SUBCOMMANDS.items()
     }
-    assert documented == parsed
+    assert documented == declared
 
 
 def test_readme_model_names_resolve():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import builtins
 import importlib
@@ -113,6 +114,24 @@ def test_cli_binds_every_kernel_name_it_reads():
     assert read - bound - set(dir(builtins)) - kernel == set()
     assert kernel - read <= rebound
     assert rebound <= kernel | bound
+
+
+def test_cli_reads_no_private_argparse_name():
+    # cli's subcommand table, not argparse's private parser internals
+    # (_actions, _SubParsersAction and the like), gives each subcommand's
+    # flags and each flag's type
+    parser = argparse.ArgumentParser()
+    subparsers = parser.add_subparsers()
+    action = subparsers.add_parser("sub").add_argument("--flag")
+    private = {
+        name
+        for owner in (argparse, parser, subparsers, action, argparse.Namespace())
+        for name in dir(owner)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read & private == set()
 
 
 def _scoped(node: ast.AST, kind: type, scope: str = "") -> list[tuple[str, ast.AST]]:
