@@ -23,12 +23,12 @@ _EXPORTS = {
         "core": (
             "Angle", "AngleQuadruple", "CONTEXT_LABELS", "Distribution", "GridScheme", "HvModel",
             "LambdaSpace", "MeasureEstimate", "MonteCarloScheme", "NumericalInvariantError",
-            "estimate_measure", "evaluate_pair", "make_angle", "probe_locality", "theta_between",
-            "uniform_distribution",
+            "SequentialModel", "estimate_measure", "evaluate_pair", "make_angle", "probe_locality",
+            "theta_between", "uniform_distribution",
         ),
         "models": (
-            "SequentialModel", "as_simultaneous", "biased_distribution", "induce_noncontextual",
-            "local_coin_model", "resolve_model", "sequential_singlet_model", "singlet_model",
+            "as_simultaneous", "biased_distribution", "induce_noncontextual", "local_coin_model",
+            "resolve_model", "sequential_singlet_model", "singlet_model",
         ),
         "transition": (
             "MembershipVector", "TransitionReport", "TransitionSetId", "classify_lambda",

@@ -241,6 +241,9 @@ def _emit(
 ) -> int:
     """Write the run's CSV, side outputs and manifest; the CLI's only writer.
 
+    The manifest's command line is ``argv``: as given, or for a run that read
+    --config, the subcommand and each flag's effective value as
+    ``--name=value``, so that replaying it reads no config file.
     The manifest's scheme and seed come from ``scheme``: its label and seed,
     "analytic" and null for None (an analytic model), or for a str, that
     label and --seed (the game's own label).
@@ -839,9 +842,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits with 0 (--help, --version) or 2
         return exc.code
     _load_kernel()
-    handler, _, _ = _SUBCOMMANDS[args.subcommand]
+    handler, _, flags = _SUBCOMMANDS[args.subcommand]
     try:
-        return handler(_merge_config(args, args_list), args_list)
+        args = _merge_config(args, args_list)
+        if getattr(args, "config", None):
+            # record each flag's effective value, not the file, so a replay reads
+            # no config; a float's str is its repr
+            values = [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag, _ in flags]
+            args_list = [args.subcommand, *(f"{flag}={value}" for flag, value in values
+                                            if value is not None and flag != "--config")]
+        return handler(args, args_list)
     except NumericalInvariantError as exc:
         print(f"{TOOL_NAME}: numerical invariant violated: {exc}", file=sys.stderr)
         return 3

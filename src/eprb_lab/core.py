@@ -3,10 +3,13 @@
 A deterministic two-wing model assigns outcomes A(a, b, lambda) and
 B(a, b, lambda) in {+1, -1} to every pair of detector settings, where the
 hidden variable lambda lives on the unit hypercube [0, 1)^d and carries a
-probability density.  Everything downstream (transition sets, bound
-evaluation, the communication game) reduces to measures of indicator-defined
-subsets of the hypercube.  Each integration scheme class supplies its blocks
-of points and its estimate rule, and the kernel names none:
+probability density.  This module declares both model types, the
+simultaneous :class:`HvModel` and the order-resolved :class:`SequentialModel`
+that collapses into one, and checks their answers; :mod:`models` builds
+them.  Everything downstream (transition sets, bound evaluation, the
+communication game) reduces to measures of indicator-defined subsets of the
+hypercube.  Each integration scheme class supplies its blocks of points and
+its estimate rule, and the kernel names none:
 
 * :class:`GridScheme`, a midpoint grid, exact for the axis-aligned threshold
   geometry of the built-in models, and
@@ -62,7 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -301,6 +304,50 @@ class HvModel:
         return _checked_values(fn(a, b, coords), coords, self.name, wing)
 
 
+FirstOutcomeFn = Callable[[str, Angle, np.ndarray], np.ndarray]
+SecondOutcomeFn = Callable[[str, Angle, Angle, np.ndarray, np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class SequentialModel:
+    """A model whose outcomes may depend on the measurement order.
+
+    ``first_outcome(wing, own_setting, coords)`` is the outcome of the wing
+    measured first; its signature carries no information about the other
+    wing's setting, which encodes the free-choice assumption for the later
+    measurement.  ``second_outcome(wing, own_setting, other_setting,
+    first_value, coords)`` is the outcome of the wing measured second, given
+    the first wing's realized outcome.  Wings are named "A" and "B".
+    :meth:`first` and :meth:`second` are the way to ask for them: each
+    checks that the answer is one +1/-1 per point, of any numeric dtype.
+
+    ``breakpoints(angles)``, when present, returns one tuple of cut
+    positions per axis such that every first and second outcome, at every
+    setting pair drawn from ``angles`` and either first value, is constant
+    on each open cell between the cuts; None declares nothing.
+    """
+
+    name: str
+    space: LambdaSpace
+    equilibrium: Distribution
+    first_outcome: FirstOutcomeFn
+    second_outcome: SecondOutcomeFn
+    breakpoints: BreakpointsFn | None = None
+
+    def first(self, wing: str, own: Angle, coords: np.ndarray) -> np.ndarray:
+        """``wing``'s checked outcomes at ``own`` when it is measured first."""
+        answer = self.first_outcome(check_wing(wing), own, coords)
+        return _checked_values(answer, coords, self.name, wing)
+
+    def second(
+        self, wing: str, own: Angle, other: Angle, first: np.ndarray, coords: np.ndarray
+    ) -> np.ndarray:
+        """``wing``'s checked outcomes at ``own`` when it is measured second,
+        after its companion answered ``first`` at ``other``."""
+        answer = self.second_outcome(check_wing(wing), own, other, first, coords)
+        return _checked_values(answer, coords, self.name, wing)
+
+
 @dataclass(frozen=True)
 class GridScheme:
     """Midpoint rule on resolution^dimension cells; deterministic and exact
@@ -419,21 +466,16 @@ def default_grid_resolution(dimension: int) -> int:
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """A measure value in [0, 1] with its standard error and scheme."""
+    """A measure value in [0, 1] with its standard error."""
 
     value: float
     std_error: float
-    scheme: Scheme
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"measure value must lie in [0, 1], got {self.value!r}")
         if self.std_error < 0.0:
             raise ValueError(f"std_error must be non-negative, got {self.std_error!r}")
-
-    @property
-    def seed(self) -> int | None:
-        return self.scheme.seed
 
 
 def check_seed(seed: int) -> None:
@@ -455,11 +497,6 @@ def derived_stream(seed: int, domain: int, block_index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-class _Declaring(Protocol):
-    name: str
-    breakpoints: BreakpointsFn | None
-
-
 @dataclass(frozen=True)
 class GridCuts:
     """The merged cuts of one sweep's model and density, per axis, sorted."""
@@ -469,11 +506,10 @@ class GridCuts:
 
 
 def declared_cuts(
-    model: _Declaring, dist: Distribution, angles: Sequence[Angle]
+    model: HvModel | SequentialModel, dist: Distribution, angles: Sequence[Angle]
 ) -> GridCuts | None:
     """The cuts of ``model`` at ``angles`` merged with those of ``dist``, or
-    None when either declares nothing.  ``model`` is an :class:`HvModel` or
-    any model with a ``name`` and a ``breakpoints`` field."""
+    None when either declares nothing."""
     if model.breakpoints is None or dist.breakpoints is None:
         return None
     dimension = dist.space.dimension
@@ -555,7 +591,7 @@ class Histogram:
         # without the cost of its wrapper, which a report pays once per statistic
         total, squares = np.add.reduce(np.where(bins, self.totals, 0.0), axis=1)
         value, error = self.scheme.estimate(total, squares, self.dimension)
-        return MeasureEstimate(float(value), float(error), self.scheme)
+        return MeasureEstimate(float(value), float(error))
 
 
 def sweep_statistics(
@@ -729,7 +765,7 @@ def estimate_measure(dist: Distribution, indicator: IndicatorFn, scheme: Scheme)
     return sweep_statistics(dist, scheme, masks_fn, 2).measure(np.array([False, True]))
 
 
-def _in_unit_cube(points: np.ndarray) -> bool:
+def in_unit_cube(points: np.ndarray) -> bool:
     """Whether every coordinate lies in [0, 1); NaN does not."""
     return bool(np.all((points >= 0.0) & (points < 1.0)))
 
@@ -741,7 +777,7 @@ def as_lambda_point(lam: object, space: LambdaSpace) -> np.ndarray:
         raise ValueError(
             f"lambda has shape {point.shape}, expected ({space.dimension},)"
         )
-    if not _in_unit_cube(point):
+    if not in_unit_cube(point):
         raise ValueError(f"lambda coordinates must lie in [0, 1), got {point!r}")
     return point
 

@@ -1,13 +1,15 @@
-"""Built-in model zoo.
+"""Built-in model zoo: builds the two model types that :mod:`core` declares.
 
-All built-ins live on the two-dimensional hypercube with lambda = (u, v):
-u drives the +1/-1 coin, v drives the right wing's anticorrelation flip.
-This is the smallest product structure whose transition sets are
-axis-aligned rectangles, so every downstream measure has a closed form
-against which the estimators can be tested.  Every built-in declares where
-its outcomes can change (``breakpoints``): u at 1/2, and for the singlet
-models v at the anticorrelation threshold of every setting pair; the bias
-density changes only at u = 1/2.
+Here are the factories, the collapse of a sequential model under a
+measurement order and the CLI name resolver.  All built-ins live on the
+two-dimensional hypercube with lambda = (u, v): u drives the +1/-1 coin, v
+drives the right wing's anticorrelation flip.  This is the smallest product
+structure whose transition sets are axis-aligned rectangles, so every
+downstream measure has a closed form against which the estimators can be
+tested.  Every built-in declares where its outcomes can change
+(``breakpoints``): u at 1/2, and for the singlet models v at the
+anticorrelation threshold of every setting pair; the bias density changes
+only at u = 1/2.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ import numpy as np
 
 from .core import (
     Angle,
-    BreakpointsFn,
     Cuts,
     Distribution,
     HvModel,
     LambdaSpace,
-    _checked_values,
+    SequentialModel,
     check_wing,
     theta_between,
     uniform_distribution,
@@ -127,50 +128,6 @@ def biased_distribution(model: HvModel, q: float) -> Distribution:
         sampler=sampler,
         breakpoints=((0.5,),) + ((),) * (dimension - 1),
     )
-
-
-FirstOutcomeFn = Callable[[str, Angle, np.ndarray], np.ndarray]
-SecondOutcomeFn = Callable[[str, Angle, Angle, np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class SequentialModel:
-    """A model whose outcomes may depend on the measurement order.
-
-    ``first_outcome(wing, own_setting, coords)`` is the outcome of the wing
-    measured first; its signature carries no information about the other
-    wing's setting, which encodes the free-choice assumption for the later
-    measurement.  ``second_outcome(wing, own_setting, other_setting,
-    first_value, coords)`` is the outcome of the wing measured second, given
-    the first wing's realized outcome.  Wings are named "A" and "B".
-    :meth:`first` and :meth:`second` are the way to ask for them: each
-    checks that the answer is one +1/-1 per point, of any numeric dtype.
-
-    ``breakpoints(angles)``, when present, returns one tuple of cut
-    positions per axis such that every first and second outcome, at every
-    setting pair drawn from ``angles`` and either first value, is constant
-    on each open cell between the cuts; None declares nothing.
-    """
-
-    name: str
-    space: LambdaSpace
-    equilibrium: Distribution
-    first_outcome: FirstOutcomeFn
-    second_outcome: SecondOutcomeFn
-    breakpoints: BreakpointsFn | None = None
-
-    def first(self, wing: str, own: Angle, coords: np.ndarray) -> np.ndarray:
-        """``wing``'s checked outcomes at ``own`` when it is measured first."""
-        answer = self.first_outcome(check_wing(wing), own, coords)
-        return _checked_values(answer, coords, self.name, wing)
-
-    def second(
-        self, wing: str, own: Angle, other: Angle, first: np.ndarray, coords: np.ndarray
-    ) -> np.ndarray:
-        """``wing``'s checked outcomes at ``own`` when it is measured second,
-        after its companion answered ``first`` at ``other``."""
-        answer = self.second_outcome(check_wing(wing), own, other, first, coords)
-        return _checked_values(answer, coords, self.name, wing)
 
 
 def sequential_singlet_model() -> SequentialModel:

@@ -35,13 +35,13 @@ from .core import (
     Distribution,
     MeasureEstimate,
     Scheme,
+    SequentialModel,
     check_wing,
     declared_cuts,
     estimate_measure,
 )
 from .inequalities import JointStats, hardy_bounds, quantum_stats
 from .inequalities import stats_from_model  # noqa: F401  (bench/tracer.py rebinds it here)
-from .models import SequentialModel
 from .transition import TransitionReport, pattern_code
 from .transition import full_report  # noqa: F401  (bench/tracer.py rebinds it here)
 

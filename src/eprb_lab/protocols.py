@@ -38,8 +38,8 @@ from .core import (
     HvModel,
     NumericalInvariantError,
     Scheme,
-    _in_unit_cube,
     check_seed,
+    in_unit_cube,
     monte_carlo_chunks,
 )
 from .inequalities import JointStats, hardy_bounds
@@ -175,7 +175,7 @@ def simulate_game(
     def play_chunk(streams: tuple[np.random.Generator, ...], lo: int, hi: int) -> CommBlock:
         lam_rng, alice_rng, bob_rng = streams
         lam = dist.sampler(lam_rng, hi - lo)
-        if not _in_unit_cube(lam):
+        if not in_unit_cube(lam):
             raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
         key = 2 * alice_rng.integers(0, 2, hi - lo)
         key += bob_rng.integers(0, 2, hi - lo)

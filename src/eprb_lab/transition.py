@@ -261,10 +261,6 @@ class TransitionReport:
         )
 
     @property
-    def seed(self) -> int | None:
-        return self.sigma_minus.seed
-
-    @property
     def sum_t_regions(self) -> float:
         """Sum of the eight odd-region measures; equals sigma_minus exactly
         on power-of-two grids and within float addition error otherwise."""

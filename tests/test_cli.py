@@ -836,6 +836,30 @@ def test_replay_reproduces_bytes(tmp_path, monkeypatch, capsys):
     assert manifest["outputs"] == ["sweep.csv", "sweep.svg"]
 
 
+def test_replay_of_a_config_run_reads_no_config(tmp_path, monkeypatch, capsys):
+    # a run that read --config records each flag's effective value, not the
+    # file, so its replay gives the same bytes once the file changes or is gone
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.conf"
+    config.write_text("model = singlet+bias:q=0.7\ntheta = 0.7853981633974483\nmc = 5000\n")
+    assert main(["transition", "--config", "run.conf", "--seed", "7", "--out", "t.csv"]) == 0
+    names = ("t.csv", "t.csv.manifest.json")
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+    assert json.loads(first["t.csv.manifest.json"])["command_line"] == [
+        "transition", "--model=singlet+bias:q=0.7", "--theta=0.7853981633974483", "--mc=5000",
+        "--seed=7", "--out=t.csv",
+    ]
+    config.write_text("model = local-coin\ngrid = 32\n")
+    assert main(["replay", "t.csv.manifest.json"]) == 0
+    assert {name: (tmp_path / name).read_bytes() for name in names} == first
+    config.unlink()
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    assert main(["replay", "../t.csv.manifest.json"]) == 0
+    capsys.readouterr()
+    assert {name: (tmp_path / "sub" / name).read_bytes() for name in names} == first
+
+
 def test_sweep_svg_output(tmp_path, capsys):
     svg_path = tmp_path / "curves.svg"
     code, out, _ = run_cli(["sweep", "--steps", "19", "--svg", str(svg_path)], capsys)
@@ -1219,6 +1243,21 @@ def test_readme_lists_each_subcommands_flags():
         for name, (_, _, flags) in _SUBCOMMANDS.items()
     }
     assert documented == declared
+
+
+def test_readme_library_block_runs_as_written(capsys):
+    # the README's "Library use" block prints what its comments say
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("```python", lines.index("## Library use")) + 1
+    block = "\n".join(lines[start : lines.index("```", start)])
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:3] == ["False", "[-1 -1]", "0.70703125"]
+    unified, bell_lhs = map(float, printed[3].split())
+    assert abs(unified - (math.sqrt(2) - 1)) <= 1e-12
+    assert abs(bell_lhs - 2 * math.sqrt(2)) <= 1e-12
+    assert float(printed[4]) >= math.sqrt(2) - 1
+    assert len(printed) == 5
 
 
 def test_readme_model_names_resolve():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -162,13 +163,12 @@ def test_default_grid_resolution():
 
 
 def test_measure_estimate_validation():
-    scheme = GridScheme(8)
     with pytest.raises(ValueError):
-        MeasureEstimate(1.2, 0.0, scheme)
+        MeasureEstimate(1.2, 0.0)
     with pytest.raises(ValueError):
-        MeasureEstimate(0.5, -0.1, scheme)
-    assert MeasureEstimate(0.5, 0.0, scheme).seed is None
-    assert MeasureEstimate(0.5, 0.0, MonteCarloScheme(n=10, seed=7)).seed == 7
+        MeasureEstimate(0.5, -0.1)
+    # an estimate is its value and its error
+    assert [field.name for field in dataclasses.fields(MeasureEstimate)] == ["value", "std_error"]
 
 
 def test_grid_too_large_rejected():

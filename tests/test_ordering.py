@@ -235,7 +235,6 @@ def _assert_induced_figures(model, quadruple, scheme, tolerance, monkeypatch):
         assert (p_plus.tolist(), report.induced_bell_lhs) == (list(stats.p_plus), bell_lhs)
         return
     for got, want in ((report.induced_sigma_minus, sigma_minus), (report.moc_measure, moc_measure)):
-        assert got.scheme == want.scheme
         assert abs(got.value - want.value) <= tolerance
         assert abs(got.std_error - want.std_error) <= tolerance
     assert np.max(np.abs(p_plus - stats.p_plus)) <= tolerance

@@ -89,6 +89,32 @@ def test_every_unused_import_is_a_tracer_shim():
     assert stale == []
 
 
+def test_no_module_reads_another_modules_private_name():
+    # a single-underscore name is its own module's: no other package module
+    # imports it, or reads it as an attribute of that module (dunders aside)
+    read = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules: dict[str, str] = {}  # a bound name -> the package module it is
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[_bound_name(alias)] = alias.name
+                    else:
+                        read.append((path.stem, node.module, alias.name))
+        read += [
+            (path.stem, modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules
+        ]
+    assert [
+        f"{reader} -> {owner}.{name}"
+        for reader, owner, name in read
+        if owner != reader and name.startswith("_") and not name.endswith("__")
+    ] == []
+
+
 def test_cli_binds_every_kernel_name_it_reads():
     # cli imports numpy and the kernel once its arguments parse, binding the
     # names of its _KERNEL table; a name it reads that is bound nowhere would
@@ -231,8 +257,8 @@ def test_one_order_rule_calls_a_sequential_model():
             ):
                 callers.add(f"{path.stem}.{scope}")
     assert sorted(callers) == [
-        "models.SequentialModel.first",
-        "models.SequentialModel.second",
+        "core.SequentialModel.first",
+        "core.SequentialModel.second",
         "models._ordered.answer",
     ]
 
