@@ -30,6 +30,7 @@ import argparse
 import csv
 import errno
 import functools
+import importlib.util
 import json
 import math
 import os
@@ -47,6 +48,15 @@ from typing import Callable, Iterable, Sequence, TextIO
 # count.  This must run before the first import of numpy, which is why the
 # package's exports are lazy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# numpy.random imports secrets -> hmac -> _hashlib, which maps OpenSSL's
+# libcrypto (3.4 MB of peak RSS), yet a command hashes nothing and keys every
+# Philox stream itself.  Marking _hashlib absent makes hashlib and hmac use
+# CPython's built-in md5/sha1/sha2/sha3/blake2; a _hashlib already loaded
+# stays, and library users who never import cli are untouched.  A build may
+# leave the built-in hashes out (--with-builtin-hashlib-hashes), and hashlib
+# then logs an error per missing hash, so such a build keeps OpenSSL.
+if any(map(importlib.util.find_spec, ("_sha2", "_sha256"))):  # 3.12+, then 3.10-3.11
+    sys.modules.setdefault("_hashlib", None)
 
 from . import __version__
 
@@ -244,9 +254,9 @@ def _emit(
     The manifest's command line is ``argv``: as given, or for a run that read
     --config, the subcommand and each flag's effective value as
     ``--name=value``, so that replaying it reads no config file.
-    The manifest's scheme and seed come from ``scheme``: its label and seed,
-    "analytic" and null for None (an analytic model), or for a str, that
-    label and --seed (the game's own label).
+    The manifest's scheme and seed come from ``scheme``: its label and its
+    seed (null for a grid, which has none), "analytic" and null for None (an
+    analytic model), or for a str, that label and --seed (the game's own label).
 
     ``side_outputs`` are ``(path, write)`` pairs, path None where the flag
     was not given.  Outputs that name the same file or a directory are
@@ -276,7 +286,7 @@ def _emit(
         elif isinstance(scheme, str):
             label, seed = scheme, args.seed
         else:
-            label, seed = scheme.label, scheme.seed
+            label, seed = scheme.label, getattr(scheme, "seed", None)
         manifest = {
             "tool": TOOL_NAME,
             "tool_version": __version__,
@@ -437,7 +447,7 @@ def _cmd_transition(args: argparse.Namespace, argv: Sequence[str]) -> int:
     scheme = _resolve_scheme(args, choice)
     report = full_report(choice.hv, choice.distribution, quadruple, scheme)
     rows = [
-        [name, value, std_error, scheme.label, scheme.seed]
+        [name, value, std_error, scheme.label, getattr(scheme, "seed", None)]
         for name, value, std_error in report.csv_rows()
     ]
     header = ["name", "value", "std_error", "scheme", "seed"]

@@ -35,6 +35,9 @@ Outcome functions, densities and indicators accept a numpy array whose last
 axis holds the coordinates of one lambda (shape ``(..., d)``) and return an
 array of the leading shape.  The engine always calls them with 2-D chunks of
 at most ``CHUNK_SIZE`` = ``2**14`` points (up to 16 axes with declared cuts).
+A sweep's chunks are column-major, so each coordinate column is contiguous;
+their shape and values are those of the row-major array, and a model or
+density must not assume C order (the game's lambdas stay row-major).
 A sweep runs in blocks of ``BLOCK_SIZE`` = ``2**20`` points, which fix every
 random stream and every per-bin sum, and fills each block a chunk at a time.
 Under Monte Carlo the blocks, their streams and their chunks come from one
@@ -300,7 +303,7 @@ class HvModel:
     def outcome(self, wing: str, a: Angle, b: Angle, coords: np.ndarray) -> np.ndarray:
         """The outcomes of wing "A" or "B" at (a, b), checked to be one
         +1/-1 per point; ValueError names the wing and the model."""
-        fn = {"A": self.outcome_a, "B": self.outcome_b}[check_wing(wing)]
+        fn = self.outcome_a if check_wing(wing) == "A" else self.outcome_b
         return _checked_values(fn(a, b, coords), coords, self.name, wing)
 
 
@@ -360,10 +363,6 @@ class GridScheme:
             raise ValueError(f"grid resolution must be a positive integer, got {self.resolution!r}")
 
     @property
-    def seed(self) -> int | None:
-        return None
-
-    @property
     def label(self) -> str:
         return f"grid({self.resolution})"
 
@@ -394,17 +393,18 @@ class GridScheme:
 
         def boxes(start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
             flat = np.arange(start, stop, dtype=np.int64)
-            coords = np.empty((n_corners, stop - start, dimension), dtype=np.float64)
+            # laid out column-major: axis, corner, box
+            coords = np.empty((dimension, n_corners, stop - start), dtype=np.float64)
             sizes = np.ones(stop - start, dtype=np.int64) if wide else None
             for axis in range(dimension - 1, -1, -1):
                 firsts, lasts, lengths = runs[axis]
                 flat, run = np.divmod(flat, len(lengths))
-                coords[:, :, axis] = firsts[run]
+                coords[axis] = firsts[run]
                 if axis in wide:
                     sizes *= lengths[run]
                     bit = 1 << wide.index(axis)
-                    coords[[c for c in range(n_corners) if c & bit], :, axis] = lasts[run]
-            return coords.reshape(-1, dimension), None if sizes is None else sizes.astype(np.float64)
+                    coords[axis, [c for c in range(n_corners) if c & bit]] = lasts[run]
+            return coords.reshape(dimension, -1).T, None if sizes is None else sizes.astype(np.float64)
 
         step, chunk = (max(1, size // n_corners) for size in (BLOCK_SIZE, CHUNK_SIZE))
         for start, stop in _spans(0, n_boxes, step):
@@ -443,8 +443,8 @@ class MonteCarloScheme:
         :func:`monte_carlo_chunks`, drawn a chunk at a time as ``(coords, None)``;
         ``cuts`` is ignored."""
         for (stream,), spans in monte_carlo_chunks(self.n, self.seed, (0,)):
-            shapes = ((hi - lo, dimension) for lo, hi in spans)
-            yield zip(map(stream.random, shapes), itertools.repeat(None))
+            # a new tuple per chunk, so the sweep holds the only reference to its draw
+            yield ((stream.random((hi - lo, dimension)), None) for lo, hi in spans)
 
     def estimate(self, total: float, squares: float, dimension: int) -> tuple[float, float]:
         """The sample mean clipped to [0, 1], with the ddof=1 error of the
@@ -644,6 +644,8 @@ def sweep_statistics(
         run_value = np.zeros(n_stats, dtype=np.float64)
         kept: dict[int, np.ndarray] = {}
         for coords, sizes in chunks:
+            # column-major: a Monte Carlo draw is copied, and freed here
+            coords = np.asfortranarray(coords)
             weights = _density_values(dist, coords)
             codes = _bin_codes(masks_fn, coords, n_stats)
             if sizes is not None:
@@ -652,13 +654,13 @@ def sweep_statistics(
             hit = counts > 0
             # each bin's one weight in this chunk, if it has one; a chunk of
             # one weight throughout needs no per-point scatter
-            if len(weights) and np.all(weights == weights[0]):
+            if len(weights) and (weights == weights[0]).all():
                 value, repeated = weights[0], True
             else:
                 value = np.zeros(n_stats, dtype=np.float64)
                 value[codes] = weights
-                repeated = np.all(weights == value[codes])
-            if repeated and not np.any(hit & (runs > 0) & (run_value != value)):
+                repeated = (weights == value[codes]).all()
+            if repeated and not (hit & (runs > 0) & (run_value != value)).any():
                 runs += counts
                 np.copyto(run_value, value, where=hit)
                 continue
@@ -730,9 +732,9 @@ def _density_values(dist: Distribution, coords: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"density returned shape {weights.shape} for a block of shape {coords.shape}"
         )
-    if np.any(weights < 0.0):
+    if (weights < 0.0).any():
         raise ValueError(f"density of {dist.label!r} is negative somewhere")
-    if not np.all(np.isfinite(weights)):
+    if not np.isfinite(weights).all():
         raise ValueError(f"density of {dist.label!r} is not finite somewhere")
     return weights
 
@@ -803,7 +805,7 @@ def _checked_values(values: object, coords: np.ndarray, name: str, wing: str) ->
             f"{wing} outcomes of model {name!r} have shape {values.shape} "
             f"for a block of shape {coords.shape}"
         )
-    if not np.all(np.abs(values) == 1):
+    if not (np.abs(values) == 1).all():
         raise ValueError(f"{wing} outcomes of model {name!r} are not all +1/-1")
     return values
 

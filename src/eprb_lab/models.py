@@ -104,10 +104,12 @@ def biased_distribution(model: HvModel, q: float) -> Distribution:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"bias q must lie in [0, 1], got {q!r}")
     dimension = model.space.dimension
+    # the density above u = 1/2, then below it
+    levels = np.array([2.0 * (1.0 - q), 2.0 * q])
 
     def density(coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=np.float64)
-        return np.where(coords[..., 0] < 0.5, 2.0 * q, 2.0 * (1.0 - q))
+        return levels.take((coords[..., 0] < 0.5).view(np.int8))
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         points = rng.random((n, dimension))

@@ -108,9 +108,9 @@ def _moc_sweep(
         for k, (wing, own, other) in enumerate(ORDERING_SETS):
             companion_first = firsts[_companion(wing), other]
             second = model.second(wing, named[own], named[other], companion_first, coords)
-            code |= (firsts[wing, own] != second).astype(np.uint16) << k
+            code += (firsts[wing, own] != second) * np.uint16(1 << k)
         for j, first in enumerate(firsts.values(), start=len(ORDERING_SETS)):
-            code |= (first < 0).astype(np.uint16) << j
+            code += (first < 0) * np.uint16(1 << j)
         return code
 
     dist = model.equilibrium

@@ -158,8 +158,8 @@ def pattern_code(contexts: tuple[tuple[np.ndarray, np.ndarray], ...]) -> np.ndar
     in canonical context i, bit 2i+1 when B is."""
     code = np.zeros(contexts[0][0].shape, dtype=np.uint8)
     for i, (va, vb) in enumerate(contexts):
-        code |= (va < 0).astype(np.uint8) << (2 * i)
-        code |= (vb < 0).astype(np.uint8) << (2 * i + 1)
+        code += (va < 0) * np.uint8(1 << 2 * i)
+        code += (vb < 0) * np.uint8(2 << 2 * i)
     return code
 
 

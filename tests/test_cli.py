@@ -739,6 +739,61 @@ def test_cli_keeps_the_users_openblas_thread_count():
     assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
 
 
+def test_a_command_maps_no_openssl():
+    # numpy.random imports secrets -> hmac -> _hashlib; under the command line
+    # they load without OpenSSL, and hashlib falls back to CPython's own sha256
+    code = (
+        "import contextlib, io, os, sys\n"
+        "from eprb_lab import cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    status = cli.main(['stats', '--model', 'singlet+bias:q=0.7', '--mc', '20000',"
+        " '--seed', '1'])\n"
+        "import hashlib\n"
+        "maps = '/proc/self/maps'\n"
+        "mapped = any('libcrypto' in line for line in open(maps)) if os.path.exists(maps) else 'unknown'\n"
+        "print(status, len(out.getvalue()) > 0, repr(err.getvalue()), sys.modules['_hashlib'] is None,\n"
+        "      'secrets' in sys.modules, 'hmac' in sys.modules, mapped,\n"
+        "      hashlib.sha256(b'abc').hexdigest())\n"
+    )
+    *flags, mapped, digest = _fresh_python(code).split()
+    assert flags == ["0", "True", "''", "True", "True", "True"]
+    if mapped != "unknown":  # no /proc off Linux
+        assert mapped == "False"
+    assert digest == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+def test_a_build_without_builtin_sha2_keeps_openssl():
+    # with neither built-in sha2 module (3.12+: _sha2, 3.10-3.11: _sha256) and
+    # no _hashlib, hashlib would log an error per missing hash on stderr
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from eprb_lab import cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    status = cli.main(['stats', '--model', 'singlet+bias:q=0.7', '--mc', '20000'])\n"
+        "import hashlib\n"
+        "print(status, repr(err.getvalue()), sys.modules.get('_hashlib', 'unbuilt') is not None,\n"
+        "      hashlib.sha256(b'abc').hexdigest())\n"
+    )
+    assert _fresh_python(code).split() == [
+        "0", "''", "True", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    ]
+
+
+def test_the_package_alone_leaves_hashlib_as_it_is():
+    # only cli marks _hashlib absent; a library user who imports the kernel
+    # keeps whatever the interpreter has (absent from sys.modules if unbuilt)
+    code = (
+        "import sys, eprb_lab\n"
+        "eprb_lab.full_report\n"
+        "import numpy.random\n"
+        "print('numpy' in sys.modules, sys.modules.get('_hashlib', 'unbuilt') is not None)\n"
+    )
+    assert _fresh_python(code).split() == ["True", "True"]
+
+
 def test_a_kernel_name_of_cli_loads_the_kernel():
     # the benchmark tracer reads cli's kernel names before any command runs
     code = (

@@ -20,6 +20,8 @@ from eprb_lab.core import (
     TAU,
     Angle,
     AngleQuadruple,
+    Distribution,
+    GridCuts,
     GridScheme,
     HvModel,
     LambdaSpace,
@@ -34,6 +36,7 @@ from eprb_lab.core import (
     make_angle,
     normalize_radians,
     probe_locality,
+    sweep_statistics,
     theta_between,
     uniform_distribution,
 )
@@ -150,7 +153,7 @@ def test_scheme_validation():
     with pytest.raises(ValueError):
         MonteCarloScheme(n=10, seed=2**64)
     assert GridScheme(256).label == "grid(256)"
-    assert GridScheme(256).seed is None
+    assert not hasattr(GridScheme(256), "seed")  # a grid has no seed
     assert MonteCarloScheme(n=10, seed=3).label == "monte_carlo(n=10,seed=3)"
 
 
@@ -325,9 +328,43 @@ def test_a_repeated_weight_sums_as_its_zero_stride_view():
                 assert np.broadcast_to(w, n).sum().tobytes() == np.full(n, w).sum().tobytes(), (n, w)
 
 
-def test_bad_density_and_masks_rejected():
-    from eprb_lab.core import Distribution, sweep_statistics
+@pytest.mark.parametrize(
+    "scheme, cuts",
+    [
+        (MonteCarloScheme(3 * CHUNK_SIZE + 5, seed=36), None),
+        (GridScheme(256), None),
+        (GridScheme(256), GridCuts(model="half", axes=((0.5,), (0.25, 0.75)))),
+    ],
+    ids=["monte-carlo", "grid", "grid-with-cuts"],
+)
+def test_sweep_chunks_are_column_major(scheme, cuts):
+    # each coordinate column of a chunk is contiguous for the density and the
+    # classifier alike; the points are those of the row-major layout
+    seen = []
 
+    def density(coords):
+        seen.append(("density", coords.flags.f_contiguous, coords.copy()))
+        return np.ones(coords.shape[:-1])
+
+    def classify(coords):
+        seen.append(("classifier", coords.flags.f_contiguous, None))
+        return half_space(coords).view(np.uint8)
+
+    dist = Distribution(space=SPACE, density=density, label="recording")
+    histogram = sweep_statistics(dist, scheme, classify, 2, cuts=cuts)
+    assert histogram.measure(np.array([False, True])).value == pytest.approx(0.5, abs=0.01)
+    assert {who for who, _, _ in seen} == {"density", "classifier"}
+    assert all(contiguous for _, contiguous, _ in seen)
+    chunks = [coords for who, _, coords in seen if who == "density"]
+    assert all(coords.ndim == 2 and coords.shape[1] == 2 for coords in chunks)
+    if isinstance(scheme, MonteCarloScheme):
+        assert [len(coords) for coords in chunks] == [CHUNK_SIZE] * 3 + [5]
+        assert np.array_equal(np.concatenate(chunks), derived_stream(36, 0, 0).random((scheme.n, 2)))
+    elif cuts is None:
+        assert np.array_equal(np.concatenate(chunks)[:, 1], np.tile((np.arange(256) + 0.5) / 256, 256))
+
+
+def test_bad_density_and_masks_rejected():
     bad = Distribution(
         space=SPACE,
         density=lambda c: -np.ones(c.shape[0]),

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from eprb_lab import ordering
+from eprb_lab import core, ordering
 from eprb_lab.core import (
     BLOCK_SIZE,
     CONTEXTS,
@@ -280,6 +280,40 @@ def test_no_order_free_pattern_lies_in_a_transition_set():
     firsts = codes >> len(ORDERING_SETS)
     assert len(np.unique(ORDER_FREE_PATTERNS)) == 16
     assert len(set(zip(firsts.tolist(), ORDER_FREE_PATTERNS.tolist()))) == 16
+
+
+def test_moc_code_matches_its_bit_definition(monkeypatch):
+    # bit k of a point's code is set when the point lies in ordering set k,
+    # and bit 8 + j when first answer j is -1; checked on random chunks in
+    # both layouts against the model's own answers
+    classifiers, sweep = [], core.sweep_statistics
+
+    def recording(dist, scheme, masks_fn, n_stats, **kwargs):
+        classifiers.append(masks_fn)
+        return sweep(dist, scheme, masks_fn, n_stats, **kwargs)
+
+    monkeypatch.setattr(core, "sweep_statistics", recording)
+    model = sequential_singlet_model()
+    quadruple = AngleQuadruple.chain(0.4)
+    ordering_measures(model, quadruple, GridScheme(8))
+    (classify,) = classifiers
+    named = quadruple.named_angles()
+    rng = np.random.default_rng(3601)
+    for n in (1, 7, 5000):
+        coords = rng.random((n, 2))
+        expected = np.zeros(n, dtype=np.int64)
+        for k, (wing, own, other) in enumerate(ORDERING_SETS):
+            companion = model.first("B" if wing == "A" else "A", named[other], coords)
+            second = model.second(wing, named[own], named[other], companion, coords)
+            expected += (model.first(wing, named[own], coords) != second) << k
+        for j, (wing, own) in enumerate(FIRST_ANSWERS, start=len(ORDERING_SETS)):
+            expected += (model.first(wing, named[own], coords) < 0) << j
+        for layout in (coords, np.asfortranarray(coords)):
+            code = classify(layout)
+            assert code.dtype == np.uint16
+            assert np.array_equal(code, expected)
+    # every bit, the ordering sets' included, takes both values in the last chunk
+    assert all(0 < np.count_nonzero(expected >> bit & 1) < n for bit in range(12))
 
 
 @pytest.mark.parametrize("scheme", [GridScheme(256), MonteCarloScheme(20_000, 4)])

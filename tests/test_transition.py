@@ -28,12 +28,15 @@ from eprb_lab.transition import (
     ALL_REGION_LABELS,
     CANONICAL_SETS,
     LABELS_BY_MASK,
+    N_PATTERNS,
+    OUTCOMES_BY_PATTERN,
     SET_LINKS,
     MembershipVector,
     TransitionSetId,
     classify_lambda,
     full_report,
     partition_measures,
+    pattern_code,
 )
 from helpers import (
     _SET_CONTEXTS,
@@ -144,6 +147,19 @@ def test_classify_lambda_examples():
     assert dark.region == "T6"
     assert dark.sign_pattern == (-1, -1, -1, 1)
     assert dark.parity_consistent()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+def test_pattern_code_inverts_the_outcome_table(dtype):
+    # each of the 256 patterns' outcomes, in any numeric dtype a model may
+    # return, codes back to that pattern
+    contexts = tuple(
+        (OUTCOMES_BY_PATTERN[i, 0].astype(dtype), OUTCOMES_BY_PATTERN[i, 1].astype(dtype))
+        for i in range(len(CONTEXTS))
+    )
+    code = pattern_code(contexts)
+    assert code.dtype == np.uint8
+    assert np.array_equal(code, np.arange(N_PATTERNS))
 
 
 def test_parity_rule_randomized():
