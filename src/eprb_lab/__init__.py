@@ -8,11 +8,13 @@ signal locality and measurement-ordering contextuality.
 The exports are lazy (PEP 562): ``import eprb_lab`` loads no numpy, and a
 name's module is imported the first time the name is looked up.  That lets
 the command line set up the process (see ``cli``) before numpy loads.
+``_EXPORTS`` is the one record of which module defines a name: ``cli`` binds
+its kernel names through these exports too.
 """
 
 from __future__ import annotations
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -23,24 +25,24 @@ _EXPORTS = {
         "core": (
             "Angle", "AngleQuadruple", "CONTEXT_LABELS", "Distribution", "GridScheme", "HvModel",
             "LambdaSpace", "MeasureEstimate", "MonteCarloScheme", "NumericalInvariantError",
-            "SequentialModel", "estimate_measure", "evaluate_pair", "make_angle", "probe_locality",
-            "theta_between", "uniform_distribution",
+            "SETTINGS", "Scheme", "SequentialModel", "check_seed", "default_grid_resolution",
+            "estimate_measure", "evaluate_pair", "probe_locality", "theta_between",
+            "uniform_distribution",
         ),
         "models": (
-            "as_simultaneous", "biased_distribution", "induce_noncontextual", "local_coin_model",
-            "resolve_model", "sequential_singlet_model", "singlet_model",
+            "ModelChoice", "as_simultaneous", "biased_distribution", "induce_noncontextual",
+            "local_coin_model", "resolve_model", "sequential_singlet_model", "singlet_model",
         ),
         "transition": (
-            "MembershipVector", "TransitionReport", "TransitionSetId", "classify_lambda",
-            "full_report", "partition_measures",
+            "LABELS_BY_MASK", "MembershipVector", "TransitionReport", "TransitionSetId",
+            "classify_lambda", "full_report", "partition_measures",
         ),
         "inequalities": (
             "ContradictionTrace", "HardyBounds", "JointStats", "chsh_correlations",
-            "contradiction_trace", "hardy_bounds", "lemma_check", "quantum_stats",
-            "stats_from_model",
+            "contradiction_trace", "hardy_bounds", "quantum_stats", "stats_from_model",
         ),
         "protocols": (
-            "CommBlock", "CommSummary", "average_bits_identity", "detailed_balance",
+            "CommBlock", "CommSummary", "N_KEYS", "average_bits_identity", "detailed_balance",
             "marginal_shift", "simulate_game",
         ),
         "ordering": ("MocReport", "moc_demo", "moc_transition_measure"),
@@ -54,7 +56,9 @@ __all__ = ["__version__", *_EXPORTS]
 def __getattr__(name: str) -> object:
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    module = f"{__name__}.{_EXPORTS[name]}"
+    __import__(module)  # not importlib.import_module, which -X importtime does not list
+    value = getattr(sys.modules[module], name)
     globals()[name] = value  # later lookups skip this function
     return value
 

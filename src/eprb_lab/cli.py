@@ -15,8 +15,9 @@ an analytic model, which the manifest records as scheme "analytic" with no
 seed.  ``_emit`` is the only writer: the CSV first, then --log or --svg,
 then the manifest, a new or regular file renamed into place once all are
 written.  Numpy and the kernel load only once the arguments parse:
-``_load_kernel`` binds the names of the ``_KERNEL`` table here, so --version,
---help and usage errors exit before either is imported.
+``_load_kernel`` binds the names of the ``_KERNEL`` tuple here, each through
+the package's lazy export, so --version, --help and usage errors exit before
+either is imported.
 
 Exit codes: 0 success, 2 usage error (unknown model or one of the wrong
 kind, malformed angles, --grid with --mc, a seed outside [0, 2**64), outputs
@@ -60,38 +61,28 @@ if any(map(importlib.util.find_spec, ("_sha2", "_sha256"))):  # 3.12+, then 3.10
 
 from . import __version__
 
-# name -> the module ``_load_kernel`` binds it from; numpy itself is bound as np
-_KERNEL = {
-    name: module
-    for module, names in {
-        "numpy": ("np",),
-        "eprb_lab.core": (
-            "CONTEXT_LABELS", "SETTINGS", "AngleQuadruple", "GridScheme", "MonteCarloScheme",
-            "NumericalInvariantError", "Scheme", "check_seed", "default_grid_resolution",
-            "make_angle",
-        ),
-        "eprb_lab.inequalities": ("JointStats", "hardy_bounds", "quantum_stats", "stats_from_model"),
-        "eprb_lab.models": ("ModelChoice", "biased_distribution", "resolve_model"),
-        "eprb_lab.ordering": ("moc_demo",),
-        # detailed_balance: bench/tracer.py rebinds it here
-        "eprb_lab.protocols": (
-            "N_KEYS", "CommBlock", "average_bits_identity", "detailed_balance", "marginal_shift",
-            "simulate_game",
-        ),
-        "eprb_lab.transition": ("LABELS_BY_MASK", "full_report"),
-    }.items()
-    for name in names
-}
+# the names ``_load_kernel`` binds here: numpy as np, and every other name
+# through the package's lazy export, whose table records the module it is in
+# (no command reads detailed_balance: bench/tracer.py rebinds it here)
+_KERNEL = (
+    "np", "CONTEXT_LABELS", "SETTINGS", "Angle", "AngleQuadruple", "GridScheme",
+    "MonteCarloScheme", "NumericalInvariantError", "Scheme", "check_seed", "default_grid_resolution",
+    "JointStats", "hardy_bounds", "quantum_stats", "stats_from_model", "ModelChoice",
+    "biased_distribution", "resolve_model", "moc_demo", "N_KEYS", "CommBlock",
+    "average_bits_identity", "detailed_balance", "marginal_shift", "simulate_game",
+    "LABELS_BY_MASK", "full_report",
+)
 
 
 @functools.cache
 def _load_kernel() -> None:
     """Import numpy and the kernel and bind ``_KERNEL``'s names here, once.
     A name bound before (a replacement of the original) is kept."""
-    for name, module in _KERNEL.items():
-        __import__(module)  # not importlib.import_module, which -X importtime does not list
-        loaded = sys.modules[module]
-        globals().setdefault(name, loaded if name == "np" else getattr(loaded, name))
+    import numpy
+
+    package = sys.modules[__package__]
+    for name in _KERNEL:
+        globals().setdefault(name, numpy if name == "np" else getattr(package, name))
 
 
 def __getattr__(name: str) -> object:
@@ -213,7 +204,7 @@ def _resolve_quadruple(args: argparse.Namespace) -> AngleQuadruple:
             values = [float(part) for part in parts]
         except ValueError:
             raise ValueError(f"malformed angles {args.angles!r}") from None
-        return AngleQuadruple(*map(make_angle, values))  # a, a', b, b' in field order
+        return AngleQuadruple(*map(Angle, values))  # a, a', b, b' in field order
     return AngleQuadruple.chain(args.theta)
 
 
@@ -689,9 +680,9 @@ def _cmd_comm(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def _cmd_signal(args: argparse.Namespace, argv: Sequence[str]) -> int:
     choice = _resolve_model(args, "hv")
-    b_setting = make_angle(args.b_setting)
-    a1 = make_angle(args.a1)
-    a2 = make_angle(args.a2)
+    b_setting = Angle(args.b_setting)
+    a1 = Angle(args.a1)
+    a2 = Angle(args.a2)
     dist = choice.distribution if args.q is None else biased_distribution(choice.hv, args.q)
     scheme = _resolve_scheme(args, choice)
     # B's outcome at b as Alice switches a1 <-> a2: the bob@b transition set

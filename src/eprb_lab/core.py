@@ -153,11 +153,6 @@ class Angle:
         object.__setattr__(self, "radians", normalize_radians(self.radians))
 
 
-def make_angle(radians: float) -> Angle:
-    """Return the normalized :class:`Angle` for any finite radian value."""
-    return Angle(radians)
-
-
 def theta_between(x: Angle, y: Angle) -> float:
     """Signed separation between two settings, as fed to cos(theta).
 
@@ -189,10 +184,10 @@ class AngleQuadruple:
         if not math.isfinite(3.0 * theta):
             raise ValueError(f"theta must be finite, and so must 3*theta, got {theta!r}")
         return cls(
-            a=make_angle(3.0 * theta),
-            a_prime=make_angle(theta),
-            b=make_angle(2.0 * theta),
-            b_prime=make_angle(0.0),
+            a=Angle(3.0 * theta),
+            a_prime=Angle(theta),
+            b=Angle(2.0 * theta),
+            b_prime=Angle(0.0),
         )
 
     def contexts(self) -> tuple[tuple[Angle, Angle], ...]:
@@ -827,10 +822,10 @@ def probe_locality(model: HvModel, n_probes: int = 1000, seed: int = 2024) -> bo
     """
     rng = derived_stream(seed, 102, 0)
     for _ in range(n_probes):
-        a = make_angle(float(rng.random()) * TAU)
-        a_alt = make_angle(float(rng.random()) * TAU)
-        b = make_angle(float(rng.random()) * TAU)
-        b_alt = make_angle(float(rng.random()) * TAU)
+        a = Angle(float(rng.random()) * TAU)
+        a_alt = Angle(float(rng.random()) * TAU)
+        b = Angle(float(rng.random()) * TAU)
+        b_alt = Angle(float(rng.random()) * TAU)
         lam = rng.random(model.space.dimension)
         value_a, value_b = evaluate_pair(model, a, b, lam)
         block = lam.reshape(1, -1)

@@ -143,11 +143,6 @@ def chsh_correlations(stats: JointStats) -> ChshResult:
     return ChshResult(c[0], c[1], c[2], c[3], lhs1, lhs2)
 
 
-def lemma_check(stats: JointStats) -> int:
-    """Count of strictly positive entries among the eight bounds (never >1)."""
-    return sum(1 for value in hardy_bounds(stats).all_eight() if value > 0.0)
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """One deduction in the four-context cycle.

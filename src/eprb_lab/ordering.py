@@ -86,13 +86,6 @@ def moc_transition_measure(
     return estimate_measure(dist, indicator, scheme)
 
 
-def ordering_measures(
-    model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme
-) -> dict[tuple[str, str, str], MeasureEstimate]:
-    """The equilibrium measure of every ordering set, keyed as in :data:`ORDERING_SETS`."""
-    return _moc_sweep(model, quadruple, scheme)[0]
-
-
 def _moc_sweep(
     model: SequentialModel, quadruple: AngleQuadruple, scheme: Scheme
 ) -> tuple[dict[tuple[str, str, str], MeasureEstimate], core.Histogram]:

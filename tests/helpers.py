@@ -9,13 +9,25 @@ import numpy as np
 
 from eprb_lab import core
 from eprb_lab.core import GridScheme, declared_cuts
-from eprb_lab.inequalities import JointStats
+from eprb_lab.inequalities import JointStats, hardy_bounds
+from eprb_lab.ordering import _moc_sweep
 from eprb_lab.transition import LABELS_BY_MASK, TransitionSetId
 
 
 def random_joint_stats(rng: np.random.Generator) -> JointStats:
     """One uniform draw from the full statistics polytope."""
     return JointStats(tuple(float(v) for v in rng.random(4)))
+
+
+def lemma_check(stats: JointStats) -> int:
+    """Count of strictly positive entries among the eight bounds (never >1)."""
+    return sum(1 for value in hardy_bounds(stats).all_eight() if value > 0.0)
+
+
+def ordering_measures(model, quadruple, scheme):
+    """The equilibrium measure of every ordering set, keyed as in
+    ``ordering.ORDERING_SETS``: the sets of moc's one sweep."""
+    return _moc_sweep(model, quadruple, scheme)[0]
 
 
 def assignment_from_contexts(

@@ -18,18 +18,17 @@ import numpy as np
 from eprb_lab.cli import main
 from eprb_lab.core import (
     TAU,
+    Angle,
     AngleQuadruple,
     GridScheme,
     MonteCarloScheme,
     context_outcomes,
     derived_stream,
-    make_angle,
     probe_locality,
 )
 from eprb_lab.inequalities import (
     contradiction_trace,
     hardy_bounds,
-    lemma_check,
     quantum_stats,
     stats_from_model,
 )
@@ -43,7 +42,7 @@ from eprb_lab.models import (
 from eprb_lab.ordering import moc_demo
 from eprb_lab.protocols import average_bits_identity, detailed_balance, marginal_shift, simulate_game
 from eprb_lab.transition import CANONICAL_SETS, MembershipVector, classify_lambda, full_report
-from helpers import random_joint_stats
+from helpers import lemma_check, random_joint_stats
 
 SQRT2 = math.sqrt(2)
 CHAIN = AngleQuadruple.chain(math.pi / 4)
@@ -54,7 +53,7 @@ def g_shape(theta: float) -> float:
 
 
 def random_quadruple(rng) -> AngleQuadruple:
-    a, ap, b, bp = (make_angle(float(x) * TAU) for x in rng.random(4))
+    a, ap, b, bp = (Angle(float(x) * TAU) for x in rng.random(4))
     return AngleQuadruple(a=a, a_prime=ap, b=b, b_prime=bp)
 
 
@@ -184,7 +183,7 @@ def test_criterion_09_signal_locality():
     rng = derived_stream(160814, 2, 0)
     scheme = GridScheme(512)
     for _ in range(16):
-        b, a1, a2 = (make_angle(float(x) * TAU) for x in rng.random(3))
+        b, a1, a2 = (Angle(float(x) * TAU) for x in rng.random(3))
         quadruple = AngleQuadruple(a=a1, a_prime=a2, b=b, b_prime=b)
         shift, gap = marginal_shift(model, model.equilibrium, b, a1, a2, scheme)
         assert gap == detailed_balance(
@@ -193,7 +192,7 @@ def test_criterion_09_signal_locality():
         assert shift <= 1e-3 and gap <= 1e-3
     biased = biased_distribution(model, 1.0)
     shift, _ = marginal_shift(
-        model, biased, make_angle(0.0), make_angle(0.0), make_angle(math.pi / 2), GridScheme(1024)
+        model, biased, Angle(0.0), Angle(0.0), Angle(math.pi / 2), GridScheme(1024)
     )
     assert abs(shift - 0.5) <= 1e-3
     print("criterion 9: PASS - equilibrium marginals immune to remote swaps at "

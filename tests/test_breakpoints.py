@@ -21,6 +21,7 @@ from eprb_lab.core import (
     BLOCK_SIZE,
     CHUNK_SIZE,
     TAU,
+    Angle,
     AngleQuadruple,
     Distribution,
     GridScheme,
@@ -29,7 +30,6 @@ from eprb_lab.core import (
     NumericalInvariantError,
     _axis_runs,
     declared_cuts,
-    make_angle,
     uniform_distribution,
 )
 from eprb_lab.inequalities import stats_from_model
@@ -43,7 +43,6 @@ from eprb_lab.models import (
     sequential_singlet_model,
     singlet_model,
 )
-from eprb_lab.ordering import ordering_measures
 from eprb_lab.protocols import marginal_shift
 from eprb_lab.transition import (
     CANONICAL_SETS,
@@ -53,6 +52,7 @@ from eprb_lab.transition import (
     partition_measures,
     pattern_classifier,
 )
+from helpers import ordering_measures
 
 RESOLUTIONS = (1, 2, 3, 5, 64, 255, 256)
 BIASED_RTOL = 1e-15
@@ -76,14 +76,14 @@ def built_ins() -> dict[str, HvModel]:
 def random_quadruples(count: int, seed: int) -> list[AngleQuadruple]:
     rng = np.random.default_rng(seed)
     return [
-        AngleQuadruple(*(make_angle(float(x)) for x in rng.uniform(0.0, TAU, 4)))
+        AngleQuadruple(*(Angle(float(x)) for x in rng.uniform(0.0, TAU, 4)))
         for _ in range(count)
     ]
 
 
 QUADRUPLES = [AngleQuadruple.chain(math.pi / 4)] + random_quadruples(2, 11)
 # theta(a, b) = pi/2 puts the v cut at exactly 1/2, the middle midpoint of grid(3)
-HALF_PI = AngleQuadruple(make_angle(math.pi / 2), make_angle(0.3), make_angle(0.0), make_angle(1.1))
+HALF_PI = AngleQuadruple(Angle(math.pi / 2), Angle(0.3), Angle(0.0), Angle(1.1))
 
 
 def report_values(report) -> np.ndarray:

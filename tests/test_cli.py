@@ -721,6 +721,16 @@ def test_package_import_loads_no_numpy():
     assert _fresh_python(code).split() == ["False", "eprb_lab.transition"]
 
 
+def test_importtime_lists_the_module_a_library_lookup_loads():
+    # the package's lazy export imports the way cli's loader does, so
+    # -X importtime shows a library user the module a name loads
+    result = _fresh_run("-X", "importtime", "-c", "import eprb_lab; eprb_lab.full_report")
+    assert result.returncode == 0
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in result.stderr.splitlines() if line.startswith("import time:")}
+    assert {"eprb_lab", "eprb_lab.core", "eprb_lab.transition"} <= imported
+
+
 def test_cli_starts_openblas_with_one_thread():
     code = (
         "import os, eprb_lab.cli, numpy\n"

@@ -33,7 +33,6 @@ from eprb_lab.core import (
     derived_stream,
     estimate_measure,
     evaluate_pair,
-    make_angle,
     normalize_radians,
     probe_locality,
     sweep_statistics,
@@ -82,19 +81,19 @@ def test_normalize_preserves_direction(x):
 
 
 def test_angle_is_normalized_and_frozen():
-    angle = make_angle(-math.pi / 2)
+    angle = Angle(-math.pi / 2)
     assert angle.radians == pytest.approx(1.5 * math.pi)
     with pytest.raises(AttributeError):
         angle.radians = 0.0
     with pytest.raises(ValueError):
-        make_angle(math.inf)
+        Angle(math.inf)
 
 
 def test_theta_between_signed_representative():
-    assert theta_between(make_angle(0.0), make_angle(1.5 * math.pi)) == pytest.approx(
+    assert theta_between(Angle(0.0), Angle(1.5 * math.pi)) == pytest.approx(
         -1.5 * math.pi
     )
-    assert theta_between(make_angle(1.0), make_angle(0.25)) == pytest.approx(0.75)
+    assert theta_between(Angle(1.0), Angle(0.25)) == pytest.approx(0.75)
 
 
 def test_chain_quadruple_layout():
@@ -109,7 +108,7 @@ def test_chain_quadruple_layout():
 
 
 def test_contexts_walk_the_cycle():
-    quad = AngleQuadruple(*(make_angle(x) for x in (0.1, 0.2, 0.3, 0.4)))
+    quad = AngleQuadruple(*(Angle(x) for x in (0.1, 0.2, 0.3, 0.4)))
     a, a_prime, b, b_prime = quad.a, quad.a_prime, quad.b, quad.b_prime
     assert quad.contexts() == ((a, b), (a_prime, b), (a_prime, b_prime), (a, b_prime))
     assert CONTEXT_LABELS == ("ab", "a'b", "a'b'", "ab'")
@@ -441,7 +440,7 @@ def test_context_outcomes_evaluates_each_setting_pair_once(angles, n_pairs):
     model = HvModel(
         "counted", SPACE, counted("A", singlet.outcome_a), counted("B", singlet.outcome_b), UNIFORM
     )
-    quad = AngleQuadruple(*map(make_angle, angles))
+    quad = AngleQuadruple(*map(Angle, angles))
     coords = derived_stream(5, 0, 0).random((1000, 2))
     contexts = context_outcomes(model, quad, coords)
     assert len(calls) == 2 * n_pairs
@@ -456,13 +455,13 @@ def test_context_outcomes_evaluates_each_setting_pair_once(angles, n_pairs):
 def test_evaluate_pair_rejects_lambda_outside_the_cube(coordinate):
     # NaN fails every comparison, so only a check that every coordinate is inside refuses it
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
-        evaluate_pair(singlet_model(), make_angle(0), make_angle(1), (coordinate, 0.3))
+        evaluate_pair(singlet_model(), Angle(0), Angle(1), (coordinate, 0.3))
 
 
 def test_evaluate_pair_rejects_wrong_dimension():
     model = singlet_model()
     with pytest.raises(ValueError):
-        evaluate_pair(model, make_angle(0), make_angle(0), (0.1, 0.2, 0.3))
+        evaluate_pair(model, Angle(0), Angle(0), (0.1, 0.2, 0.3))
 
 
 def test_outcome_contract_enforced():
@@ -477,7 +476,7 @@ def test_outcome_contract_enforced():
         equilibrium=UNIFORM,
     )
     with pytest.raises(ValueError, match="not all"):
-        evaluate_pair(broken, make_angle(0), make_angle(0), (0.1, 0.2))
+        evaluate_pair(broken, Angle(0), Angle(0), (0.1, 0.2))
 
 
 def test_probes():

@@ -22,13 +22,12 @@ from eprb_lab.inequalities import (
     chsh_correlations,
     contradiction_trace,
     hardy_bounds,
-    lemma_check,
     quantum_stats,
     stats_from_model,
 )
 from eprb_lab.models import singlet_model
 from eprb_lab.transition import CANONICAL_SETS, MembershipVector, TransitionSetId, classify_lambda
-from helpers import assignment_from_contexts, random_joint_stats
+from helpers import assignment_from_contexts, lemma_check, random_joint_stats
 
 CHAIN = AngleQuadruple.chain(math.pi / 4)
 

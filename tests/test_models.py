@@ -12,13 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eprb_lab.core import (
+    Angle,
     AngleQuadruple,
     GridScheme,
     MonteCarloScheme,
     derived_stream,
     estimate_measure,
     evaluate_pair,
-    make_angle,
     probe_locality,
 )
 from eprb_lab.inequalities import quantum_stats, stats_from_model
@@ -59,7 +59,7 @@ def test_singlet_perfect_anticorrelation_at_zero():
 def test_singlet_perfect_correlation_at_pi():
     model = singlet_model()
     quad = AngleQuadruple(
-        a=make_angle(math.pi), a_prime=make_angle(math.pi), b=make_angle(0), b_prime=make_angle(0)
+        a=Angle(math.pi), a_prime=Angle(math.pi), b=Angle(0), b_prime=Angle(0)
     )
     stats = stats_from_model(model, model.equilibrium, quad, GridScheme(128))
     assert stats.p_plus == (1.0, 1.0, 1.0, 1.0)
@@ -155,7 +155,7 @@ def test_sequential_orders_share_statistics():
 def test_sequential_first_outcome_ignores_other_wing():
     seq = sequential_singlet_model()
     coords = derived_stream(23, 0, 0).random((100, 2))
-    own = make_angle(0.4)
+    own = Angle(0.4)
     first_a = seq.first_outcome("A", own, coords)
     first_b = seq.first_outcome("B", own, coords)
     assert np.array_equal(first_a, first_b)
@@ -343,6 +343,6 @@ def test_a_sequential_entry_runs_as_its_a_first_collapse():
         collapse = as_simultaneous(choice.sequential, "A")
         coords = rng.random((4096, choice.hv.space.dimension))
         for _ in range(20):
-            a, b = (make_angle(float(x)) for x in rng.random(2) * 2 * math.pi)
+            a, b = (Angle(float(x)) for x in rng.random(2) * 2 * math.pi)
             assert np.array_equal(choice.hv.outcome_a(a, b, coords), collapse.outcome_a(a, b, coords))
             assert np.array_equal(choice.hv.outcome_b(a, b, coords), collapse.outcome_b(a, b, coords))

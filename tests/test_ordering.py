@@ -13,12 +13,12 @@ from eprb_lab import core, ordering
 from eprb_lab.core import (
     BLOCK_SIZE,
     CONTEXTS,
+    Angle,
     AngleQuadruple,
     GridScheme,
     LambdaSpace,
     MonteCarloScheme,
     NumericalInvariantError,
-    make_angle,
     probe_locality,
     theta_between,
     uniform_distribution,
@@ -37,7 +37,6 @@ from eprb_lab.ordering import (
     MocReport,
     moc_demo,
     moc_transition_measure,
-    ordering_measures,
 )
 from eprb_lab.transition import (
     MASK_BY_PATTERN,
@@ -46,7 +45,7 @@ from eprb_lab.transition import (
     TransitionSetId,
     full_report,
 )
-from helpers import FIRST_ANSWERS
+from helpers import FIRST_ANSWERS, ordering_measures
 
 CHAIN = AngleQuadruple.chain(math.pi / 4)
 
@@ -211,7 +210,7 @@ def biased_sequential_singlet(q: float) -> SequentialModel:
 
 #: Four settings whose contexts all differ in angle, so that a context or a
 #: first answer read in the wrong place changes the induced statistics.
-SKEWED = AngleQuadruple(make_angle(0.0), make_angle(1.5), make_angle(0.4), make_angle(2.3))
+SKEWED = AngleQuadruple(Angle(0.0), Angle(1.5), Angle(0.4), Angle(2.3))
 
 
 def _assert_induced_figures(model, quadruple, scheme, tolerance, monkeypatch):

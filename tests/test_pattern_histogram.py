@@ -34,7 +34,6 @@ from eprb_lab.models import (
     resolve_model,
     sequential_singlet_model,
 )
-from eprb_lab.ordering import ordering_measures
 from eprb_lab.protocols import marginal_shift
 from eprb_lab.transition import (
     CANONICAL_SETS,
@@ -46,7 +45,7 @@ from eprb_lab.transition import (
     full_report,
     partition_measures,
 )
-from helpers import CHUNK_SIZES, reference_statistics
+from helpers import CHUNK_SIZES, ordering_measures, reference_statistics
 
 QUADRUPLE = AngleQuadruple.chain(0.7)
 TWO_BLOCKS = BLOCK_SIZE + 137

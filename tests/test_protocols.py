@@ -12,6 +12,7 @@ import pytest
 from eprb_lab.core import (
     BLOCK_SIZE,
     CHUNK_SIZE,
+    Angle,
     AngleQuadruple,
     Distribution,
     GridScheme,
@@ -22,7 +23,6 @@ from eprb_lab.core import (
     context_outcomes,
     estimate_measure,
     evaluate_pair,
-    make_angle,
     uniform_distribution,
 )
 from eprb_lab.inequalities import quantum_stats
@@ -229,7 +229,7 @@ def _scrambled_model():
 @pytest.mark.parametrize("model", [singlet_model(), _scrambled_model()], ids=lambda m: m.name)
 def test_key_tables_agree_with_context_outcomes(model):
     rng = np.random.default_rng(17)
-    quadruple = AngleQuadruple(*(make_angle(x) for x in rng.uniform(0, 2 * math.pi, 4)))
+    quadruple = AngleQuadruple(*(Angle(x) for x in rng.uniform(0, 2 * math.pi, 4)))
     lam = rng.random((50_000, 2))
     alice, bob = rng.integers(0, 2, (2, len(lam)))
     contexts = context_outcomes(model, quadruple, lam)
@@ -320,9 +320,9 @@ def test_average_bits_identity_rejects_doctored_report():
 
 
 def signal_setup():
-    b = make_angle(0.0)
-    a1 = make_angle(0.0)
-    a2 = make_angle(math.pi / 2)
+    b = Angle(0.0)
+    a1 = Angle(0.0)
+    a2 = Angle(math.pi / 2)
     return b, a1, a2, AngleQuadruple(a=a1, a_prime=a2, b=b, b_prime=b)
 
 
@@ -379,9 +379,9 @@ def reference_marginal_shift(model, dist, b, a1, a2, scheme):
 def test_marginal_shift_matches_two_sweep_reference(q, scheme):
     model = singlet_model()
     dist = model.equilibrium if q is None else biased_distribution(model, q)
-    b = make_angle(0.3)
+    b = Angle(0.3)
     for a1, a2 in ((0.0, math.pi / 2), (1.1, 2.9), (0.4, 0.4)):
-        args = (model, dist, b, make_angle(a1), make_angle(a2), scheme)
+        args = (model, dist, b, Angle(a1), Angle(a2), scheme)
         shift, _ = marginal_shift(*args)
         if q is None:
             # uniform density: every bin total is an exact count
@@ -399,8 +399,8 @@ def test_signal_gap_matches_three_bin_reference(q, scheme):
     # the three-bin reference, summed over the same points in the same order
     model = singlet_model()
     dist = model.equilibrium if q is None else biased_distribution(model, q)
-    b = make_angle(0.3)
-    for a1, a2 in ((make_angle(0.0), make_angle(math.pi / 2)), (make_angle(1.1), make_angle(2.9))):
+    b = Angle(0.3)
+    for a1, a2 in ((Angle(0.0), Angle(math.pi / 2)), (Angle(1.1), Angle(2.9))):
         quadruple = AngleQuadruple(a=a1, a_prime=a2, b=b, b_prime=b)
         _, gap = marginal_shift(model, dist, b, a1, a2, scheme)
         plus_minus, minus_plus = reference_partition_measures(
@@ -417,9 +417,9 @@ def test_marginal_shift_is_a_view_of_the_report(q, scheme):
     # contexts and the gap off its bob@b partitions, the set's detailed balance
     model = singlet_model()
     dist = model.equilibrium if q is None else biased_distribution(model, q)
-    b = make_angle(0.3)
+    b = Angle(0.3)
     wing, pre, post = SET_LINKS[TransitionSetId.BOB_AT_B]
-    for a1, a2 in ((make_angle(0.0), make_angle(math.pi / 2)), (make_angle(1.1), make_angle(2.9))):
+    for a1, a2 in ((Angle(0.0), Angle(math.pi / 2)), (Angle(1.1), Angle(2.9))):
         quadruple = AngleQuadruple(a=a1, a_prime=a2, b=b, b_prime=b)
         up = full_report(model, dist, quadruple, scheme).marginals
         shift, gap = marginal_shift(model, dist, b, a1, a2, scheme)
@@ -432,6 +432,6 @@ def test_shift_and_gap_are_summed_over_different_bins():
     # stands in for the other
     model = singlet_model()
     dist = biased_distribution(model, 0.7)
-    angles = (make_angle(1.1), make_angle(0.3), make_angle(2.2))
+    angles = (Angle(1.1), Angle(0.3), Angle(2.2))
     shift, gap = marginal_shift(model, dist, *angles, MonteCarloScheme(1_100_000, seed=5))
     assert (shift, gap) == (0.04842545454545455, 0.048425454545454535)

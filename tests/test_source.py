@@ -142,6 +142,20 @@ def test_cli_binds_every_kernel_name_it_reads():
     assert rebound <= kernel | bound
 
 
+def test_cli_binds_its_kernel_through_the_package_exports():
+    # the package's export table is the one record of the module a name is
+    # in: cli's kernel names are its keys (numpy aside), and cli names no
+    # package module, neither as a string nor in a from-import
+    assert isinstance(cli._KERNEL, tuple)
+    assert set(cli._KERNEL) - {"np"} <= set(eprb_lab._EXPORTS)
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    named = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and str(node.value).startswith("eprb_lab.")]
+    named += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level and node.module]
+    assert named == []
+
+
 def test_cli_reads_no_private_argparse_name():
     # cli's subcommand table, not argparse's private parser internals
     # (_actions, _SubParsersAction and the like), gives each subcommand's
@@ -223,9 +237,7 @@ def test_exports_that_no_package_code_uses():
         "contradiction_trace",
         "detailed_balance",
         "induce_noncontextual",
-        "lemma_check",
         "moc_transition_measure",
-        "ordering_measures",
         "probe_locality",
     ]
 

@@ -14,15 +14,14 @@ from eprb_lab.core import (
     BLOCK_SIZE,
     CONTEXTS,
     TAU,
+    Angle,
     AngleQuadruple,
     GridScheme,
     MonteCarloScheme,
     derived_stream,
-    make_angle,
     theta_between,
 )
 from eprb_lab.models import local_coin_model, resolve_model, singlet_model
-from eprb_lab.ordering import ordering_measures
 from eprb_lab.protocols import marginal_shift, simulate_game
 from eprb_lab.transition import (
     ALL_REGION_LABELS,
@@ -44,6 +43,7 @@ from helpers import (
     CYCLE_TABLE_DIGESTS,
     FIRST_ANSWERS,
     ORDERING_SETS,
+    ordering_measures,
     table_digest,
 )
 
@@ -52,7 +52,7 @@ GRID = GridScheme(1024)
 
 
 def random_quadruple(rng) -> AngleQuadruple:
-    angles = [make_angle(float(x) * TAU) for x in rng.random(4)]
+    angles = [Angle(float(x) * TAU) for x in rng.random(4)]
     return AngleQuadruple(a=angles[0], a_prime=angles[1], b=angles[2], b_prime=angles[3])
 
 
