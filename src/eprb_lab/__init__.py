@@ -30,8 +30,8 @@ _EXPORTS = {
             "uniform_distribution",
         ),
         "models": (
-            "ModelChoice", "as_simultaneous", "biased_distribution", "induce_noncontextual",
-            "local_coin_model", "resolve_model", "sequential_singlet_model", "singlet_model",
+            "ModelChoice", "as_simultaneous", "biased_distribution", "local_coin_model",
+            "resolve_model", "sequential_singlet_model", "singlet_model",
         ),
         "transition": (
             "LABELS_BY_MASK", "MembershipVector", "TransitionReport", "TransitionSetId",

@@ -105,7 +105,8 @@ _DEFAULT_RUNS = 1_000_000
 
 
 def _read_config(path: str, known: set[str]) -> dict[str, str]:
-    """Parse a key-value file: one `name = value` per line, `#` comments.
+    """Parse a key-value file: one `name = value` per line, and `#` comments,
+    each from a `#` that starts the line or follows whitespace.
 
     Every key must be one of ``known``, the subcommand's flag names.
     """
@@ -115,7 +116,9 @@ def _read_config(path: str, known: set[str]) -> dict[str, str]:
         raise ValueError(f"{path}: the config file is not valid UTF-8: {exc}") from None
     table: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        cut = next((i for i, char in enumerate(raw)
+                    if char == "#" and (i == 0 or raw[i - 1].isspace())), len(raw))
+        line = raw[:cut].strip()
         if not line:
             continue
         if "=" not in line:

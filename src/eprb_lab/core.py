@@ -572,12 +572,11 @@ ClassifierFn = Callable[[np.ndarray], np.ndarray]
 
 
 class Histogram:
-    """Per-bin totals of one sweep, the rows of ``totals``: ``sums`` of the
-    density and, for Monte Carlo, ``squares`` of it; every statistic is a view."""
+    """Per-bin totals of one sweep, the two rows of ``totals``: sums of the
+    density and, for Monte Carlo, sums of its square; every statistic is a view."""
 
     def __init__(self, totals: np.ndarray, scheme: Scheme, dimension: int):
         self.totals, self.scheme, self.dimension = totals, scheme, dimension
-        self.sums, self.squares = totals
 
     def measure(self, bins: np.ndarray) -> MeasureEstimate:
         """The measure of the union of the bins that the boolean mask ``bins``
@@ -754,7 +753,8 @@ IndicatorFn = Callable[[np.ndarray], np.ndarray]
 
 
 def estimate_measure(dist: Distribution, indicator: IndicatorFn, scheme: Scheme) -> MeasureEstimate:
-    """Measure of ``{lambda : indicator(lambda)}`` under ``dist``: bin 1 of two."""
+    """Measure of ``{lambda : indicator(lambda)}`` under ``dist``: bin 1 of two.
+    No command runs it; its one caller is :func:`ordering.moc_transition_measure`."""
 
     def masks_fn(coords: np.ndarray) -> np.ndarray:
         return np.asarray(indicator(coords), dtype=bool).astype(np.uint8)

@@ -90,13 +90,6 @@ class HardyBounds:
     def bell_lhs(self) -> float:
         return self.x + self.y + abs(self.x - self.y)
 
-    def all_eight(self) -> tuple[float, ...]:
-        return self.alpha + self.beta
-
-    @property
-    def violated(self) -> bool:
-        return self.unified > 0.0
-
 
 def hardy_bounds(stats: JointStats) -> HardyBounds:
     """Evaluate the eight pattern bounds and the unified inequality."""

@@ -166,17 +166,18 @@ def sequential_singlet_model() -> SequentialModel:
     )
 
 
-def _ordered(model: SequentialModel, first_wing: str | None, name: str) -> HvModel:
-    """``model`` answering under one measurement order.
+def as_simultaneous(model: SequentialModel, first_wing: str = "A") -> HvModel:
+    """Collapse a sequential model into an ordinary one at a fixed order.
 
-    The wing named ``first_wing`` answers with ``first_outcome``; the other
-    wing answers with ``second_outcome``, after the first wing's answer at
-    its own setting.  With no first wing (None) each wing answers with
-    ``first_outcome``.
+    The wing named ``first_wing`` is measured first in every run and answers
+    with ``first_outcome``; the other wing answers with ``second_outcome``,
+    after the first wing's answer at its own setting, so it may depend on
+    both settings, and :func:`core.probe_locality` measures whether it does.
     """
+    check_wing(first_wing)
 
     def answer(wing: str, own: Angle, other: Angle, coords: np.ndarray) -> np.ndarray:
-        if first_wing is None or wing == first_wing:
+        if wing == first_wing:
             return model.first_outcome(wing, own, coords)
         first = model.first(first_wing, other, coords)
         return model.second_outcome(wing, own, other, first, coords)
@@ -188,33 +189,13 @@ def _ordered(model: SequentialModel, first_wing: str | None, name: str) -> HvMod
         return answer("B", b, a, coords)
 
     return HvModel(
-        name=name,
+        name=f"{model.name}[{first_wing} first]",
         space=model.space,
         outcome_a=outcome_a,
         outcome_b=outcome_b,
         equilibrium=model.equilibrium,
         breakpoints=model.breakpoints,
     )
-
-
-def as_simultaneous(model: SequentialModel, first_wing: str = "A") -> HvModel:
-    """Collapse a sequential model into an ordinary one at a fixed order.
-
-    The wing named ``first_wing`` is measured first in every run; the other
-    wing's outcome function may then depend on both settings, and
-    :func:`core.probe_locality` measures whether it does.
-    """
-    return _ordered(model, check_wing(first_wing), f"{model.name}[{first_wing} first]")
-
-
-def induce_noncontextual(model: SequentialModel) -> HvModel:
-    """The simultaneous model forced by ordering non-contextuality.
-
-    If order never matters, each wing's outcome is its first-measurement
-    outcome, whose signature has no access to the companion's setting; the
-    result is local by construction.
-    """
-    return _ordered(model, None, f"{model.name}+order-free")
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,9 @@ def moc_transition_measure(
     scheme: Scheme,
 ) -> MeasureEstimate:
     """Measure of the lambdas where measuring first vs second changes the
-    wing's outcome at ``own``, with the companion wing set to ``other``."""
+    wing's outcome at ``own``, with the companion wing set to ``other``.
+    No command runs it: it is the tests' full-grid reference for one
+    ordering set (it classifies every midpoint), and bench/tracer.py binds it."""
     check_wing(wing)
 
     def indicator(coords: np.ndarray) -> np.ndarray:

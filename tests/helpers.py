@@ -8,7 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from eprb_lab import core
-from eprb_lab.core import GridScheme, declared_cuts
+from eprb_lab.core import GridScheme, HvModel, declared_cuts
 from eprb_lab.inequalities import JointStats, hardy_bounds
 from eprb_lab.ordering import _moc_sweep
 from eprb_lab.transition import LABELS_BY_MASK, TransitionSetId
@@ -21,13 +21,32 @@ def random_joint_stats(rng: np.random.Generator) -> JointStats:
 
 def lemma_check(stats: JointStats) -> int:
     """Count of strictly positive entries among the eight bounds (never >1)."""
-    return sum(1 for value in hardy_bounds(stats).all_eight() if value > 0.0)
+    bounds = hardy_bounds(stats)
+    return sum(1 for value in bounds.alpha + bounds.beta if value > 0.0)
 
 
 def ordering_measures(model, quadruple, scheme):
     """The equilibrium measure of every ordering set, keyed as in
     ``ordering.ORDERING_SETS``: the sets of moc's one sweep."""
     return _moc_sweep(model, quadruple, scheme)[0]
+
+
+def induce_noncontextual(model):
+    """The simultaneous model forced by ordering non-contextuality.
+
+    If order never matters, each wing answers with its first-measurement
+    outcome at its own setting, whose signature has no access to the
+    companion's setting, so the result is local by construction.  Written
+    apart from ``models.as_simultaneous``, as the reference for moc's
+    order-free view."""
+    return HvModel(
+        name=f"{model.name}+order-free",
+        space=model.space,
+        outcome_a=lambda a, b, coords: model.first("A", a, coords),
+        outcome_b=lambda a, b, coords: model.first("B", b, coords),
+        equilibrium=model.equilibrium,
+        breakpoints=model.breakpoints,
+    )
 
 
 def assignment_from_contexts(
@@ -134,14 +153,15 @@ def reference_statistics(histogram, selection):
         return np.where(selection, totals, 0.0).sum(axis=1)
 
     scheme = histogram.scheme
+    sums, squares = histogram.totals
     if isinstance(scheme, GridScheme):
-        values = selected(histogram.sums) / float(scheme.resolution) ** histogram.dimension
+        values = selected(sums) / float(scheme.resolution) ** histogram.dimension
         values = np.where((values > 1.0) & (values <= 1.0 + 1e-9), 1.0, values)
         return values, np.zeros(len(values), dtype=np.float64)
     n = scheme.n
-    values = selected(histogram.sums) / n
+    values = selected(sums) / n
     if n > 1:
-        variances = np.maximum(selected(histogram.squares) - n * values * values, 0.0) / (n - 1)
+        variances = np.maximum(selected(squares) - n * values * values, 0.0) / (n - 1)
         std_errors = np.sqrt(variances / n)
     else:
         std_errors = np.zeros(len(values), dtype=np.float64)

@@ -34,7 +34,6 @@ from eprb_lab.inequalities import (
 )
 from eprb_lab.models import (
     biased_distribution,
-    induce_noncontextual,
     local_coin_model,
     sequential_singlet_model,
     singlet_model,
@@ -42,7 +41,7 @@ from eprb_lab.models import (
 from eprb_lab.ordering import moc_demo
 from eprb_lab.protocols import average_bits_identity, detailed_balance, marginal_shift, simulate_game
 from eprb_lab.transition import CANONICAL_SETS, MembershipVector, classify_lambda, full_report
-from helpers import lemma_check, random_joint_stats
+from helpers import induce_noncontextual, lemma_check, random_joint_stats
 
 SQRT2 = math.sqrt(2)
 CHAIN = AngleQuadruple.chain(math.pi / 4)
@@ -108,7 +107,7 @@ def test_criterion_04_unified_equals_best_bound():
     rng = np.random.default_rng(20260814)
     for _ in range(100_000):
         bounds = hardy_bounds(random_joint_stats(rng))
-        assert abs(bounds.unified - max(0.0, max(bounds.all_eight()))) <= 1e-12
+        assert abs(bounds.unified - max(0.0, max(bounds.alpha + bounds.beta))) <= 1e-12
     print("criterion 4: PASS - unified bound equals max(0, eight bounds) "
           "within 1e-12 on 1e5 random statistics")
 

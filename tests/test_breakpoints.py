@@ -38,7 +38,6 @@ from eprb_lab.models import (
     anticorrelation_threshold,
     as_simultaneous,
     biased_distribution,
-    induce_noncontextual,
     local_coin_model,
     sequential_singlet_model,
     singlet_model,
@@ -52,7 +51,7 @@ from eprb_lab.transition import (
     partition_measures,
     pattern_classifier,
 )
-from helpers import ordering_measures
+from helpers import induce_noncontextual, ordering_measures
 
 RESOLUTIONS = (1, 2, 3, 5, 64, 255, 256)
 BIASED_RTOL = 1e-15

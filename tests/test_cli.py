@@ -1168,6 +1168,26 @@ def test_config_supplies_defaults(tmp_path, capsys):
     assert float(table["sigma_minus"]["value"]) == 0.0
 
 
+def test_config_value_may_hold_a_hash(tmp_path, monkeypatch, capsys):
+    # a '#' starts a comment only at the start of a line or after whitespace,
+    # so a config's out = run#1.csv writes what --out run#1.csv writes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "hash.conf").write_text(
+        "# outputs\n  # indented\nout = run#1.csv  # note\ngrid = 64\t# tab\n"
+    )
+    assert run_cli(["stats", "--model", "local-coin", "--config", "hash.conf"], capsys)[0] == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "hash.conf", "run#1.csv", "run#1.csv.manifest.json",
+    ]
+    manifest = json.loads((tmp_path / "run#1.csv.manifest.json").read_text())
+    assert {"--grid=64", "--out=run#1.csv"} <= set(manifest["command_line"])
+    (tmp_path / "flag").mkdir()
+    monkeypatch.chdir(tmp_path / "flag")
+    argv = ["stats", "--model", "local-coin", "--grid", "64", "--out", "run#1.csv"]
+    assert run_cli(argv, capsys)[0] == 0
+    assert (tmp_path / "flag" / "run#1.csv").read_bytes() == (tmp_path / "run#1.csv").read_bytes()
+
+
 def test_flags_override_config(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text("model = local-coin\ngrid = 64\n")

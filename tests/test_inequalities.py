@@ -66,7 +66,7 @@ def test_chain_quarter_pi_oracle():
     assert bounds.bell_lhs == 2.82842712474619
     assert abs(bounds.unified - (math.sqrt(2) - 1)) < 1e-12
     assert abs(bounds.bell_lhs - 2 * math.sqrt(2)) < 1e-12
-    assert bounds.violated
+    assert bounds.unified > 0.0
     # the only positive pattern is beta_1, and it carries the whole bound
     assert bounds.beta[0] == bounds.unified
     assert lemma_check(quantum_stats(CHAIN)) == 1
@@ -90,9 +90,9 @@ def test_unified_curve_mirrored():
 
 def test_all_half_stats():
     bounds = hardy_bounds(JointStats((0.5, 0.5, 0.5, 0.5)))
-    assert bounds.all_eight() == (-1.0,) * 8
+    assert bounds.alpha + bounds.beta == (-1.0,) * 8
     assert bounds.unified == 0.0 and bounds.bell_lhs == 0.0
-    assert not bounds.violated
+    assert not bounds.unified > 0.0
 
 
 def test_validate_rejects_bad_stats():
@@ -145,14 +145,14 @@ def test_unified_equals_best_pattern(stats):
     bounds = hardy_bounds(stats)
     assert bounds.x - 1 == pytest.approx(max(bounds.alpha[:2] + bounds.beta[:2]), abs=1e-12)
     assert bounds.y - 1 == pytest.approx(max(bounds.alpha[2:] + bounds.beta[2:]), abs=1e-12)
-    assert bounds.unified == pytest.approx(max(0.0, max(bounds.all_eight())), abs=1e-12)
+    assert bounds.unified == pytest.approx(max(0.0, max(bounds.alpha + bounds.beta)), abs=1e-12)
 
 
 @settings(max_examples=300)
 @given(stats_strategy)
 def test_bell_excess_is_twice_unified(stats):
     bounds = hardy_bounds(stats)
-    if bounds.violated:
+    if bounds.unified > 0.0:
         assert bounds.bell_lhs - 2.0 == pytest.approx(2.0 * bounds.unified, abs=1e-12)
     else:
         assert bounds.bell_lhs <= 2.0 + 1e-12

@@ -27,7 +27,6 @@ from eprb_lab.inequalities import hardy_bounds, stats_from_model
 from eprb_lab.models import (
     SequentialModel,
     biased_distribution,
-    induce_noncontextual,
     sequential_singlet_model,
     singlet_model,
 )
@@ -45,7 +44,7 @@ from eprb_lab.transition import (
     TransitionSetId,
     full_report,
 )
-from helpers import FIRST_ANSWERS, ordering_measures
+from helpers import FIRST_ANSWERS, induce_noncontextual, ordering_measures
 
 CHAIN = AngleQuadruple.chain(math.pi / 4)
 

@@ -236,10 +236,43 @@ def test_exports_that_no_package_code_uses():
         "classify_lambda",
         "contradiction_trace",
         "detailed_balance",
-        "induce_noncontextual",
         "moc_transition_measure",
         "probe_locality",
     ]
+
+
+def test_class_members_that_no_package_code_reads():
+    # a method, property or __init__ attribute of a package class that no
+    # package code reads (as an attribute, or as a string constant that
+    # getattr could take) is surface that only tests reach; each one left
+    # is listed with its ROADMAP fate, so a new one must be added here
+    members, read = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if not item.name.startswith("__"):
+                        members.add(f"{node.name}.{item.name}")
+                    elif item.name == "__init__":
+                        members |= {
+                            f"{node.name}.{target.attr}"
+                            for target in ast.walk(item)
+                            if isinstance(target, ast.Attribute)
+                            and isinstance(target.ctx, ast.Store)
+                            and getattr(target.value, "id", None) == "self"
+                        }
+    fates = {
+        "ContradictionTrace.escape_options": "caller: item 10",
+        "ContradictionTrace.render": "caller: item 10",
+        "MembershipVector.parity_consistent": "caller: item 10",
+    }
+    assert sorted(m for m in members if m.split(".")[1] not in read) == sorted(fates)
 
 
 def test_only_core_reads_the_monte_carlo_plan():
@@ -258,8 +291,9 @@ def test_only_core_reads_the_monte_carlo_plan():
 
 def test_one_order_rule_calls_a_sequential_model():
     # how a sequential model answers under an order is written once, in
-    # models._ordered; every other first or second answer, the moc sweep's
-    # included, is asked through the checked SequentialModel.first/.second
+    # models.as_simultaneous; every other first or second answer, the moc
+    # sweep's included, is asked through the checked SequentialModel.first
+    # and .second
     callers = set()
     for path in SOURCES:
         for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
@@ -271,7 +305,7 @@ def test_one_order_rule_calls_a_sequential_model():
     assert sorted(callers) == [
         "core.SequentialModel.first",
         "core.SequentialModel.second",
-        "models._ordered.answer",
+        "models.as_simultaneous.answer",
     ]
 
 
