@@ -339,10 +339,14 @@ def _emit(
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
+def _svg_text(text: str) -> str:
+    """``text`` as SVG character data: ``html.escape(text, quote=False)``,
+    without importing ``html`` for three replacements."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_line_plot(title: str, series: Sequence[tuple[str, list[tuple[float, float]]]]) -> str:
     """A self-contained line plot: axes, ticks, legend, one polyline per series."""
-    import html  # only ``--svg`` needs it
-
     width, height = 720.0, 480.0
     left, right, top, bottom = 64.0, 16.0, 28.0, 44.0
     points = [(x, y) for _, pts in series for x, y in pts]
@@ -369,7 +373,7 @@ def _svg_line_plot(title: str, series: Sequence[tuple[str, list[tuple[float, flo
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{html.escape(title, quote=False)}</text>',
+        f'font-family="sans-serif" font-size="13">{_svg_text(title)}</text>',
         f'<line x1="{left:.1f}" y1="{py(y_min):.1f}" x2="{left:.1f}" y2="{py(y_max):.1f}" '
         'stroke="black" stroke-width="1"/>',
         f'<line x1="{left:.1f}" y1="{py(y_min):.1f}" x2="{width - right:.1f}" '
@@ -408,7 +412,7 @@ def _svg_line_plot(title: str, series: Sequence[tuple[str, list[tuple[float, flo
         )
         parts.append(
             f'<text x="{width - right - 120:.1f}" y="{legend_y + 4:.1f}" '
-            f'font-family="sans-serif" font-size="11">{html.escape(label, quote=False)}</text>'
+            f'font-family="sans-serif" font-size="11">{_svg_text(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -504,9 +508,12 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
     )
 
 
-# Rows per piece of the run log.  A piece of a 2-D model's log is a 0.3 MB
-# buffer of 68-byte rows, and a few copies of it are alive while it is written.
-_LOG_PIECE_ROWS = 4096
+# Rows per piece of the run log.  A few copies of a piece are alive while it
+# is written (the word array, its bytes, those bytes without NULs, the text
+# and the text layer's encoding).  A piece of a 2-D model's 68-byte padded
+# rows is 68 KiB, and of a 4-D model's 108 KiB, so each copy is under
+# glibc's default 128 KiB mmap threshold.
+_LOG_PIECE_ROWS = 1024
 
 # The ``,%.12g`` text of one lambda, at most 20 bytes, fills a slot of five
 # 4-byte words; the bytes it leaves are NUL.  A proven slot is the comma and

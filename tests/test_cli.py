@@ -277,28 +277,46 @@ def test_log_lambdas_are_exactly_percent_12g(dimension, lambda_cases):
         assert fields[stride + 1 + axis :: stride] == texts[axis : rows * dimension : dimension]
 
 
-def test_log_memory_is_one_piece():
-    rng = np.random.default_rng(3)
-    chunks = [
-        CommBlock(start=lo, lam=rng.random((CHUNK_SIZE, 2)), key=rng.integers(0, N_KEYS, CHUNK_SIZE))
+def _log_chunks(dimension: int, seed: int) -> list[CommBlock]:
+    """Three game chunks of random runs, as the game's stream yields them."""
+    rng = np.random.default_rng(seed)
+    return [
+        CommBlock(
+            start=lo, lam=rng.random((CHUNK_SIZE, dimension)), key=rng.integers(0, N_KEYS, CHUNK_SIZE)
+        )
         for lo in range(0, 3 * CHUNK_SIZE, CHUNK_SIZE)
     ]
 
-    def peak(blocks):
-        tracemalloc.start()
-        try:
-            with open(os.devnull, "w", encoding="utf-8") as sink:
-                _write_log(sink, 2, blocks)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
+def _log_peak(dimension: int, blocks: list[CommBlock]) -> int:
+    """The traced peak of writing ``blocks``' log to the null device."""
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            _write_log(sink, dimension, blocks)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_log_memory_is_one_piece():
+    chunks = _log_chunks(2, 3)
     # the rows are built and written a piece at a time: a few copies of one
     # piece's 68-byte rows, whatever the length of the stream
-    peak([CommBlock(start=0, lam=chunks[0].lam[:1], key=chunks[0].key[:1])])  # builds the tables
-    one, three = peak(chunks[:1]), peak(chunks)
+    _log_peak(2, [CommBlock(start=0, lam=chunks[0].lam[:1], key=chunks[0].key[:1])])  # the tables
+    one, three = _log_peak(2, chunks[:1]), _log_peak(2, chunks)
     assert one < 4 * 68 * _LOG_PIECE_ROWS
     assert three <= 1.5 * one
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_log_pieces_are_small(dimension):
+    # a piece of padded rows is at most 108 KiB up to d = 4, under glibc's
+    # 128 KiB mmap threshold, and the few copies of one alive at a time stay
+    # under 256 KiB
+    chunks = _log_chunks(dimension, dimension)
+    _log_peak(dimension, [CommBlock(start=0, lam=chunks[0].lam[:1], key=chunks[0].key[:1])])
+    assert _log_peak(dimension, chunks) < 256 << 10
 
 
 def test_sweep_memory_does_not_grow_with_steps(monkeypatch):
@@ -649,7 +667,7 @@ def _imports_of(argv: list[str], code: int) -> set[str]:
 def test_version_skips_heavy_imports():
     # parsing alone needs argparse, not numpy or the six kernel modules;
     # xml.sax pulls in urllib.request, http.client and ssl, numpy.random is
-    # only needed once a command samples, and html once it draws an SVG
+    # only needed once a command samples, and no command needs html
     heavy = _NUMPY_AND_KERNEL | {"xml.sax", "urllib.request", "numpy.random", "html"}
     helps = [([name, "--help"], 0) for name in _SUBCOMMANDS]
     for argv, code in ((["--version"], 0), (["--help"], 0), *helps, (["stats", "--bogus"], 2)):
@@ -664,11 +682,22 @@ def test_importtime_lists_the_kernel_a_command_loads():
     assert _NUMPY_AND_KERNEL <= _imports_of(["stats", "--model", "quantum"], 0)
 
 
-def test_only_svg_loads_html(tmp_path):
-    # html escapes the plot's title and legend, so a command that loads the
-    # kernel but draws no SVG leaves it unloaded; its control draws one
-    assert "html" not in _imports_of(["stats", "--model", "quantum"], 0)
-    assert "html" in _imports_of(["sweep", "--steps", "3", "--svg", str(tmp_path / "plot.svg")], 0)
+def test_sweep_svg_imports_no_html(tmp_path):
+    # the plot escapes its title and legend itself, so even the one command
+    # that draws loads no html (the test above is the control: -X importtime
+    # lists what a command imports)
+    svg = tmp_path / "plot.svg"
+    assert "html" not in _imports_of(["sweep", "--steps", "3", "--svg", str(svg)], 0)
+    assert svg.read_text(encoding="utf-8").startswith("<svg ")
+
+
+@pytest.mark.parametrize(
+    "text", ["", "plain", "a & b", "<tag>", "x > y < z", "&amp;", "it's \"quoted\"", "σ₋ ≤ ½ & λ∈[0,1)"]
+)
+def test_svg_text_escapes_as_html_does(text):
+    import html
+
+    assert cli._svg_text(text) == html.escape(text, quote=False)
 
 
 @pytest.mark.parametrize(
