@@ -15,9 +15,9 @@ an analytic model, which the manifest records as scheme "analytic" with no
 seed.  ``_emit`` is the only writer: the CSV first, then --log or --svg,
 then the manifest, a new or regular file renamed into place once all are
 written.  Numpy and the kernel load only once the arguments parse:
-``_load_kernel`` binds the names of the ``_KERNEL`` tuple here, each through
-the package's lazy export, so --version, --help and usage errors exit before
-either is imported.
+``_load_kernel`` binds numpy as np and every name in the package's
+``__all__`` here, each through the package's lazy export, so --version,
+--help and usage errors exit before either is imported.
 
 Exit codes: 0 success, 2 usage error (unknown model or one of the wrong
 kind, malformed angles, --grid with --mc, a seed outside [0, 2**64), outputs
@@ -61,32 +61,21 @@ if any(map(importlib.util.find_spec, ("_sha2", "_sha256"))):  # 3.12+, then 3.10
 
 from . import __version__
 
-# the names ``_load_kernel`` binds here: numpy as np, and every other name
-# through the package's lazy export, whose table records the module it is in
-# (no command reads detailed_balance: bench/tracer.py rebinds it here)
-_KERNEL = (
-    "np", "CONTEXT_LABELS", "SETTINGS", "Angle", "AngleQuadruple", "GridScheme",
-    "MonteCarloScheme", "NumericalInvariantError", "Scheme", "check_seed", "default_grid_resolution",
-    "JointStats", "hardy_bounds", "quantum_stats", "stats_from_model", "ModelChoice",
-    "biased_distribution", "resolve_model", "moc_demo", "N_KEYS", "CommBlock",
-    "average_bits_identity", "detailed_balance", "marginal_shift", "simulate_game",
-    "LABELS_BY_MASK", "full_report",
-)
-
-
 @functools.cache
 def _load_kernel() -> None:
-    """Import numpy and the kernel and bind ``_KERNEL``'s names here, once.
-    A name bound before (a replacement of the original) is kept."""
+    """Import numpy and the kernel and bind here, once, numpy as np and every
+    name the package exports, each through its lazy export.  A name bound
+    before (a replacement of the original) is kept."""
     import numpy
 
     package = sys.modules[__package__]
-    for name in _KERNEL:
-        globals().setdefault(name, numpy if name == "np" else getattr(package, name))
+    globals().setdefault("np", numpy)
+    for name in package.__all__:
+        globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name: str) -> object:
-    if name not in _KERNEL:
+    if name != "np" and name not in sys.modules[__package__].__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load_kernel()
     return globals()[name]

@@ -649,8 +649,8 @@ def test_python_dash_m_runs_the_cli():
     assert result.stdout.strip() == f"eprb-lab {__version__}"
 
 
-_NUMPY_AND_KERNEL = {"numpy", *(f"eprb_lab.{name}" for name in
-                                ("core", "models", "transition", "inequalities", "protocols", "ordering"))}
+_NUMPY_AND_PACKAGE_MODULES = {"numpy", *(f"eprb_lab.{name}" for name in (
+    "core", "models", "transition", "inequalities", "protocols", "ordering"))}
 
 
 def _imports_of(argv: list[str], code: int) -> set[str]:
@@ -668,7 +668,7 @@ def test_version_skips_heavy_imports():
     # parsing alone needs argparse, not numpy or the six kernel modules;
     # xml.sax pulls in urllib.request, http.client and ssl, numpy.random is
     # only needed once a command samples, and no command needs html
-    heavy = _NUMPY_AND_KERNEL | {"xml.sax", "urllib.request", "numpy.random", "html"}
+    heavy = _NUMPY_AND_PACKAGE_MODULES | {"xml.sax", "urllib.request", "numpy.random", "html"}
     helps = [([name, "--help"], 0) for name in _SUBCOMMANDS]
     for argv, code in ((["--version"], 0), (["--help"], 0), *helps, (["stats", "--bogus"], 2)):
         imported = _imports_of(argv, code)
@@ -679,7 +679,7 @@ def test_version_skips_heavy_imports():
 def test_importtime_lists_the_kernel_a_command_loads():
     # the control of the test above: the loader's imports are ones that
     # -X importtime lists, so their absence there means they did not run
-    assert _NUMPY_AND_KERNEL <= _imports_of(["stats", "--model", "quantum"], 0)
+    assert _NUMPY_AND_PACKAGE_MODULES <= _imports_of(["stats", "--model", "quantum"], 0)
 
 
 def test_sweep_svg_imports_no_html(tmp_path):

@@ -116,10 +116,9 @@ def test_no_module_reads_another_modules_private_name():
 
 
 def test_cli_binds_every_kernel_name_it_reads():
-    # cli imports numpy and the kernel once its arguments parse, binding the
-    # names of its _KERNEL table; a name it reads that is bound nowhere would
-    # fail only on the path that reads it, and an entry that nothing reads
-    # and the tracer does not rebind is a dead import
+    # cli imports numpy and the kernel once its arguments parse, binding numpy
+    # as np and every name the package exports; a name it reads that is bound
+    # nowhere would fail only on the path that reads it
     text = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     top = symtable.symtable(text, "cli.py", "exec")
     tables, read = [top], set()
@@ -136,24 +135,28 @@ def test_cli_binds_every_kernel_name_it_reads():
             read |= {name.id for name in ast.walk(annotation) if isinstance(name, ast.Name)}
     bound = {symbol.get_name() for symbol in top.get_symbols()
              if symbol.is_assigned() or symbol.is_imported()}
-    kernel, rebound = set(cli._KERNEL), _tracer_rebinds()["cli"]
+    kernel = {"np", *eprb_lab.__all__}
     assert read - bound - set(dir(builtins)) - kernel == set()
-    assert kernel - read <= rebound
-    assert rebound <= kernel | bound
+    assert _tracer_rebinds()["cli"] <= set(eprb_lab.__all__)
 
 
 def test_cli_binds_its_kernel_through_the_package_exports():
     # the package's export table is the one record of the module a name is
-    # in: cli's kernel names are its keys (numpy aside), and cli names no
-    # package module, neither as a string nor in a from-import
-    assert isinstance(cli._KERNEL, tuple)
-    assert set(cli._KERNEL) - {"np"} <= set(eprb_lab._EXPORTS)
+    # in: cli names no package module, neither as a string nor in a from-import
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     named = [node.value for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and str(node.value).startswith("eprb_lab.")]
     named += [node.module for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) and node.level and node.module]
     assert named == []
+
+
+def test_cli_binds_each_exported_name_to_the_package_original():
+    # once the kernel loads, each name the package exports is bound in cli to
+    # the package's own object, not to a copy or a namesake
+    cli._load_kernel()
+    assert [name for name in eprb_lab.__all__
+            if getattr(cli, name) is not getattr(eprb_lab, name)] == []
 
 
 def test_cli_reads_no_private_argparse_name():
