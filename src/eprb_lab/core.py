@@ -107,11 +107,15 @@ CONTEXTS: tuple[tuple[str, str], ...] = (("a", "b"), ("a'", "b"), ("a'", "b'"), 
 #: index into its names, and choice 0 is the unprimed setting.
 SETTINGS = dict(zip("AB", (tuple(dict.fromkeys(names)) for names in zip(*CONTEXTS))))
 
+#: The wing names, Alice's then Bob's: the order of every :data:`CONTEXTS`
+#: pair.  Other modules find a wing by its place here, so none writes the order.
+WINGS = tuple(SETTINGS)
+
 
 def check_wing(wing: str) -> str:
-    """``wing`` once it names a wing (a key of :data:`SETTINGS`); ValueError otherwise."""
-    if wing not in tuple(SETTINGS):  # a tuple, so an unhashable wing is refused too
-        raise ValueError(f"wing must be one of {tuple(SETTINGS)}, got {wing!r}")
+    """``wing`` once it names a wing (one of :data:`WINGS`); ValueError otherwise."""
+    if wing not in WINGS:  # a tuple, so an unhashable wing is refused too
+        raise ValueError(f"wing must be one of {WINGS}, got {wing!r}")
     return wing
 
 

@@ -30,6 +30,7 @@ from . import core
 from .core import (
     CONTEXTS,
     SETTINGS,
+    WINGS,
     Angle,
     AngleQuadruple,
     Distribution,
@@ -45,6 +46,8 @@ from .inequalities import stats_from_model  # noqa: F401  (bench/tracer.py rebin
 from .transition import TransitionReport, pattern_code
 from .transition import full_report  # noqa: F401  (bench/tracer.py rebinds it here)
 
+#: Each wing's companion: the other wing.
+_OTHER_WING = dict(zip(WINGS, reversed(WINGS)))
 #: The first answers as (wing, own setting): bit 8 + j of a moc code is set when answer j is -1.
 _FIRSTS = tuple((wing, own) for wing, names in SETTINGS.items() for own in names)
 
@@ -58,12 +61,10 @@ ORDERING_SETS: tuple[tuple[str, str, str], ...] = tuple(
 _CODES = np.arange(1 << (len(ORDERING_SETS) + len(_FIRSTS)))
 _ANSWERS = {first: 1 - 2 * (_CODES >> j & 1) for j, first in enumerate(_FIRSTS, len(ORDERING_SETS))}
 #: The order-free model's outcome pattern in each moc code: each wing gives its first answer.
-ORDER_FREE_PATTERNS = pattern_code(tuple((_ANSWERS["A", x], _ANSWERS["B", y]) for x, y in CONTEXTS))
+ORDER_FREE_PATTERNS = pattern_code(
+    tuple(tuple(_ANSWERS[first] for first in zip(WINGS, context)) for context in CONTEXTS)
+)
 del _ANSWERS  # 128 KB that no later code reads
-
-
-def _companion(wing: str) -> str:
-    return "B" if wing == "A" else "A"
 
 
 def moc_transition_measure(
@@ -78,11 +79,11 @@ def moc_transition_measure(
     wing's outcome at ``own``, with the companion wing set to ``other``.
     No command runs it: it is the tests' full-grid reference for one
     ordering set (it classifies every midpoint), and bench/tracer.py binds it."""
-    check_wing(wing)
+    companion = _OTHER_WING[check_wing(wing)]
 
     def indicator(coords: np.ndarray) -> np.ndarray:
         first_own = model.first(wing, own, coords)
-        companion_first = model.first(_companion(wing), other, coords)
+        companion_first = model.first(companion, other, coords)
         return first_own != model.second(wing, own, other, companion_first, coords)
 
     return estimate_measure(dist, indicator, scheme)
@@ -101,7 +102,7 @@ def _moc_sweep(
         firsts = {(wing, own): model.first(wing, named[own], coords) for wing, own in _FIRSTS}
         code = np.zeros(coords.shape[0], dtype=np.uint16)
         for k, (wing, own, other) in enumerate(ORDERING_SETS):
-            companion_first = firsts[_companion(wing), other]
+            companion_first = firsts[_OTHER_WING[wing], other]
             second = model.second(wing, named[own], named[other], companion_first, coords)
             code += (firsts[wing, own] != second) * np.uint16(1 << k)
         for j, first in enumerate(firsts.values(), start=len(ORDERING_SETS)):

@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     CONTEXTS,
     SETTINGS,
+    WINGS,
     Angle,
     AngleQuadruple,
     Distribution,
@@ -69,12 +70,15 @@ BITS_BY_MASK: tuple[int, ...] = tuple(
     for mask in range(len(LABELS_BY_MASK))
 )
 
+#: Alice's and Bob's setting counts.  A run's setting choice packs as
+#: ``alice * _N_BOB + bob``, the order of ``itertools.product(*SETTINGS.values())``.
+_N_ALICE, _N_BOB = (len(SETTINGS[wing]) for wing in WINGS)
 #: Number of run keys (see :class:`CommBlock`).
 N_KEYS = len(CONTEXTS) * N_PATTERNS
 # Every command imports these tables: small dtypes and table lookups keep that cheap.
 _CHOICES, _PATTERNS = np.divmod(np.arange(N_KEYS, dtype=np.int16), N_PATTERNS)
 
-#: Canonical context of each run key: the one that setting choice 2 * alice + bob plays.
+#: Canonical context of each run key: the one that its setting choice plays.
 CONTEXT_BY_KEY = np.array(
     [CONTEXTS.index(pair) for pair in itertools.product(*SETTINGS.values())], dtype=np.int8
 )[_CHOICES]
@@ -95,19 +99,20 @@ class CommBlock:
     """The runs of one chunk of a sampling block.
 
     Row j is run ``start + j``: the shared lambda ``lam[j]`` and the run key
-    ``key[j] = (2 * alice + bob) * N_PATTERNS + pattern``, where a choice is
-    an index into ``SETTINGS`` (0 for the unprimed setting) and ``pattern`` is
-    lambda's :func:`pattern_code`.  The setting choices, lambda's membership
-    mask (an index into ``LABELS_BY_MASK``), the bit cost and the outcomes
-    of the realized context are lookups of the key.
+    ``key[j] = (alice * n_bob + bob) * N_PATTERNS + pattern``, where a choice
+    is an index into ``SETTINGS`` (0 for the unprimed setting), ``n_bob`` is
+    the number of Bob's settings and ``pattern`` is lambda's
+    :func:`pattern_code`.  The setting choices, lambda's membership mask (an
+    index into ``LABELS_BY_MASK``), the bit cost and the outcomes of the
+    realized context are lookups of the key.
     """
 
     start: int
     lam: np.ndarray
     key: np.ndarray
 
-    alice_choice = _by_key(_CHOICES.astype(np.int8) // len(SETTINGS["B"]))
-    bob_choice = _by_key(_CHOICES.astype(np.int8) % len(SETTINGS["B"]))
+    alice_choice = _by_key(_CHOICES.astype(np.int8) // _N_BOB)
+    bob_choice = _by_key(_CHOICES.astype(np.int8) % _N_BOB)
     mask_code = _by_key(MASK_BY_KEY)
     bits = _by_key(BITS_BY_KEY)
     outcome_a = _by_key(OUTCOME_A_BY_KEY)
@@ -177,8 +182,8 @@ def simulate_game(
         lam = dist.sampler(lam_rng, hi - lo)
         if not in_unit_cube(lam):
             raise ValueError(f"sampler of {dist.label!r} produced points outside [0, 1)")
-        key = 2 * alice_rng.integers(0, 2, hi - lo)
-        key += bob_rng.integers(0, 2, hi - lo)
+        key = _N_BOB * alice_rng.integers(0, _N_ALICE, hi - lo)
+        key += bob_rng.integers(0, _N_BOB, hi - lo)
         key *= N_PATTERNS
         key += classify(lam)
         return CommBlock(start=lo, lam=lam, key=key)
@@ -260,7 +265,7 @@ def marginal_shift(
     report = full_report(model, dist, AngleQuadruple(a1, a2, b_setting, b_setting), scheme)
     # the bob@b set links B at (a1, b), its pre-context, to B at (a2, b)
     wing, pre, post = SET_LINKS[TransitionSetId.BOB_AT_B]
-    up_1, up_2 = (report.marginals[context]["AB".index(wing)] for context in (pre, post))
+    up_1, up_2 = (report.marginals[context][WINGS.index(wing)] for context in (pre, post))
     plus_minus, minus_plus = report.partition_measures[TransitionSetId.BOB_AT_B]
     return abs(up_1 - up_2), abs(plus_minus.value - minus_plus.value)
 

@@ -48,6 +48,7 @@ import numpy as np
 from .core import (
     CONTEXTS,
     SETTINGS,
+    WINGS,
     AngleQuadruple,
     ClassifierFn,
     Distribution,
@@ -81,9 +82,9 @@ def _link(here: int) -> tuple[str, int, int]:
     the other wing plays its choice 0 (the unprimed setting), then the other."""
     there = (here + 1) % len(CONTEXTS)
     wing = int(CONTEXTS[here][0] != CONTEXTS[there][0])
-    if CONTEXTS[here][1 - wing] != SETTINGS["AB"[1 - wing]][0]:
+    if CONTEXTS[here][1 - wing] != SETTINGS[WINGS[1 - wing]][0]:
         here, there = there, here
-    return "AB"[wing], here, there
+    return WINGS[wing], here, there
 
 
 #: (wing, pre-context, post-context) of each set: set k links context k to k + 1.
@@ -190,7 +191,7 @@ def _build_pattern_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     members, pre_values = [], []
     for sid in CANONICAL_SETS:
         wing, pre, post = SET_LINKS[sid]
-        outcomes = OUTCOMES_BY_PATTERN[:, "AB".index(wing)]
+        outcomes = OUTCOMES_BY_PATTERN[:, WINGS.index(wing)]
         members.append(outcomes[pre] != outcomes[post])
         pre_values.append(outcomes[pre])
     return np.stack(members), np.prod(OUTCOMES_BY_PATTERN, axis=1), np.stack(pre_values)

@@ -930,6 +930,33 @@ def test_replay_reproduces_bytes(tmp_path, monkeypatch, capsys):
     assert manifest["outputs"] == ["sweep.csv", "sweep.svg"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--model", "singlet+bias:q=0.7", "--mc", "20000", "--seed", "3"],
+        ["transition", "--model", "singlet+bias:q=0.7", "--mc", "20000", "--seed", "3"],
+        ["signal", "--q", "0.7", "--mc", "20000", "--seed", "3"],
+        ["moc", "--mc", "20000", "--seed", "3"],
+        # no --grid: the model's default grid
+        ["sweep", "--model", "singlet", "--steps", "3", "--svg", "out.svg"],
+        ["comm", "--runs", "20000", "--seed", "3", "--log", "log.csv"],
+    ],
+    ids=["stats", "transition", "signal", "moc", "sweep", "comm"],
+)
+def test_every_subcommand_replays_to_the_same_bytes(argv, tmp_path, monkeypatch, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    monkeypatch.chdir(first)
+    assert main([*argv, "--out", "out.csv"]) == 0
+    monkeypatch.chdir(second)
+    assert main(["replay", str(first / "out.csv.manifest.json")]) == 0
+    assert capsys.readouterr().out == ""
+    written = {path.name: path.read_bytes() for path in first.iterdir()}
+    assert "out.csv.manifest.json" in written
+    assert {path.name: path.read_bytes() for path in second.iterdir()} == written
+
+
 def test_replay_of_a_config_run_reads_no_config(tmp_path, monkeypatch, capsys):
     # a run that read --config records each flag's effective value, not the
     # file, so its replay gives the same bytes once the file changes or is gone

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import eprb_lab
 from eprb_lab import cli
-from eprb_lab.core import CONTEXTS
+from eprb_lab.core import CONTEXTS, WINGS
 from eprb_lab.models import MODEL_NAMES
 
 PACKAGE = Path(eprb_lab.__file__).resolve().parent
@@ -342,6 +342,29 @@ def test_only_core_pairs_the_settings_of_a_context():
             if isinstance(node, ast.Constant) and node.value in settings:
                 holders.setdefault(path.stem, []).append(node.lineno)
     assert set(holders) == {"core"}, holders
+
+
+def test_only_core_writes_the_wing_order():
+    # which wing is Alice's and which is Bob's is written once, as the key
+    # order of core.SETTINGS (core.WINGS); elsewhere a wing is looked up by
+    # its place there, so no module spells the pair or picks the other wing
+    # by comparing with a wing name.  A wing name passed as an argument is
+    # the API's vocabulary and stays
+    pair = "".join(WINGS)
+    copies = []
+    for path in SOURCES:
+        if path.stem == "core":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, node in _scoped(tree, ast.Constant):
+            if node.value == pair:  # type: ignore[attr-defined]
+                copies.append(f"{path.stem}.{scope}:{node.lineno}")
+        for scope, node in _scoped(tree, ast.Compare):
+            operands = (node.left, *node.comparators)  # type: ignore[attr-defined]
+            if any(isinstance(operand, ast.Constant) and operand.value in WINGS
+                   for operand in operands):
+                copies.append(f"{path.stem}.{scope}:{node.lineno}")
+    assert copies == []
 
 
 def test_the_kernel_names_no_scheme():
