@@ -65,9 +65,10 @@ once a chunk breaks the run; no other array is a block long.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -133,6 +134,98 @@ class NumericalInvariantError(RuntimeError):
     """
 
 
+def record(cls: type | None = None, *, eq: bool = True):
+    """Make ``cls`` a frozen record, as ``@dataclass(frozen=True, eq=eq)`` does,
+    from the one set of methods below: ``dataclass`` only records the fields,
+    so importing the package compiles no generated methods.
+
+    Fields are read from the class annotations, each with at most a plain
+    default.  Instances bind their arguments to the fields in order, run
+    ``__post_init__`` when the class has one, refuse to set or delete an
+    attribute, repr as ``Name(field=value, ...)`` and, with ``eq``, compare
+    and hash by the tuple of their fields.  ``dataclasses.fields``,
+    ``replace`` and ``is_dataclass`` work on them.
+    """
+    if cls is None:
+        return lambda cls: record(cls, eq=eq)
+    dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+    fields = dataclasses.fields(cls)
+    if len(fields) != len(cls.__dataclass_fields__) or any(
+        field.default_factory is not dataclasses.MISSING or field.kw_only
+        or not (field.init and field.repr and field.compare) or field.hash is not None
+        for field in fields
+    ):
+        raise TypeError(f"the fields of record {cls.__qualname__} may have a plain default only")
+    cls.__init__, cls.__repr__ = _record_init, _record_repr
+    cls.__setattr__, cls.__delattr__ = _record_setattr, _record_delattr
+    if eq:
+        cls.__eq__, cls.__hash__ = _record_eq, _record_hash
+    # the signature the generated __init__ would have, for inspect and help
+    missing, empty = dataclasses.MISSING, inspect.Parameter.empty
+    cls.__signature__ = inspect.Signature(
+        [
+            inspect.Parameter(
+                field.name,
+                inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                default=empty if field.default is missing else field.default,
+                annotation=field.type,
+            )
+            for field in fields
+        ],
+        return_annotation=None,
+    )
+    return cls
+
+
+def _record_init(self, *args: object, **kwargs: object) -> None:
+    cls = type(self)
+    fields = cls.__dataclass_fields__
+    if len(args) > len(fields):
+        raise TypeError(
+            f"{cls.__qualname__}() takes {len(fields)} arguments but {len(args)} were given"
+        )
+    values = dict(zip(fields, args))
+    for name, value in kwargs.items():
+        if name in values or name not in fields:
+            problem = "multiple values for" if name in values else "an unexpected keyword"
+            raise TypeError(f"{cls.__qualname__}() got {problem} argument {name!r}")
+        values[name] = value
+    for name, field in fields.items():
+        value = values.get(name, field.default)
+        if value is dataclasses.MISSING:
+            raise TypeError(f"{cls.__qualname__}() missing required argument {name!r}")
+        object.__setattr__(self, name, value)
+    if hasattr(cls, "__post_init__"):
+        self.__post_init__()
+
+
+def _record_values(self) -> tuple:
+    return tuple(map(getattr, itertools.repeat(self), type(self).__dataclass_fields__))
+
+
+def _record_repr(self) -> str:
+    fields = (f"{name}={getattr(self, name)!r}" for name in type(self).__dataclass_fields__)
+    return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+def _record_setattr(self, name: str, value: object) -> None:
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name: str) -> None:
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record_eq(self, other: object) -> bool:
+    if type(other) is not type(self):
+        return NotImplemented
+    return _record_values(self) == _record_values(other)
+
+
+def _record_hash(self) -> int:
+    return hash(_record_values(self))
+
+
 def normalize_radians(radians: float) -> float:
     """Map a finite angle to its representative in [0, 2*pi)."""
     value = float(radians)
@@ -147,7 +240,7 @@ def normalize_radians(radians: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class Angle:
     """A detector setting in radians, stored normalized into [0, 2*pi)."""
 
@@ -168,7 +261,7 @@ def theta_between(x: Angle, y: Angle) -> float:
     return x.radians - y.radians
 
 
-@dataclass(frozen=True)
+@record
 class AngleQuadruple:
     """The four settings a, a' (left wing) and b, b' (right wing).
 
@@ -208,7 +301,7 @@ class AngleQuadruple:
         return {"a": self.a, "a'": self.a_prime, "b": self.b, "b'": self.b_prime}
 
 
-@dataclass(frozen=True)
+@record
 class LambdaSpace:
     """The hidden-variable space [0, 1)^dimension."""
 
@@ -231,7 +324,7 @@ Cuts = tuple[tuple[float, ...], ...]
 BreakpointsFn = Callable[[Sequence[Angle]], Cuts]
 
 
-@dataclass(frozen=True)
+@record
 class Distribution:
     """A probability density on a :class:`LambdaSpace`.
 
@@ -276,7 +369,7 @@ def uniform_distribution(space: LambdaSpace) -> Distribution:
 OutcomeFn = Callable[[Angle, Angle, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@record
 class HvModel:
     """A deterministic outcome-function pair over a hidden-variable space.
 
@@ -310,7 +403,7 @@ FirstOutcomeFn = Callable[[str, Angle, np.ndarray], np.ndarray]
 SecondOutcomeFn = Callable[[str, Angle, Angle, np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@record
 class SequentialModel:
     """A model whose outcomes may depend on the measurement order.
 
@@ -350,7 +443,7 @@ class SequentialModel:
         return _checked_values(answer, coords, self.name, wing)
 
 
-@dataclass(frozen=True)
+@record
 class GridScheme:
     """Midpoint rule on resolution^dimension cells; deterministic and exact
     for piecewise-constant integrands whose thresholds avoid cell centers."""
@@ -421,7 +514,7 @@ class GridScheme:
         return min(value, 1.0), 0.0
 
 
-@dataclass(frozen=True)
+@record
 class MonteCarloScheme:
     """Mean over n uniform samples from a seeded counter-based generator."""
 
@@ -463,7 +556,7 @@ def default_grid_resolution(dimension: int) -> int:
     return 2 ** max(1, 20 // dimension)
 
 
-@dataclass(frozen=True)
+@record
 class MeasureEstimate:
     """A measure value in [0, 1] with its standard error."""
 
@@ -496,7 +589,7 @@ def derived_stream(seed: int, domain: int, block_index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-@dataclass(frozen=True)
+@record
 class GridCuts:
     """The merged cuts of one sweep's model and density, per axis, sorted."""
 

@@ -16,12 +16,11 @@ own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CONTEXT_LABELS, CONTEXTS, AngleQuadruple, Distribution, HvModel, Scheme
+from .core import CONTEXT_LABELS, CONTEXTS, AngleQuadruple, Distribution, HvModel, Scheme, record
 from .core import sweep_statistics  # noqa: F401  (bench/tracer.py rebinds it here)
 from .transition import CANONICAL_SETS, SET_LINKS, MembershipVector, TransitionSetId, full_report
 
@@ -39,7 +38,7 @@ BETA_SIGNS: tuple[tuple[int, int, int, int], ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
+@record
 class JointStats:
     """The four context product distributions: p_i^+ is stored (as floats in
     [0, 1], checked when made) and p_i^- = 1 - p_i^+ derived from it."""
@@ -67,7 +66,7 @@ def bound_for_signs(stats: JointStats, signs: Sequence[int]) -> float:
     return total - 3.0
 
 
-@dataclass(frozen=True)
+@record
 class HardyBounds:
     """The eight pattern bounds plus the unified quantities.
 
@@ -136,7 +135,7 @@ def chsh_correlations(stats: JointStats) -> ChshResult:
     return ChshResult(c[0], c[1], c[2], c[3], lhs1, lhs2)
 
 
-@dataclass(frozen=True)
+@record
 class TraceStep:
     """One deduction in the four-context cycle.
 
@@ -156,7 +155,7 @@ class TraceStep:
     escaped: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class ContradictionTrace:
     """The full deduction chain and its verdict.
 

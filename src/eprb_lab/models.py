@@ -15,7 +15,7 @@ only at u = 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .core import (
     LambdaSpace,
     SequentialModel,
     check_wing,
+    record,
     theta_between,
     uniform_distribution,
 )
@@ -198,7 +199,7 @@ def as_simultaneous(model: SequentialModel, first_wing: str = "A") -> HvModel:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ModelChoice:
     """A resolved CLI model name.
 

@@ -21,8 +21,6 @@ no order-free pattern lies in a transition set, so its sigma_minus is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # the kernel is called as core.sweep_statistics so that rebinding it on core reaches this sweep
@@ -40,6 +38,7 @@ from .core import (
     check_wing,
     declared_cuts,
     estimate_measure,
+    record,
 )
 from .inequalities import JointStats, hardy_bounds, quantum_stats
 from .inequalities import stats_from_model  # noqa: F401  (bench/tracer.py rebinds it here)
@@ -116,7 +115,7 @@ def _moc_sweep(
     return sets, histogram
 
 
-@dataclass(frozen=True)
+@record
 class MocReport:
     """The ordering-contextuality demonstration at one quadruple.
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -42,6 +41,7 @@ from .core import (
     check_seed,
     in_unit_cube,
     monte_carlo_chunks,
+    record,
 )
 from .inequalities import JointStats, hardy_bounds
 from .transition import (
@@ -94,7 +94,7 @@ def _by_key(table: np.ndarray) -> property:
     return property(lambda block: table[block.key], doc="A column of the runs, looked up by key.")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CommBlock:
     """The runs of one chunk of a sampling block.
 
@@ -119,7 +119,7 @@ class CommBlock:
     outcome_b = _by_key(OUTCOME_B_BY_KEY)
 
 
-@dataclass(frozen=True)
+@record
 class CommSummary:
     """Aggregates of a game: average cost and empirical statistics.
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -59,6 +58,7 @@ from .core import (
     as_lambda_point,
     context_outcomes,
     declared_cuts,
+    record,
     sweep_statistics,
 )
 
@@ -111,7 +111,7 @@ E_REGION_LABELS: tuple[str, ...] = tuple(f"E{i}" for i in range(1, 7))
 ALL_REGION_LABELS: tuple[str, ...] = T_REGION_LABELS + E_REGION_LABELS + ("F", "none")
 
 
-@dataclass(frozen=True)
+@record
 class MembershipVector:
     """Membership flags for the four sets plus the four context products.
 
@@ -224,7 +224,7 @@ def classify_lambda(model: HvModel, quadruple: AngleQuadruple, lam: object) -> M
     )
 
 
-@dataclass(frozen=True)
+@record
 class TransitionReport:
     """Every transition-set statistic from a single sweep.
 

@@ -760,6 +760,30 @@ def test_importtime_lists_the_module_a_library_lookup_loads():
     assert {"eprb_lab", "eprb_lab.core", "eprb_lab.transition"} <= imported
 
 
+def test_the_kernel_import_compiles_no_methods():
+    # a frozen dataclass compiles its generated methods with exec at every
+    # import; core.record gives the package's records one shared set instead.
+    # Each exec of dataclasses runs a __create_fn__ that holds the code of the
+    # methods it made (one per exec up to 3.12, a class's all from 3.13), so
+    # those code objects are the methods compiled
+    code = (
+        "import dataclasses, sys, types\n"
+        "import eprb_lab.cli as cli\n"
+        "methods = []\n"
+        "def profile(frame, event, arg):\n"
+        "    caller = frame.f_back\n"
+        "    if (event == 'call' and frame.f_code.co_name == '__create_fn__' and caller\n"
+        "            and caller.f_code.co_filename == dataclasses.__file__):\n"
+        "        methods.extend(c.co_name for c in frame.f_code.co_consts\n"
+        "                       if isinstance(c, types.CodeType))\n"
+        "sys.setprofile(profile)\n"
+        "cli._load_kernel()\n"
+        "sys.setprofile(None)\n"
+        "print(len(methods), 'eprb_lab.protocols' in sys.modules)\n"
+    )
+    assert _fresh_python(code).split() == ["0", "True"]
+
+
 def test_cli_starts_openblas_with_one_thread():
     code = (
         "import os, eprb_lab.cli, numpy\n"

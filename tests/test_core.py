@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import inspect
 import math
+import pickle
+import sys
 import tracemalloc
+import types
+from typing import Callable, ClassVar
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import eprb_lab
 from eprb_lab.core import (
     BLOCK_SIZE,
     CHUNK_SIZE,
@@ -35,6 +42,7 @@ from eprb_lab.core import (
     evaluate_pair,
     normalize_radians,
     probe_locality,
+    record,
     sweep_statistics,
     theta_between,
     uniform_distribution,
@@ -516,3 +524,190 @@ def test_probe_locality_is_exported():
     from eprb_lab import probe_locality as exported
 
     assert exported is probe_locality
+
+
+# ---------------------------------------------------------------------------
+# Records: core.record against dataclass(frozen=True)
+
+
+def _sample_distribution() -> Distribution:
+    # builtins as the callables, so that an instance pickles
+    return Distribution(space=SPACE, density=abs, label="flat", breakpoints=((), ()))
+
+
+def _measure(value: float) -> MeasureEstimate:
+    return MeasureEstimate(value, 0.0)
+
+
+def _report_fields(sigma_minus: float) -> dict:
+    sets = eprb_lab.TransitionSetId
+    return dict(
+        set_measures={sid: _measure(0.25) for sid in sets},
+        partition_measures={sid: (_measure(0.125), _measure(0.125)) for sid in sets},
+        region_measures={"F": _measure(0.5)},
+        sigma_minus=_measure(sigma_minus),
+        p_plus=(0.5, 0.5, 0.5, 0.5),
+        marginals=((0.5, 0.5),) * 4,
+    )
+
+
+#: Each exported record class: the arguments of a sample instance, a change
+#: that makes an unequal one, and arguments that its __post_init__ refuses
+#: (None: it has no __post_init__).  No value is NaN, which equals only itself.
+RECORD_SAMPLES = {
+    "Angle": (dict(radians=1.0), dict(radians=2.0), dict(radians=math.inf)),
+    "AngleQuadruple": (
+        dict(a=Angle(0.1), a_prime=Angle(0.2), b=Angle(0.3), b_prime=Angle(0.4)),
+        dict(b_prime=Angle(0.5)),
+        None,
+    ),
+    "LambdaSpace": (dict(dimension=2), dict(dimension=3), dict(dimension=0)),
+    "Distribution": (dict(space=SPACE, density=abs, label="flat"), dict(label="tilted"), None),
+    "HvModel": (
+        dict(name="m", space=SPACE, outcome_a=max, outcome_b=min,
+             equilibrium=_sample_distribution()),
+        dict(breakpoints=len),
+        None,
+    ),
+    "SequentialModel": (
+        dict(name="s", space=SPACE, equilibrium=_sample_distribution(), first_outcome=max,
+             second_outcome=min),
+        dict(name="t"),
+        None,
+    ),
+    "GridScheme": (dict(resolution=8), dict(resolution=16), dict(resolution=0)),
+    "MonteCarloScheme": (dict(n=100, seed=3), dict(seed=4), dict(n=100, seed=-1)),
+    "MeasureEstimate": (
+        dict(value=0.25, std_error=0.01), dict(std_error=0.0), dict(value=2.0, std_error=0.0)
+    ),
+    "ModelChoice": (dict(name="quantum"), dict(distribution=_sample_distribution()), None),
+    "MembershipVector": (
+        dict(in_set=(True, False, False, False), sign_pattern=(-1, 1, 1, 1)),
+        dict(sign_pattern=(1, -1, 1, 1)),
+        dict(in_set=(True,), sign_pattern=(-1,)),
+    ),
+    "TransitionReport": (_report_fields(0.5), dict(sigma_minus=_measure(0.25)), None),
+    "JointStats": (
+        dict(p_plus=(0.1, 0.2, 0.3, 0.4)),
+        dict(p_plus=(0.4, 0.3, 0.2, 0.1)),
+        dict(p_plus=(0.1, 0.2, 0.3, 1.5)),
+    ),
+    "HardyBounds": (dict(alpha=(-1.0,) * 4, beta=(-2.0,) * 4, x=1.5, y=0.5), dict(y=0.75), None),
+    "ContradictionTrace": (
+        dict(steps=(), consistent=True, escapes_used=()), dict(consistent=False), None
+    ),
+    "CommBlock": (
+        dict(start=0, lam=np.zeros((2, 2)), key=np.arange(2, dtype=np.int64)), dict(start=2), None
+    ),
+    "CommSummary": (
+        dict(seed=1, average_bits=0.5, bits_std_error=0.01, stats=eprb_lab.JointStats((0.5,) * 4),
+             context_counts=(1, 2, 3, 4)),
+        dict(seed=2),
+        None,
+    ),
+    "MocReport": (
+        dict(pair="p", wing="w", own=Angle(0.1), other=Angle(0.2), moc_measure=_measure(0.1),
+             induced_sigma_minus=_measure(0.2), induced_bell_lhs=2.0, quantum_required=0.1),
+        dict(induced_bell_lhs=2.5),
+        None,
+    ),
+}
+
+
+def test_record_samples_cover_every_exported_record():
+    exported = {name for name in eprb_lab.__all__
+                if isinstance(getattr(eprb_lab, name), type)
+                and dataclasses.is_dataclass(getattr(eprb_lab, name))}
+    assert set(RECORD_SAMPLES) == exported
+
+
+def _frozen_twin(cls: type, module: types.ModuleType) -> type:
+    """``@dataclass(frozen=True)`` made from the fields, defaults and
+    ``__post_init__`` of record ``cls``, under its name in ``module``; a record
+    made with ``eq=False`` gets ``eq=False``."""
+    fields = dataclasses.fields(cls)
+    namespace = {
+        "__annotations__": {field.name: field.type for field in fields},
+        "__module__": module.__name__,
+        "__qualname__": cls.__qualname__,
+        **{field.name: field.default for field in fields if field.default is not dataclasses.MISSING},
+    }
+    if "__post_init__" in vars(cls):
+        namespace["__post_init__"] = cls.__post_init__
+    eq = "__eq__" in vars(cls)
+    twin = dataclasses.dataclass(frozen=True, eq=eq)(type(cls.__name__, (), namespace))
+    setattr(module, cls.__qualname__, twin)  # so that pickle finds it
+    return twin
+
+
+def _outcome(action: Callable[[], object]) -> object:
+    """What ``action`` returns, or the type and text of what it raises."""
+    try:
+        return action()
+    except Exception as error:
+        return type(error), str(error)
+
+
+def _refusal(action: Callable[[], object]) -> type:
+    with pytest.raises(Exception) as caught:
+        action()
+    return caught.type
+
+
+def _behaviour(cls: type, kwargs: dict, change: dict, refused: dict | None) -> dict:
+    """What a sample of ``cls`` shows, named: every entry is compared."""
+    made, again, other = cls(**kwargs), cls(**kwargs), cls(**{**kwargs, **change})
+    positional = cls(*[kwargs.get(f.name, f.default) for f in dataclasses.fields(cls)])
+    replaced = dataclasses.replace(made, **change)
+    copied, unpickled = copy.copy(made), pickle.loads(pickle.dumps(made))
+    first = dataclasses.fields(cls)[0].name
+    by_value = cls.__hash__ is not object.__hash__
+    return {
+        "fields": [(f.name, f.type, f.default) for f in dataclasses.fields(cls)],
+        "match_args": cls.__match_args__,
+        "signature": inspect.signature(cls),
+        "reprs": [repr(x) for x in (made, other, positional, replaced, copied, unpickled)],
+        "equal": [made == again, made == positional, replaced == other, copied == made,
+                  unpickled == made],
+        "unequal": [made == other, made != other, made == object()],
+        "hash": (by_value, _outcome(lambda: hash(made)) if by_value else None,
+                 _outcome(lambda: hash(made) == hash(again)) if by_value else None),
+        "frozen": [_refusal(lambda: setattr(made, first, kwargs[first])),
+                   _refusal(lambda: setattr(made, "extra", 1)),
+                   _refusal(lambda: delattr(made, first))],
+        "bad arguments": [_refusal(cls), _refusal(lambda: cls(**kwargs, extra=1)),
+                          _refusal(lambda: cls(kwargs[first], **kwargs))],
+        "post_init": None if refused is None else _outcome(lambda: cls(**refused)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_SAMPLES))
+def test_a_record_behaves_as_its_frozen_dataclass(name, monkeypatch):
+    record_cls = getattr(eprb_lab, name)
+    module = types.ModuleType("record_twins")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    sample = RECORD_SAMPLES[name]
+    ours = _behaviour(record_cls, *sample)
+    assert ours == _behaviour(_frozen_twin(record_cls, module), *sample)
+    # and the shared outcomes are the intended ones
+    assert ours["frozen"] == [dataclasses.FrozenInstanceError] * 3
+    assert ours["bad arguments"] == [TypeError] * 3
+    assert ours["post_init"] is None or ours["post_init"][0] is ValueError
+    eq = name != "CommBlock"
+    assert ours["equal"] == [eq] * 5 and ours["unequal"] == [False, True, False]
+    assert ours["hash"][0] is eq
+
+
+@pytest.mark.parametrize(
+    "namespace",
+    [
+        {"x": dataclasses.field(default=0, repr=False)},
+        {"x": dataclasses.field(default_factory=list)},
+        {"__annotations__": {"x": int, "y": ClassVar[int]}, "y": 0},
+    ],
+    ids=["repr-false", "default-factory", "class-var"],
+)
+def test_record_refuses_a_field_its_shared_methods_would_ignore(namespace):
+    namespace = {"__annotations__": {"x": "int"}, **namespace}
+    with pytest.raises(TypeError, match="plain default only"):
+        record(type("Refused", (), namespace))

@@ -367,6 +367,21 @@ def test_only_core_writes_the_wing_order():
     assert copies == []
 
 
+def test_only_core_makes_a_dataclass():
+    # a record class is made by core.record, which gives every record one
+    # shared set of methods; a dataclass made anywhere else would compile its
+    # own methods at every import of the package
+    makers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for alias in _imported(tree)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if names & {"dataclass", "make_dataclass"}:
+            makers.add(path.stem)
+    assert makers == {"core"}
+
+
 def test_the_kernel_names_no_scheme():
     # each scheme class supplies its blocks and its estimate rule, so no code
     # asks which scheme it holds, and the sweep kernel and Histogram.measure
